@@ -14,34 +14,16 @@ See :mod:`repro.workloads` for the paper's benchmark programs and
 :mod:`repro.experiments` for the per-table/figure reproduction harness.
 """
 
-from repro.consistency import SEQUENTIAL_CONSISTENCY, WEAK_ORDERING
-from repro.core import ProtocolPolicy, ReferenceDetectorFSM, should_nominate
-from repro.cpu import Barrier, Compute, Lock, Read, Unlock, Write
-from repro.faults import DiagnosticDump, FaultConfig
-from repro.machine import Machine, MachineConfig, RunResult, SharedAllocator
-from repro.sim.engine import DeadlockError, LivelockError
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Barrier",
-    "Compute",
-    "DeadlockError",
-    "DiagnosticDump",
-    "FaultConfig",
-    "LivelockError",
-    "Lock",
-    "Machine",
-    "MachineConfig",
-    "ProtocolPolicy",
-    "Read",
-    "ReferenceDetectorFSM",
-    "RunResult",
-    "SEQUENTIAL_CONSISTENCY",
-    "SharedAllocator",
-    "Unlock",
-    "WEAK_ORDERING",
-    "Write",
-    "should_nominate",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".consistency": ("SEQUENTIAL_CONSISTENCY", "WEAK_ORDERING"),
+    ".core": ("ProtocolPolicy", "ReferenceDetectorFSM", "should_nominate"),
+    ".cpu": ("Barrier", "Compute", "Lock", "Read", "Unlock", "Write"),
+    ".faults": ("DiagnosticDump", "FaultConfig"),
+    ".machine": ("Machine", "MachineConfig", "RunResult", "SharedAllocator"),
+    ".sim.engine": ("DeadlockError", "LivelockError"),
+})
+__all__ += ["__version__"]

@@ -1,23 +1,11 @@
 """Analytical models accompanying the simulator."""
 
-from repro.analysis.message_cost import (
-    AD_EPISODE,
-    WI_EPISODE,
-    EpisodeCost,
-    ad_episode_cost,
-    breakdown_table,
-    episode_cost,
-    migratory_traffic_reduction,
-    wi_episode_cost,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AD_EPISODE",
-    "EpisodeCost",
-    "WI_EPISODE",
-    "ad_episode_cost",
-    "breakdown_table",
-    "episode_cost",
-    "migratory_traffic_reduction",
-    "wi_episode_cost",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".message_cost": (
+        "AD_EPISODE", "WI_EPISODE", "EpisodeCost", "ad_episode_cost",
+        "breakdown_table", "episode_cost", "migratory_traffic_reduction",
+        "wi_episode_cost",
+    ),
+})

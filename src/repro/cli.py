@@ -27,17 +27,12 @@ it measures the simulator.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
 from repro.consistency.models import model_by_name
 from repro.core.policy import ProtocolPolicy
-from repro.experiments import (
-    compare_protocols,
-    measure_table1,
-    render_table1,
-    run_workload,
-)
 from repro.stats.report import format_table, full_report
 from repro.workloads import PRESETS, WORKLOADS
 
@@ -84,6 +79,8 @@ def _print_cache_summary(store) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     cache_note = "disabled"
     if args.trace:
+        from repro.experiments.runner import run_workload
+
         # Tracing wants the live machine (span artifacts are not cached).
         result = run_workload(
             args.workload,
@@ -277,7 +274,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _parse_size(text: str) -> int:
-    """'64M', '2G', '100K', '512', '1.5g' -> bytes."""
+    """'64M', '2G', '100K', '512', '1.5g' -> bytes (finite, non-negative)."""
     raw = text.strip().upper().rstrip("B")
     units = {"K": 1024, "M": 1024 ** 2, "G": 1024 ** 3, "T": 1024 ** 4}
     factor = 1
@@ -285,11 +282,14 @@ def _parse_size(text: str) -> int:
         factor = units[raw[-1]]
         raw = raw[:-1]
     try:
-        return int(float(raw) * factor)
+        size = float(raw) * factor
     except ValueError:
+        size = math.nan
+    if not (math.isfinite(size) and size >= 0):
         raise SystemExit(
             f"bad size {text!r}: expected e.g. 512, 100K, 64M, 2G"
-        ) from None
+        )
+    return int(size)
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -372,6 +372,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import compare_protocols
+
     policies = None
     if args.protocols:
         names = [n.strip() for n in args.protocols.split(",") if n.strip()]
@@ -413,6 +415,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.experiments.table1 import measure_table1, render_table1
+
     print(render_table1(measure_table1()))
     return 0
 

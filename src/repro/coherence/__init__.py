@@ -1,32 +1,15 @@
 """Directory-based cache coherence: DASH write-invalidate base protocol."""
 
-from repro.coherence.cache_ctrl import MSHR, CacheController
-from repro.coherence.checker import CoherenceChecker, CoherenceViolation
-from repro.coherence.directory import DirectoryController, DirectoryEntry
-from repro.coherence.messages import (
-    DATA_KINDS,
-    DIRECTORY_KINDS,
-    CoherenceMessage,
-    MsgKind,
-    message_bits,
-)
-from repro.coherence.states import HOME_VALID_STATES, MIGRATORY_STATES, DirState
-from repro.coherence.transport import Transport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheController",
-    "CoherenceChecker",
-    "CoherenceMessage",
-    "CoherenceViolation",
-    "DATA_KINDS",
-    "DIRECTORY_KINDS",
-    "DirState",
-    "DirectoryController",
-    "DirectoryEntry",
-    "HOME_VALID_STATES",
-    "MIGRATORY_STATES",
-    "MSHR",
-    "MsgKind",
-    "Transport",
-    "message_bits",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache_ctrl": ("MSHR", "CacheController"),
+    ".checker": ("CoherenceChecker", "CoherenceViolation"),
+    ".directory": ("DirectoryController", "DirectoryEntry"),
+    ".messages": (
+        "DATA_KINDS", "DIRECTORY_KINDS", "CoherenceMessage", "MsgKind",
+        "message_bits",
+    ),
+    ".states": ("HOME_VALID_STATES", "MIGRATORY_STATES", "DirState"),
+    ".transport": ("Transport",),
+})

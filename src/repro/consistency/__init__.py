@@ -1,17 +1,10 @@
 """Memory consistency models (SC and WO)."""
 
-from repro.consistency.models import (
-    RELEASE_CONSISTENCY,
-    SEQUENTIAL_CONSISTENCY,
-    WEAK_ORDERING,
-    ConsistencyModel,
-    model_by_name,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConsistencyModel",
-    "RELEASE_CONSISTENCY",
-    "SEQUENTIAL_CONSISTENCY",
-    "WEAK_ORDERING",
-    "model_by_name",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".models": (
+        "RELEASE_CONSISTENCY", "SEQUENTIAL_CONSISTENCY", "WEAK_ORDERING",
+        "ConsistencyModel", "model_by_name",
+    ),
+})

@@ -7,18 +7,12 @@ integration with the DASH directory lives in
 :mod:`repro.coherence.directory`, which calls into these hooks.
 """
 
-from repro.core.detection import (
-    DetectorState,
-    LastWriterTracker,
-    ReferenceDetectorFSM,
-    should_nominate,
-)
-from repro.core.policy import ProtocolPolicy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DetectorState",
-    "LastWriterTracker",
-    "ProtocolPolicy",
-    "ReferenceDetectorFSM",
-    "should_nominate",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".detection": (
+        "DetectorState", "LastWriterTracker", "ReferenceDetectorFSM",
+        "should_nominate",
+    ),
+    ".policy": ("ProtocolPolicy",),
+})

@@ -1,16 +1,9 @@
 """Processor model, operation vocabulary, and ideal synchronization."""
 
-from repro.cpu.ops import Barrier, Compute, Lock, Read, Unlock, Write
-from repro.cpu.processor import Processor
-from repro.cpu.sync import IdealSync
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Barrier",
-    "Compute",
-    "IdealSync",
-    "Lock",
-    "Processor",
-    "Read",
-    "Unlock",
-    "Write",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".ops": ("Barrier", "Compute", "Lock", "Read", "Unlock", "Write"),
+    ".processor": ("Processor",),
+    ".sync": ("IdealSync",),
+})

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 from repro.core.policy import ProtocolPolicy
 from repro.experiments.parallel import RunSpec, run_pairs
 from repro.machine.config import MachineConfig
-from repro.machine.system import RunResult
+from repro.machine.result import RunResult
 from repro.workloads import PAPER_BENCHMARKS
 
 

@@ -22,7 +22,7 @@ from repro.consistency.models import SEQUENTIAL_CONSISTENCY, WEAK_ORDERING
 from repro.core.policy import ProtocolPolicy
 from repro.experiments.parallel import RunSpec, run_many
 from repro.machine.config import MachineConfig
-from repro.machine.system import RunResult
+from repro.machine.result import RunResult
 
 VARIANTS = ("SC", "WO Cont.", "WO No Cont.")
 POLICIES = ("W-I", "AD")

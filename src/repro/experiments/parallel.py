@@ -56,22 +56,26 @@ Design points:
 from __future__ import annotations
 
 import atexit
-import concurrent.futures
-import multiprocessing
 import os
 import random
 import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.consistency.models import ConsistencyModel, SEQUENTIAL_CONSISTENCY
 from repro.core.policy import ProtocolPolicy
 from repro.machine.config import MachineConfig
-from repro.machine.system import RunResult
+from repro.machine.result import RunResult
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import correlation_scope, log_event, new_correlation_id
+
+if TYPE_CHECKING:
+    # The pool modules are imported only where a pool is built or drained,
+    # so serial runs, the result store and the serve client never load them.
+    import concurrent.futures
+    import multiprocessing.context
 
 #: Tags marking frozen containers inside ``RunSpec.overrides`` so the
 #: original value shape survives the hashable round trip.  (A workload
@@ -299,8 +303,9 @@ class RunOutcome:
 
 def execute_spec(spec: RunSpec) -> RunOutcome:
     """Execute one spec in this process, capturing any failure."""
-    # Imported here so a forked/spawned worker resolves it at call time
-    # (and to avoid a module-level import cycle with runner.py).
+    # Imported here so a forked/spawned worker resolves it at call time,
+    # to avoid a module-level import cycle with runner.py, and so the
+    # store and the serve daemon never load the simulator.
     from repro.experiments.runner import run_workload
 
     start = time.perf_counter()
@@ -369,6 +374,8 @@ def _execute_chunk(
 
 def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
     """The preferred multiprocessing context, or None if unavailable."""
+    import multiprocessing
+
     try:
         methods = multiprocessing.get_all_start_methods()
     except Exception:  # pragma: no cover - exotic platforms
@@ -381,7 +388,7 @@ def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
 
 def default_workers() -> int:
     """A sensible worker count for this host (>= 1)."""
-    return max(1, multiprocessing.cpu_count() or 1)
+    return max(1, os.cpu_count() or 1)
 
 
 #: The shared worker pool, kept alive across run_many calls.  A sweep is
@@ -432,6 +439,8 @@ def _shared_pool(workers: int) -> Optional[concurrent.futures.ProcessPoolExecuto
     context = _pool_context()
     if context is None:
         return None
+    import concurrent.futures
+
     shutdown_pool()
     _POOL = concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, mp_context=context
@@ -479,6 +488,8 @@ def _drain_chunked(
     survivors with ``broken=True`` so the caller can retry them on a
     fresh pool.
     """
+    import concurrent.futures
+
     size = chunksize or _default_chunksize(len(pending), workers)
     futures: Dict[Any, List[Tuple[int, RunSpec]]] = {}
     completed: List[Tuple[int, RunOutcome]] = []
@@ -522,6 +533,8 @@ def _drain_windowed(
     pool.  Timed-out cells are *not* retried — a deterministic simulation
     that blew its deadline once will blow it again.
     """
+    import concurrent.futures
+
     queue = list(pending)
     inflight: Dict[Any, Tuple[int, RunSpec, float]] = {}
     completed: List[Tuple[int, RunOutcome]] = []

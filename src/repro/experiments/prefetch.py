@@ -26,7 +26,8 @@ from typing import Optional
 
 from repro.core.policy import ProtocolPolicy
 from repro.machine.config import MachineConfig
-from repro.machine.system import Machine, RunResult
+from repro.machine.result import RunResult
+from repro.machine.system import Machine
 from repro.workloads.synthetic import MigratoryCounters
 
 

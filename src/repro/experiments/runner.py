@@ -29,7 +29,8 @@ from repro.consistency.models import ConsistencyModel, SEQUENTIAL_CONSISTENCY
 from repro.core.policy import ProtocolPolicy
 from repro.experiments.parallel import RunSpec, run_many
 from repro.machine.config import MachineConfig
-from repro.machine.system import Machine, RunResult
+from repro.machine.result import RunResult
+from repro.machine.system import Machine
 from repro.workloads import make_workload
 
 

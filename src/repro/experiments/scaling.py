@@ -20,7 +20,7 @@ from typing import List, Tuple
 from repro.core.policy import ProtocolPolicy
 from repro.experiments.parallel import RunSpec, run_pairs
 from repro.machine.config import MachineConfig
-from repro.machine.system import RunResult
+from repro.machine.result import RunResult
 from repro.stats.sharing_profile import invalidation_profile
 
 

@@ -16,7 +16,7 @@ from typing import List, Optional
 from repro.core.policy import ProtocolPolicy
 from repro.experiments.parallel import RunSpec, run_pairs
 from repro.machine.config import MachineConfig
-from repro.machine.system import RunResult
+from repro.machine.result import RunResult
 
 PAPER_NOMIG_FRACTION = {"mp3d": 0.005, "cholesky": 0.0009, "water": 0.0001}
 

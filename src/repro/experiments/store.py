@@ -51,7 +51,7 @@ from repro.experiments.parallel import (
     thaw_value,
 )
 from repro.machine.config import MachineConfig
-from repro.machine.system import RunResult
+from repro.machine.result import RunResult
 from repro.obs import metrics as obs_metrics
 from repro.stats.breakdown import StallBreakdown
 from repro.stats.counters import Counters

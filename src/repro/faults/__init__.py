@@ -20,13 +20,9 @@ See EXPERIMENTS.md ("Chaos runs") for the experiment harness built on
 top (``repro-sim chaos``).
 """
 
-from repro.faults.diagnostics import DiagnosticDump, dump_machine, dump_snoopy
-from repro.faults.plan import FaultConfig, FaultPlan
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DiagnosticDump",
-    "FaultConfig",
-    "FaultPlan",
-    "dump_machine",
-    "dump_snoopy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".diagnostics": ("DiagnosticDump", "dump_machine", "dump_snoopy"),
+    ".plan": ("FaultConfig", "FaultPlan"),
+})

@@ -1,14 +1,10 @@
 """Machine configuration and assembly."""
 
-from repro.machine.allocator import PagePlacement, SharedAllocator, SharedArray
-from repro.machine.config import MachineConfig
-from repro.machine.system import Machine, RunResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Machine",
-    "MachineConfig",
-    "PagePlacement",
-    "RunResult",
-    "SharedAllocator",
-    "SharedArray",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".allocator": ("PagePlacement", "SharedAllocator", "SharedArray"),
+    ".config": ("MachineConfig",),
+    ".result": ("RunResult",),
+    ".system": ("Machine",),
+})

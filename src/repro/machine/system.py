@@ -9,8 +9,7 @@ and traffic statistics that the experiment harness consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from repro.coherence.cache_ctrl import CacheController
 from repro.coherence.checker import CoherenceChecker
@@ -20,46 +19,19 @@ from repro.coherence.transport import Transport
 from repro.cpu.ops import Op
 from repro.cpu.processor import Processor
 from repro.cpu.sync import IdealSync
-from repro.faults.diagnostics import DiagnosticDump, dump_machine
 from repro.faults.plan import FaultPlan
 from repro.machine.allocator import PagePlacement
 from repro.machine.config import MachineConfig
+from repro.machine.result import RunResult
 from repro.memory.bus import LocalBus
 from repro.memory.cache import CacheArray
 from repro.memory.dram import MemoryModule
 from repro.network.interface import Fabric
-from repro.obs.timeseries import MetricsSampler
-from repro.obs.tracer import TransactionTracer
 from repro.sim.engine import DeadlockError, Simulator
-from repro.stats.block_profile import BlockProfiler
-from repro.stats.breakdown import StallBreakdown
 from repro.stats.counters import Counters
 
-
-@dataclass
-class RunResult:
-    """Everything a simulation run produced."""
-
-    execution_time: int
-    breakdowns: List[StallBreakdown]
-    counters: Counters
-    network_bits: int
-    network_messages: int
-    bits_by_kind: Dict[str, int]
-    count_by_kind: Dict[str, int]
-    events_processed: int
-    policy_name: str
-    consistency_name: str
-    #: Miss-latency attribution summary (``TransactionTracer.summary()``)
-    #: when the machine was built with ``trace=True``; None otherwise.
-    latency: Optional[Dict] = None
-
-    @property
-    def aggregate_breakdown(self) -> StallBreakdown:
-        return StallBreakdown.aggregate(self.breakdowns)
-
-    def counter(self, name: str) -> int:
-        return self.counters.get(name)
+if TYPE_CHECKING:
+    from repro.faults.diagnostics import DiagnosticDump
 
 
 class Machine:
@@ -105,23 +77,31 @@ class Machine:
             faults=self.fault_plan,
         )
         self.checker = CoherenceChecker(enabled=cfg.check_coherence)
-        self.block_profiler = BlockProfiler() if cfg.profile_blocks else None
+        # The observability layers below are opt-in, so each is imported
+        # only by a machine that turns it on.
+        self.block_profiler = None
+        if cfg.profile_blocks:
+            from repro.stats.block_profile import BlockProfiler
+
+            self.block_profiler = BlockProfiler()
         #: Span tracer (None unless ``trace=True``: the hook sites in the
         #: transport and controllers then collapse to one ``is None`` test).
-        self.tracer = (
-            TransactionTracer(
+        self.tracer = None
+        if cfg.trace:
+            from repro.obs.tracer import TransactionTracer
+
+            self.tracer = TransactionTracer(
                 policy_name=cfg.policy.name, max_spans=cfg.trace_max_spans
             )
-            if cfg.trace
-            else None
-        )
         self.transport.tracer = self.tracer
         #: Periodic metrics sampler (None unless ``metrics_interval`` set).
-        self.metrics = (
-            MetricsSampler(self, cfg.metrics_interval, cfg.metrics_capacity)
-            if cfg.metrics_interval
-            else None
-        )
+        self.metrics = None
+        if cfg.metrics_interval:
+            from repro.obs.timeseries import MetricsSampler
+
+            self.metrics = MetricsSampler(
+                self, cfg.metrics_interval, cfg.metrics_capacity
+            )
         self.memories = [
             MemoryModule(
                 self.sim,
@@ -212,6 +192,8 @@ class Machine:
 
     def diagnostic_dump(self, reason: str = "inspect") -> DiagnosticDump:
         """Structured snapshot of all transient machine state."""
+        from repro.faults.diagnostics import dump_machine
+
         return dump_machine(self, reason)
 
     # ------------------------------------------------------------------

@@ -1,23 +1,12 @@
 """Per-node memory hierarchy: cache array, local bus, memory module."""
 
-from repro.memory.bus import LocalBus
-from repro.memory.cache import (
-    READABLE_STATES,
-    WRITABLE_STATES,
-    CacheArray,
-    CacheGeometryError,
-    CacheLine,
-    CacheState,
-)
-from repro.memory.dram import MemoryModule
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheArray",
-    "CacheGeometryError",
-    "CacheLine",
-    "CacheState",
-    "LocalBus",
-    "MemoryModule",
-    "READABLE_STATES",
-    "WRITABLE_STATES",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".bus": ("LocalBus",),
+    ".cache": (
+        "READABLE_STATES", "WRITABLE_STATES", "CacheArray",
+        "CacheGeometryError", "CacheLine", "CacheState",
+    ),
+    ".dram": ("MemoryModule",),
+})

@@ -1,15 +1,9 @@
 """Wormhole-routed mesh interconnect (two networks: requests and replies)."""
 
-from repro.network.interface import REPLY, REQUEST, Fabric
-from repro.network.mesh import Mesh
-from repro.network.message import DATA_BITS, HEADER_BITS, NetworkMessage
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DATA_BITS",
-    "Fabric",
-    "HEADER_BITS",
-    "Mesh",
-    "NetworkMessage",
-    "REPLY",
-    "REQUEST",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".interface": ("REPLY", "REQUEST", "Fabric"),
+    ".mesh": ("Mesh",),
+    ".message": ("DATA_BITS", "HEADER_BITS", "NetworkMessage"),
+})

@@ -18,52 +18,22 @@ without a metrics interval runs byte-identically to one predating this
 package, and fleet telemetry mutates nothing when disabled.
 """
 
-from repro.obs.span import OPS, SEGMENTS, Span
-from repro.obs.tracer import TransactionTracer, render_latency_summary
-from repro.obs.timeseries import MetricsRing, MetricsSampler
-from repro.obs.export import (
-    chrome_trace,
-    spans_to_json,
-    validate_trace_events,
-    write_chrome_trace,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    REGISTRY,
-    parse_exposition,
-    sample_count,
-)
-from repro.obs.log import (
-    correlation_id,
-    correlation_scope,
-    log_event,
-    new_correlation_id,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OPS",
-    "SEGMENTS",
-    "Span",
-    "TransactionTracer",
-    "render_latency_summary",
-    "MetricsRing",
-    "MetricsSampler",
-    "chrome_trace",
-    "spans_to_json",
-    "validate_trace_events",
-    "write_chrome_trace",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "REGISTRY",
-    "parse_exposition",
-    "sample_count",
-    "correlation_id",
-    "correlation_scope",
-    "log_event",
-    "new_correlation_id",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".span": ("OPS", "SEGMENTS", "Span"),
+    ".tracer": ("TransactionTracer", "render_latency_summary"),
+    ".timeseries": ("MetricsRing", "MetricsSampler"),
+    ".export": (
+        "chrome_trace", "spans_to_json", "validate_trace_events",
+        "write_chrome_trace",
+    ),
+    ".metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
+        "parse_exposition", "sample_count",
+    ),
+    ".log": (
+        "correlation_id", "correlation_scope", "log_event",
+        "new_correlation_id",
+    ),
+})

@@ -17,14 +17,10 @@ completions, dropped stream frames) makes every recovery path
 chaos-testable.
 """
 
-from repro.serve.client import ServeClient, ServeError, ServeUnavailable
-from repro.serve.faults import ServeFaultPlan
-from repro.serve.server import ExperimentServer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentServer",
-    "ServeClient",
-    "ServeError",
-    "ServeFaultPlan",
-    "ServeUnavailable",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".client": ("ServeClient", "ServeError", "ServeUnavailable"),
+    ".faults": ("ServeFaultPlan",),
+    ".server": ("ExperimentServer",),
+})

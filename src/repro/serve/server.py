@@ -70,6 +70,7 @@ dropped stream frames.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import urllib.parse
 from concurrent.futures import ProcessPoolExecutor
@@ -703,7 +704,8 @@ class ExperimentServer:
             try:
                 method, path, body = await _read_request(reader)
             except BadRequest as exc:
-                await _respond_json(writer, 400, {"error": str(exc)})
+                with contextlib.suppress(ConnectionError, OSError):
+                    await _respond_json(writer, 400, {"error": str(exc)})
                 return
             route = _route_label(method, path)
             self._m_http_requests.labels(method=method, route=route).inc()
@@ -887,29 +889,48 @@ class ExperimentServer:
             await waiter.wait()
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except (ConnectionError, OSError):
+        raise BadRequest("connection dropped") from None
+    except ValueError:  # no newline within the stream's 64 KiB limit
+        raise BadRequest("request line or header too long") from None
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Tuple[str, str, bytes]:
-    """Parse one HTTP/1.1 request: (method, path, body)."""
-    try:
-        request_line = await reader.readline()
-    except (ConnectionError, OSError):
-        raise BadRequest("connection dropped") from None
+    """Parse one HTTP/1.1 request: (method, path, body).
+
+    Any malformed or truncated request raises :class:`BadRequest`.
+    """
+    request_line = await _read_line(reader)
     try:
         method, path, _version = request_line.decode("latin-1").split(None, 2)
     except ValueError:
         raise BadRequest(f"malformed request line {request_line!r}") from None
     headers: Dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    if not raw_length.isdecimal():
+        raise BadRequest(f"bad Content-Length {raw_length!r}")
+    length = int(raw_length)
     if length > MAX_BODY_BYTES:
         raise BadRequest(f"body too large ({length} bytes)")
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise BadRequest(
+            f"body ended after {len(exc.partial)} of {length} bytes"
+        ) from None
+    except (ConnectionError, OSError):
+        raise BadRequest("connection dropped") from None
     return method.upper(), path, body
 
 

@@ -1,12 +1,8 @@
 """Discrete-event simulation substrate."""
 
-from repro.sim.engine import DeadlockError, SimulationError, Simulator
-from repro.sim.resource import InfiniteResource, Resource
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DeadlockError",
-    "InfiniteResource",
-    "Resource",
-    "SimulationError",
-    "Simulator",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("DeadlockError", "SimulationError", "Simulator"),
+    ".resource": ("InfiniteResource", "Resource"),
+})

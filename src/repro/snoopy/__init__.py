@@ -1,20 +1,10 @@
 """Bus-based snoopy variant of the adaptive protocol (paper Section 6)."""
 
-from repro.snoopy.bus import BusOp, BusTiming, SnoopBus, transaction_bits
-from repro.snoopy.machine import SnoopyConfig, SnoopyMachine, SnoopyRunResult
-from repro.snoopy.protocol import BlockInfo, SnoopyCache, SnoopySystemState
-from repro.snoopy.update import WriteUpdateCache
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BlockInfo",
-    "BusOp",
-    "BusTiming",
-    "SnoopBus",
-    "SnoopyCache",
-    "SnoopyConfig",
-    "SnoopyMachine",
-    "SnoopyRunResult",
-    "SnoopySystemState",
-    "WriteUpdateCache",
-    "transaction_bits",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".bus": ("BusOp", "BusTiming", "SnoopBus", "transaction_bits"),
+    ".machine": ("SnoopyConfig", "SnoopyMachine", "SnoopyRunResult"),
+    ".protocol": ("BlockInfo", "SnoopyCache", "SnoopySystemState"),
+    ".update": ("WriteUpdateCache",),
+})

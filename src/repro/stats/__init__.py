@@ -1,6 +1,8 @@
 """Statistics: counters and execution-time breakdowns."""
 
-from repro.stats.breakdown import StallBreakdown
-from repro.stats.counters import Counters
+from repro._lazy import lazy_exports
 
-__all__ = ["Counters", "StallBreakdown"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".breakdown": ("StallBreakdown",),
+    ".counters": ("Counters",),
+})

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.machine.system import RunResult
+from repro.machine.result import RunResult
 
 #: Highest exact bucket; the last bucket aggregates >= MAX_BUCKET.
 MAX_BUCKET = 4

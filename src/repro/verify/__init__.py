@@ -1,17 +1,8 @@
 """Exhaustive model checking of the coherence protocol."""
 
-from repro.verify.checker import (
-    ExplorationResult,
-    StuckStateError,
-    explore,
-)
-from repro.verify.model import ProtocolModel, ProtocolViolation, State
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExplorationResult",
-    "ProtocolModel",
-    "ProtocolViolation",
-    "State",
-    "StuckStateError",
-    "explore",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".checker": ("ExplorationResult", "StuckStateError", "explore"),
+    ".model": ("ProtocolModel", "ProtocolViolation", "State"),
+})

@@ -27,7 +27,8 @@ from typing import Iterable, Iterator, List, Sequence, TextIO
 
 from repro.cpu.ops import OP_NAMES, Op
 from repro.machine.config import MachineConfig
-from repro.machine.system import Machine, RunResult
+from repro.machine.result import RunResult
+from repro.machine.system import Machine
 
 
 class TraceRecorder:

@@ -33,7 +33,7 @@ from repro.experiments.parallel import (
     thaw_value,
 )
 from repro.experiments.runner import ProtocolComparison, compare_protocols
-from repro.machine.system import RunResult
+from repro.machine.result import RunResult
 from repro.stats.counters import Counters
 
 

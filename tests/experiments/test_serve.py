@@ -9,6 +9,7 @@ NDJSON progress streaming, and result fingerprints matching a local run.
 
 import asyncio
 import contextlib
+import socket
 import threading
 
 import pytest
@@ -176,6 +177,39 @@ def test_serve_rejects_bad_requests(server, client):
     with pytest.raises(ServeError) as excinfo:
         client.result("0" * 64)
     assert excinfo.value.status == 404
+
+
+def _raw_request(port, payload, half_close=False):
+    """Send raw bytes over a real socket; return everything read to EOF."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(payload)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return reply
+            reply += chunk
+
+
+def _post_jobs(headers, body=b""):
+    return b"POST /jobs HTTP/1.1\r\nHost: x\r\n" + headers + b"\r\n" + body
+
+
+@pytest.mark.parametrize("payload, half_close, reason", [
+    (_post_jobs(b"Content-Length: abc\r\n"), False, b"bad Content-Length"),
+    (_post_jobs(b"Content-Length: -5\r\n"), False, b"bad Content-Length"),
+    (_post_jobs(b"Content-Length: 100\r\n", b'{"specs": '), True,
+     b"body ended after 10 of 100 bytes"),
+    (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * (70 * 1024) + b"\r\n\r\n",
+     False, b"too long"),
+], ids=["non-numeric-length", "negative-length", "short-body", "long-header"])
+def test_serve_malformed_http_gets_400(server, client, payload, half_close, reason):
+    reply = _raw_request(server.port, payload, half_close)
+    assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+    assert reason in reply
+    assert client.healthz()["ok"]  # the daemon keeps serving
 
 
 # ---------------------------------------------------------------------------

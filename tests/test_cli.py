@@ -226,6 +226,11 @@ def test_parse_size_units():
     assert _parse_size("64MB") == 64 * 1024 ** 2
     with pytest.raises(SystemExit, match="bad size"):
         _parse_size("sixty-four")
+    # A negative budget would evict the whole cache; inf/nan cannot be
+    # converted to a byte count.
+    for bad in ("-5M", "-1", "inf", "-inf", "nan", "1e400G"):
+        with pytest.raises(SystemExit, match="bad size"):
+            _parse_size(bad)
 
 
 def test_cache_prune_command(capsys):
