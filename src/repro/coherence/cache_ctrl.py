@@ -170,7 +170,7 @@ class CacheController:
         #: Versions of in-flight writebacks (for NAK-free sanity checks).
         self._wb_versions: Dict[int, int] = {}
         #: Retirements waiting for a replace_locked frame to unlock.
-        self._miack_waiters: List[Callable[[], None]] = []
+        self._miack_waiters: List[MSHR] = []
         #: Version observed by the most recent completed processor read
         #: (consumed by consistency litmus tests).
         self.last_read_version = 0
@@ -487,7 +487,7 @@ class CacheController:
             if index < 0:
                 if not self._ensure_frame(block):
                     # Victim frame awaits its MIack; retry when it arrives.
-                    self._miack_waiters.append(lambda: self._retire(mshr))
+                    self._miack_waiters.append(mshr)
                     return
                 index = cache.install_index(block, fill_code, fill_version)
             else:
@@ -826,8 +826,8 @@ class CacheController:
         if index >= 0:
             self.cache.locked[index] = 0
         waiters, self._miack_waiters = self._miack_waiters, []
-        for retry in waiters:
-            retry()
+        for mshr in waiters:
+            self._retire(mshr)
 
     # ------------------------------------------------------------------
     # Introspection

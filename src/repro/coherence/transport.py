@@ -88,8 +88,6 @@ class Transport:
         self._faults = faults
         if faults is not None:
             faults.bind_transport(self)
-        for node in range(fabric.num_nodes):
-            fabric.register(node, self._deliver)
 
     # ------------------------------------------------------------------
     # Registration

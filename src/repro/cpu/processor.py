@@ -81,6 +81,15 @@ class Processor:
     def done(self) -> bool:
         return self.finished_at is not None
 
+    def detach(self) -> None:
+        """Drop the links back into the machine once the run is over.
+
+        Every continuation this processor parks elsewhere (an MSHR or
+        sync waiter, a fence) closes over it, so after a run that
+        stopped early these links close a reference cycle."""
+        self.on_mark = self._fence_waiter = None
+        self.cache = self.sync = None
+
     # ------------------------------------------------------------------
     # Execution loop
     # ------------------------------------------------------------------

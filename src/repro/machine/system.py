@@ -169,26 +169,60 @@ class Machine:
         # dispatch must be released by the end of a clean run, so any
         # retain/release imbalance accumulated by *this* run is a leak.
         pool_baseline = pool_outstanding()
-        for processor, program in zip(self.processors, programs):
-            processor.start(program)
+        try:
+            for processor, program in zip(self.processors, programs):
+                processor.start(program)
+            if self.metrics is not None:
+                self.metrics.start()
+            self.sim.run()
+            unfinished = [p.node for p in self.processors if not p.done]
+            if unfinished:
+                dump = self.diagnostic_dump("deadlock")
+                raise DeadlockError(
+                    f"event queue drained but processors {unfinished} never "
+                    "finished (protocol or synchronization deadlock)\n"
+                    + dump.render(),
+                    dump=dump,
+                )
+            if pool_baseline is not None:
+                pool_check(
+                    pool_baseline,
+                    context=f"clean end of run ({self.config.policy.name})",
+                )
+            return self._result()
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Unwire the finished machine so reference counting frees it.
+
+        The components call each other through bound methods and
+        closures, so an assembled machine is one reference cycle that
+        only the cyclic garbage collector would free, long after its
+        owner dropped it.  This clears the edges that close it: the
+        stall hook and queued events, the processors' links, the
+        controllers' dispatch tables, the transport's handler tables,
+        the fault plan's binding, the sampler's machine and the cached
+        entry and line views.  State, counters, the tracer and the
+        sampler's rows stay readable (views re-materialize on demand);
+        the machine just cannot run again.
+        """
+        self.sim.on_stall = None
+        self.sim.clear()
+        for processor in self.processors:
+            processor.detach()
+        for directory in self.directories:
+            directory._dispatch = None
+            directory._row_views = [None] * len(directory._blocks)
+        for controller in self.caches:
+            controller._dispatch = None
+            controller.cache.drop_views()
+        transport = self.transport
+        transport._cache_handlers = transport._directory_handlers = []
+        if self.fault_plan is not None:
+            self.fault_plan._sim = self.fault_plan._send_now = None
         if self.metrics is not None:
-            self.metrics.start()
-        self.sim.run()
-        unfinished = [p.node for p in self.processors if not p.done]
-        if unfinished:
-            dump = self.diagnostic_dump("deadlock")
-            raise DeadlockError(
-                f"event queue drained but processors {unfinished} never "
-                "finished (protocol or synchronization deadlock)\n"
-                + dump.render(),
-                dump=dump,
-            )
-        if pool_baseline is not None:
-            pool_check(
-                pool_baseline,
-                context=f"clean end of run ({self.config.policy.name})",
-            )
-        return self._result()
+            self.metrics.machine = None
 
     def diagnostic_dump(self, reason: str = "inspect") -> DiagnosticDump:
         """Structured snapshot of all transient machine state."""

@@ -235,6 +235,10 @@ class CacheArray:
             self._views[index] = line = CacheLine(self, index)
         return line
 
+    def drop_views(self) -> None:
+        """Forget the materialized views (each points back at this array)."""
+        self._views = [None] * self.num_frames
+
     def find(self, block: int) -> int:
         """Frame index of the valid line holding ``block``, or -1."""
         num_sets = self.num_sets

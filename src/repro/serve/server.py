@@ -95,6 +95,8 @@ SERVE_SCHEMA = "repro-serve/1"
 
 #: Request body ceiling (a sweep of ~10k cells fits comfortably).
 MAX_BODY_BYTES = 32 * 1024 * 1024
+#: Header lines per request (each line is separately capped at 64 KiB).
+MAX_HEADERS = 100
 
 
 class BadRequest(ValueError):
@@ -911,12 +913,14 @@ async def _read_request(
     except ValueError:
         raise BadRequest(f"malformed request line {request_line!r}") from None
     headers: Dict[str, str] = {}
-    while True:
+    for _ in range(MAX_HEADERS + 1):
         line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    else:
+        raise BadRequest(f"too many headers (limit {MAX_HEADERS})")
     raw_length = headers.get("content-length", "0") or "0"
     if not raw_length.isdecimal():
         raise BadRequest(f"bad Content-Length {raw_length!r}")

@@ -150,6 +150,12 @@ class Simulator:
         """Number of events still queued."""
         return self._size
 
+    def clear(self) -> None:
+        """Drop every queued event (a run that stopped early leaves some)."""
+        self._buckets.clear()
+        self._times.clear()
+        self._size = 0
+
     def run(self, until: Optional[int] = None) -> None:
         """Process events until the queue is empty or ``until`` is reached.
 

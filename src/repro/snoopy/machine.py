@@ -103,27 +103,41 @@ class SnoopyMachine:
             raise ValueError(
                 f"need {self.config.num_processors} programs, got {len(programs)}"
             )
-        for processor, program in zip(self.processors, programs):
-            processor.start(program)
-        self.sim.run()
-        unfinished = [p.node for p in self.processors if not p.done]
-        if unfinished:
-            dump = self.diagnostic_dump("deadlock")
-            raise DeadlockError(
-                f"event queue drained but processors {unfinished} never "
-                "finished (protocol or synchronization deadlock)\n"
-                + dump.render(),
-                dump=dump,
+        try:
+            for processor, program in zip(self.processors, programs):
+                processor.start(program)
+            self.sim.run()
+            unfinished = [p.node for p in self.processors if not p.done]
+            if unfinished:
+                dump = self.diagnostic_dump("deadlock")
+                raise DeadlockError(
+                    f"event queue drained but processors {unfinished} never "
+                    "finished (protocol or synchronization deadlock)\n"
+                    + dump.render(),
+                    dump=dump,
+                )
+            execution_time = max(p.finished_at for p in self.processors)
+            return SnoopyRunResult(
+                execution_time=execution_time,
+                breakdowns=[p.breakdown for p in self.processors],
+                counters=self.counters,
+                bus_transactions=self.bus.transactions,
+                bus_bits=self.bus.bits,
+                bus_utilization=self.bus.utilization(max(1, execution_time)),
             )
-        execution_time = max(p.finished_at for p in self.processors)
-        return SnoopyRunResult(
-            execution_time=execution_time,
-            breakdowns=[p.breakdown for p in self.processors],
-            counters=self.counters,
-            bus_transactions=self.bus.transactions,
-            bus_bits=self.bus.bits,
-            bus_utilization=self.bus.utilization(max(1, execution_time)),
-        )
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Unwire the finished machine so reference counting frees it,
+        by the rule of :meth:`repro.machine.system.Machine._release`."""
+        self.sim.on_stall = None
+        self.sim.clear()
+        for processor in self.processors:
+            processor.detach()
+        self.system.caches = []
+        for cache in self.caches:
+            cache.cache.drop_views()
 
     def diagnostic_dump(self, reason: str = "inspect") -> DiagnosticDump:
         """Structured snapshot of all transient machine state."""

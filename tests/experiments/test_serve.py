@@ -19,6 +19,7 @@ from repro.experiments.parallel import RunSpec, execute_spec, result_fingerprint
 from repro.experiments.store import CODE_VERSION_ENV, ResultStore, spec_key
 from repro.serve import ExperimentServer, ServeClient
 from repro.serve.client import ServeError
+from repro.serve.server import MAX_HEADERS
 
 
 @pytest.fixture(autouse=True)
@@ -204,7 +205,11 @@ def _post_jobs(headers, body=b""):
      b"body ended after 10 of 100 bytes"),
     (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * (70 * 1024) + b"\r\n\r\n",
      False, b"too long"),
-], ids=["non-numeric-length", "negative-length", "short-body", "long-header"])
+    (b"GET /healthz HTTP/1.1\r\n"
+     + b"".join(b"X-H%d: v\r\n" % i for i in range(MAX_HEADERS + 1)) + b"\r\n",
+     False, b"too many headers"),
+], ids=["non-numeric-length", "negative-length", "short-body", "long-header",
+        "too-many-headers"])
 def test_serve_malformed_http_gets_400(server, client, payload, half_close, reason):
     reply = _raw_request(server.port, payload, half_close)
     assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
