@@ -494,30 +494,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     """Run the perf bench suite and write a BENCH_<date>.json snapshot."""
-    import os
-
-    from repro.fastpath import fast_path_variant
-
-    variant = fast_path_variant()
-    if args.fast_path == "on" and variant != "compiled":
-        print(
-            f"error: --fast-path on requested but the compiled fast path is "
-            f"not fully active (variant: {variant}).  Build it with "
-            f"REPRO_BUILD_FAST=1 pip install '.[fast]'.",
-            file=sys.stderr,
-        )
-        return 2
-    if args.fast_path == "off" and variant != "pure":
-        # Compiled extensions are already imported in this process, so
-        # forcing the pure path needs a fresh interpreter: re-exec with
-        # REPRO_FORCE_PURE=1 (inherited by any bench worker processes).
-        env = dict(os.environ)
-        env["REPRO_FORCE_PURE"] = "1"
-        os.execve(
-            sys.executable,
-            [sys.executable, "-m", "repro.cli"] + sys.argv[1:],
-            env,
-        )
     from repro.experiments.bench import (
         compare_bench_results,
         diff_bench,
@@ -835,13 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "regressed by more than this fraction "
                               "(e.g. 0.25 = 25%%; default: timing drift "
                               "only informs, never fails)")
-    bench_p.add_argument("--fast-path", default="auto",
-                         choices=("on", "off", "auto"),
-                         help="compiled fast path: 'on' errors unless the "
-                              "mypyc build is active, 'off' forces the "
-                              "pure-Python reference (re-execs with "
-                              "REPRO_FORCE_PURE=1 if needed), 'auto' "
-                              "(default) uses whatever is installed")
     bench_p.set_defaults(func=_cmd_bench)
 
     chaos_p = sub.add_parser(

@@ -16,7 +16,6 @@ Schema (``repro-bench/1``)::
       "suite": "figure5", "preset": "default", "workers": 4,
       "host": {"python": ..., "platform": ..., "cpu_count": ...},
       "code_version": "src-<digest>",  # same digest the result store keys on
-      "fast_path": "pure" | "compiled" | "mixed",
       "serial_wall_time_s": ..., "parallel_wall_time_s": ...,
       "speedup": ...,            # serial / parallel wall time
       "parallel_matches_serial": true,
@@ -41,7 +40,6 @@ from typing import Dict, List, Optional, Union
 
 from repro.core.policy import ProtocolPolicy
 from repro.experiments.store import code_version
-from repro.fastpath import fast_path_variant
 from repro.experiments.parallel import (
     RunOutcome,
     RunSpec,
@@ -154,12 +152,9 @@ def run_bench_suite(
             "cpu_count": os.cpu_count(),
         },
         # Which simulator produced these numbers: the same code digest
-        # the result store keys on, and the active hot-core variant
-        # ("pure", "compiled", or "mixed") — a perf delta against a
-        # snapshot from a different code version or fast-path variant is
-        # expected, not a regression.
+        # the result store keys on — a perf delta against a snapshot from
+        # a different code version is expected, not a regression.
         "code_version": code_version(),
-        "fast_path": fast_path_variant(),
         "serial_wall_time_s": round(serial_wall, 4),
         "total_events": total_events,
         "events_per_sec_serial": (
@@ -202,12 +197,7 @@ def render_bench(doc: dict) -> str:
         )
     lines = [
         f"bench suite {doc['suite']!r} (preset {doc['preset']}) — "
-        f"{doc['created']}"
-        + (
-            f" — fast path: {doc['fast_path']} ({doc.get('code_version', '?')})"
-            if "fast_path" in doc
-            else ""
-        ),
+        f"{doc['created']}",
         f"serial   {doc['serial_wall_time_s']:8.2f} s   "
         f"{doc['events_per_sec_serial'] or 0:>9,} events/s",
         parallel_line,
@@ -264,10 +254,10 @@ def host_warnings(old: dict, new: dict) -> List[str]:
 
     Simulation *results* are host-independent and stay gate-worthy across
     machines, but wall-time comparisons between different CPUs, platforms,
-    Python versions, or fast-path variants are apples-to-oranges — the CLI
-    prints these warnings next to the timing diff so nobody chases a
-    "regression" that is actually a hardware change.  Returns one line per
-    mismatched field; empty list = comparable hosts.
+    or Python versions are apples-to-oranges — the CLI prints these
+    warnings next to the timing diff so nobody chases a "regression" that
+    is actually a hardware change.  Returns one line per mismatched field;
+    empty list = comparable hosts.
     """
     warnings: List[str] = []
     old_host = old.get("host") or {}
@@ -283,12 +273,6 @@ def host_warnings(old: dict, new: dict) -> List[str]:
                 f"{label} {old_value!r} -> {new_value!r}; "
                 f"timing deltas are informational only"
             )
-    old_fast, new_fast = old.get("fast_path"), new.get("fast_path")
-    if old_fast != new_fast:
-        warnings.append(
-            f"fast-path variant {old_fast!r} -> {new_fast!r}; "
-            f"timing deltas are informational only"
-        )
     return warnings
 
 

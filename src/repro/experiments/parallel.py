@@ -412,9 +412,18 @@ def shutdown_pool() -> None:
     if _POOL is None:
         return
     discard, _POOL, _POOL_WORKERS = _POOL, None, 0
-    processes = list((getattr(discard, "_processes", None) or {}).values())
+    discard_executor(discard)
+
+
+def discard_executor(executor: concurrent.futures.ProcessPoolExecutor) -> None:
+    """Shut ``executor`` down without waiting, then kill its live workers.
+
+    ``shutdown(wait=False)`` alone leaves a worker stuck in a hung cell
+    running; killing it gives its CPU back.  Safe on a broken pool.
+    """
+    processes = list((getattr(executor, "_processes", None) or {}).values())
     try:
-        discard.shutdown(wait=False, cancel_futures=True)
+        executor.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - shutdown of a broken pool
         pass
     for process in processes:

@@ -67,7 +67,6 @@ SUBSYSTEM_MAP = (
     ("repro/sim/", "engine"),
     ("repro/coherence/transport", "transport"),
     ("repro/coherence/messages", "transport"),
-    ("repro/coherence/_messages_impl", "transport"),
     ("repro/faults/plan", "transport"),
     ("repro/coherence/cache_ctrl", "cache"),
     ("repro/memory/cache", "cache"),

@@ -5,6 +5,14 @@ one carrying replies — to break request/reply protocol deadlock.  The
 :class:`Fabric` owns both, assigns every message to the right mesh, and
 dispatches deliveries to the handler registered by each node's controller
 (the role played by DASH's network interface / remote-access cache).
+
+Inside a simulated machine the coherence
+:class:`~repro.coherence.transport.Transport` sends on the two meshes
+directly and registers no handlers here.  :meth:`Fabric.register` and
+:meth:`Fabric.send` stay as the standalone API for driving the
+interconnect without the coherence layer (``tests/network``), and the
+benchmark's per-layer tracer wraps ``Fabric.send`` by name as part of
+the network layer.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ API
                                cell record per spec — already-cached cells
                                resolve instantly, duplicates (within the
                                batch or against other clients' in-flight
-                               cells) attach to the existing cell.
+                               cells) attach to the existing cell.  A
+                               batch with a malformed spec is rejected
+                               whole (400) before anything is registered
 ``GET    /jobs``               one summary row per live job (for dashboards)
 ``GET    /jobs/<id>``          job status: per-cell state + counts
 ``DELETE /jobs/<id>``          cancel: queued/backoff cells not shared
@@ -28,7 +30,9 @@ API
                                monotonically increasing ``seq``;
                                ``?after=<seq>`` replays from there, so a
                                client that lost its connection resumes
-                               without missing or repeating events
+                               without missing or repeating events (an
+                               ``after`` at or past the ``job-done`` seq
+                               gets an empty stream)
 ``GET    /results/<key>``      the stored entry (spec, fingerprint, result)
 ``GET    /results/<key>/artifacts``  artifact listing for the cell
 ``POST   /artifacts/<key>/<name>``   upload one artifact (raw request body)
@@ -78,11 +82,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.experiments.parallel import (
-    RunError,
     RunOutcome,
     RunSpec,
+    _failed_outcome,
     _pool_context,
     backoff_delay,
+    discard_executor,
     execute_spec,
     execute_spec_with_cid,
 )
@@ -97,6 +102,8 @@ SERVE_SCHEMA = "repro-serve/1"
 MAX_BODY_BYTES = 32 * 1024 * 1024
 #: Header lines per request (each line is separately capped at 64 KiB).
 MAX_HEADERS = 100
+#: Longest ``Content-Length`` digit run accepted (leading zeros included).
+MAX_LENGTH_DIGITS = 20
 
 
 class BadRequest(ValueError):
@@ -319,11 +326,7 @@ class ExperimentServer:
         for task in list(self._tasks):
             task.cancel()
         if self._executor is not None:
-            processes = list((getattr(self._executor, "_processes", None) or {}).values())
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            for process in processes:
-                if process.is_alive():
-                    process.kill()
+            discard_executor(self._executor)
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -338,20 +341,29 @@ class ExperimentServer:
     # -- scheduling ----------------------------------------------------
 
     def submit(self, spec_docs: List[Dict[str, Any]], cid: str = "") -> Job:
-        """Register a batch; returns the job with one cell per spec."""
+        """Register a batch; returns the job with one cell per spec.
+
+        The whole batch is parsed before anything is registered: a batch
+        with one bad spec is rejected as a whole, without using up a job
+        id or creating (and running) cells for its valid specs.
+        """
         if not isinstance(spec_docs, list) or not spec_docs:
             raise BadRequest('body must be {"specs": [<spec>, ...]}')
+        parsed: List[Tuple[RunSpec, str]] = []
+        for doc in spec_docs:
+            if not isinstance(doc, dict):
+                raise BadRequest(f"bad spec {doc!r}: not a JSON object")
+            try:
+                spec = spec_from_json(doc)
+                parsed.append((spec, spec_key(spec)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise BadRequest(f"bad spec {doc!r}: {exc}") from None
         self._job_counter += 1
         job = Job(id=f"job-{self._job_counter}", cid=str(cid or ""))
         self._m_jobs_submitted.inc()
-        for doc in spec_docs:
-            try:
-                spec = spec_from_json(doc)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise BadRequest(f"bad spec {doc!r}: {exc}") from None
+        for spec, key in parsed:
             self.submitted += 1
             self._m_specs_submitted.inc()
-            key = spec_key(spec)
             cell = self.cells.get(key)
             if cell is None:
                 cell = Cell(key=key, spec=spec, status="queued",
@@ -483,15 +495,11 @@ class ExperimentServer:
         cell.last_error = f"{exc_type}: {message}"
         if cell.attempts < self.max_attempts:
             return True
-        cell.outcome = RunOutcome(spec=cell.spec, error=RunError(
-            exc_type=exc_type,
-            message=f"{message} (gave up after {cell.attempts} attempt(s))",
-            traceback="",
-            workload=cell.spec.workload,
-            policy=cell.spec.policy.name,
-            seed=cell.spec.seed,
+        cell.outcome = _failed_outcome(
+            cell.spec, exc_type,
+            f"{message} (gave up after {cell.attempts} attempt(s))",
             attempts=cell.attempts,
-        ))
+        )
         cell.status = "failed"
         self._m_cells_terminal.labels(status="failed").inc()
         log_event("serve", "cell_failed", level="error", cell=cell.key,
@@ -521,11 +529,7 @@ class ExperimentServer:
                 max_workers=self.workers, mp_context=_pool_context()
             )
             if old is not None:
-                processes = list((getattr(old, "_processes", None) or {}).values())
-                old.shutdown(wait=False, cancel_futures=True)
-                for process in processes:
-                    if process.is_alive():
-                        process.kill()
+                discard_executor(old)
 
     async def _fault_kill(self, generation: int) -> None:
         """ServeFaultPlan hook: kill one live worker of this generation."""
@@ -774,6 +778,8 @@ class ExperimentServer:
                 doc = json.loads(body or b"{}")
             except ValueError:
                 raise BadRequest("body is not valid JSON") from None
+            if not isinstance(doc, dict):
+                raise BadRequest('body must be {"specs": [<spec>, ...]}')
             job = self.submit(doc.get("specs"), cid=doc.get("cid") or "")
             await _respond_json(writer, 200, self.job_status(job))
         elif method in ("GET", "DELETE") and len(parts) == 2 and parts[0] == "jobs":
@@ -885,10 +891,11 @@ class ExperimentServer:
                 if event.get("event") == "job-done":
                     return
                 continue
-            waiter = job.changed
-            if index < len(job.events):
-                continue
-            await waiter.wait()
+            if job.finished:
+                # ``after`` was at or past the final event: nothing left
+                # to send, and nothing will ever set ``job.changed`` again.
+                return
+            await job.changed.wait()
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
@@ -922,8 +929,9 @@ async def _read_request(
     else:
         raise BadRequest(f"too many headers (limit {MAX_HEADERS})")
     raw_length = headers.get("content-length", "0") or "0"
-    if not raw_length.isdecimal():
-        raise BadRequest(f"bad Content-Length {raw_length!r}")
+    # The digit cap keeps int() away from CPython's 4300-digit limit.
+    if not raw_length.isdecimal() or len(raw_length) > MAX_LENGTH_DIGITS:
+        raise BadRequest(f"bad Content-Length {raw_length[:40]!r}")
     length = int(raw_length)
     if length > MAX_BODY_BYTES:
         raise BadRequest(f"body too large ({length} bytes)")

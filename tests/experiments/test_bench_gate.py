@@ -158,11 +158,13 @@ def test_negative_tolerance_rejected():
 # Host-comparability warnings (informational, never gate failures)
 
 
-from repro.experiments.bench import host_warnings
+from pathlib import Path
+
+from repro.experiments.bench import host_warnings, load_bench
 
 
-def _hosted(cpu=8, platform="Linux-6.18-x86_64", python="3.11.9", fast="pure-python"):
-    doc = _snapshot(fast_path=fast)
+def _hosted(cpu=8, platform="Linux-6.18-x86_64", python="3.11.9"):
+    doc = _snapshot()
     doc["host"] = {"cpu_count": cpu, "platform": platform, "python": python}
     return doc
 
@@ -180,14 +182,11 @@ def test_each_host_field_mismatch_warns():
     assert any("platform" in w
                for w in host_warnings(old, _hosted(platform="Darwin-arm64")))
     assert any("Python" in w for w in host_warnings(old, _hosted(python="3.12.1")))
-    assert any("fast-path" in w for w in host_warnings(old, _hosted(fast="mypyc")))
 
 
 def test_all_fields_differ_warns_once_each():
-    warnings = host_warnings(
-        _hosted(), _hosted(cpu=2, platform="p2", python="q2", fast="mypyc")
-    )
-    assert len(warnings) == 4
+    warnings = host_warnings(_hosted(), _hosted(cpu=2, platform="p2", python="q2"))
+    assert len(warnings) == 3
 
 
 def test_missing_host_metadata_compares_as_none():
@@ -197,11 +196,26 @@ def test_missing_host_metadata_compares_as_none():
     assert host_warnings(legacy, legacy) == []
     # ...but legacy vs modern flags the change.
     warnings = host_warnings(legacy, _hosted())
-    assert len(warnings) == 4
+    assert len(warnings) == 3
     assert all("None" in w for w in warnings)
 
 
 def test_host_mismatch_does_not_gate():
-    old, new = _hosted(), _hosted(cpu=128, fast="mypyc")
+    old, new = _hosted(), _hosted(cpu=128)
     assert host_warnings(old, new)
     assert compare_bench_results(old, new) == []
+
+
+def test_committed_baseline_still_loads_and_compares():
+    # The committed baseline predates the single pure-Python simulator and
+    # carries a variant field that snapshots no longer record: it loads,
+    # gates on results, and the extra field raises no host warning.
+    baseline = load_bench(
+        Path(__file__).resolve().parents[2] / "BENCH_2026-08-08.json"
+    )
+    host = baseline["host"]
+    same_host = _hosted(
+        cpu=host["cpu_count"], platform=host["platform"], python=host["python"]
+    )
+    assert host_warnings(baseline, same_host) == []
+    assert compare_bench_results(baseline, copy.deepcopy(baseline)) == []

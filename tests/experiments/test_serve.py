@@ -16,7 +16,12 @@ import pytest
 
 from repro.core.policy import ProtocolPolicy
 from repro.experiments.parallel import RunSpec, execute_spec, result_fingerprint
-from repro.experiments.store import CODE_VERSION_ENV, ResultStore, spec_key
+from repro.experiments.store import (
+    CODE_VERSION_ENV,
+    ResultStore,
+    spec_key,
+    spec_to_json,
+)
 from repro.serve import ExperimentServer, ServeClient
 from repro.serve.client import ServeError
 from repro.serve.server import MAX_HEADERS
@@ -172,6 +177,22 @@ def test_serve_rejects_bad_requests(server, client):
     with pytest.raises(ServeError) as excinfo:
         client.submit([{"policy": "AD"}])  # no workload
     assert excinfo.value.status == 400
+    for body in (b"[]", b'"x"'):  # a body that is not a JSON object
+        with pytest.raises(ServeError) as excinfo:
+            client._request_raw("POST", "/jobs", body)
+        assert excinfo.value.status == 400, body
+    for entry in (1, [1], None):  # a spec entry that is not an object
+        with pytest.raises(ServeError) as excinfo:
+            client.submit([entry])
+        assert excinfo.value.status == 400, entry
+    # One bad spec rejects the whole batch: its valid leading cell is
+    # neither registered nor run, and no job id is used up.
+    valid = spec_to_json(tiny_specs()[0])
+    with pytest.raises(ServeError) as excinfo:
+        client.submit([valid, {"policy": "AD"}])
+    assert excinfo.value.status == 400
+    assert client.stats()["cells"] == 0
+    assert client.submit([valid])["job"] == "job-1"
     with pytest.raises(ServeError) as excinfo:
         client.job("job-999")
     assert excinfo.value.status == 404
@@ -180,9 +201,9 @@ def test_serve_rejects_bad_requests(server, client):
     assert excinfo.value.status == 404
 
 
-def _raw_request(port, payload, half_close=False):
+def _raw_request(port, payload, half_close=False, timeout=10):
     """Send raw bytes over a real socket; return everything read to EOF."""
-    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
         sock.sendall(payload)
         if half_close:
             sock.shutdown(socket.SHUT_WR)
@@ -208,13 +229,34 @@ def _post_jobs(headers, body=b""):
     (b"GET /healthz HTTP/1.1\r\n"
      + b"".join(b"X-H%d: v\r\n" % i for i in range(MAX_HEADERS + 1)) + b"\r\n",
      False, b"too many headers"),
+    # Past CPython's 4300-digit int() limit.
+    (_post_jobs(b"Content-Length: " + b"9" * 4301 + b"\r\n"), False,
+     b"bad Content-Length"),
 ], ids=["non-numeric-length", "negative-length", "short-body", "long-header",
-        "too-many-headers"])
+        "too-many-headers", "huge-length"])
 def test_serve_malformed_http_gets_400(server, client, payload, half_close, reason):
     reply = _raw_request(server.port, payload, half_close)
     assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
     assert reason in reply
     assert client.healthz()["ok"]  # the daemon keeps serving
+
+
+def test_serve_stream_after_last_event_of_finished_job_closes(server, client):
+    # The job's cells have already run, so no worker is forked while the
+    # stream connection is open (a forked worker would inherit the socket
+    # and hold its EOF back).
+    job = client.submit_specs(tiny_specs())
+    client.wait(job["job"], timeout=120)
+    done_seq = list(client.stream(job["job"]))[-1]["seq"]
+    for after in (done_seq, 999):
+        request = (
+            f"GET /jobs/{job['job']}/stream?after={after} HTTP/1.1\r\n"
+            f"Host: x\r\n\r\n"
+        ).encode()
+        reply = _raw_request(server.port, request, timeout=5)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n"), after
+        assert body == b"", after
 
 
 # ---------------------------------------------------------------------------

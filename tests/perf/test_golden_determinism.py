@@ -62,7 +62,7 @@ def test_golden_run_matches(label):
         )
 
 
-@pytest.mark.parametrize("policy_name", ["MESI", "Dragon", "Hybrid"])
+@pytest.mark.parametrize("policy_name", ["W-I", "AD", "MESI", "Dragon", "Hybrid"])
 def test_new_protocols_deterministic_across_processes(policy_name):
     """A fresh interpreter reproduces the mp3d golden byte-for-byte.
 
