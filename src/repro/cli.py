@@ -675,9 +675,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="resume an interrupted sweep from its "
                              "checkpoint, recomputing only cold cells")
     fig5_p.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                        help="per-cell wall-clock deadline (pooled runs); "
-                             "a stuck cell fails as CellTimeout instead of "
-                             "hanging the sweep")
+                        help="per-attempt wall-clock deadline from "
+                             "submission (pooled runs, as serve "
+                             "--cell-timeout): an overrun kills the worker "
+                             "and requeues the cell, which fails as "
+                             "CellTimeout after 3 attempts")
     fig5_p.add_argument("--backend", choices=("local", "serve"),
                         default="local",
                         help="where cold cells execute: this host's "
@@ -855,15 +857,19 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default .repro-cache, or $REPRO_SIM_CACHE)")
     serve_p.add_argument("--cell-timeout", type=float, default=None,
                          metavar="SEC",
-                         help="per-cell deadline; a stuck cell is requeued "
-                              "(its worker killed) instead of wedging a slot")
+                         help="per-attempt deadline from submission, as "
+                              "run_many(timeout=): an overrun kills the "
+                              "worker and requeues the cell, which fails as "
+                              "CellTimeout after --max-attempts attempts")
     serve_p.add_argument("--job-timeout", type=float, default=None,
                          metavar="SEC",
                          help="per-job deadline; on expiry the job's "
                               "unstarted cells are cancelled")
     serve_p.add_argument("--max-attempts", type=int, default=3,
-                         help="execution attempts per cell before a crash/"
-                              "timeout becomes terminal (default 3)")
+                         help="attempts per cell, as run_many(max_attempts=): "
+                              "a lost worker or deadline overrun costs one; "
+                              "the last fails the cell as WorkerCrash or "
+                              "CellTimeout (default 3)")
     serve_p.add_argument("--fault-kills", type=int, default=0, metavar="N",
                          help="chaos: kill up to N workers mid-cell "
                               "(seeded; exercises requeue + pool rebuild)")

@@ -19,15 +19,16 @@ Design points:
 * **Per-run error capture.**  A failing run produces a structured
   :class:`RunError` inside its outcome instead of killing the pool; the
   other runs complete normally.
-* **Crash recovery.**  A worker process that dies (OOM kill, segfault,
-  ``os._exit``) breaks the executor; the in-flight cells are re-submitted
-  on a fresh pool a bounded number of times (``max_attempts``), and the
-  poisoned pool is discarded so it can never be handed to a later call.
-* **Per-cell wall-clock timeouts.**  ``run_many(..., timeout=...)`` caps
-  each cell's running time; a stuck cell yields a ``CellTimeout``
-  :class:`RunError` (and a pool rebuild reclaims its worker) instead of
-  hanging the whole sweep.  Timeouts need the pool: the serial inline
-  path cannot preempt a run and ignores ``timeout``.
+* **One failure model.**  :class:`CellPool` owns the process pool and
+  classifies every attempt, for this module's :func:`run_many` and for
+  the ``repro-sim serve`` daemon alike.  A worker that dies (OOM kill,
+  segfault, ``os._exit``) or an attempt that overruns
+  ``run_many(..., timeout=...)`` costs the cell one attempt: the pool
+  is discarded (hung workers killed) and the cell requeued after a
+  seeded backoff, up to ``max_attempts``, after which it resolves to a
+  ``WorkerCrash`` or ``CellTimeout`` :class:`RunError` instead of
+  hanging or crashing the sweep.  Timeouts need the pool: the serial
+  inline path cannot preempt a run and ignores ``timeout``.
 * **Checkpointed sweeps.**  ``run_many(..., checkpoint=...)`` records
   per-cell progress in a
   :class:`~repro.experiments.checkpoint.SweepCheckpoint`; an interrupt
@@ -40,8 +41,7 @@ Design points:
   process (no pool, no pickling).
 * **Pool reuse.**  The process pool persists across :func:`run_many`
   calls (sweeps are many small phases; rebuilding a pool per phase costs
-  more than the fan-out saves on short batches), and batches are chunked
-  so workers amortize IPC over several runs.
+  more than the fan-out saves on short batches).
 * **Result-cache consultation.**  ``run_many(..., store=...)`` serves
   previously computed cells from a
   :class:`~repro.experiments.store.ResultStore` and populates it with
@@ -62,7 +62,9 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from repro.consistency.models import ConsistencyModel, SEQUENTIAL_CONSISTENCY
 from repro.core.policy import ProtocolPolicy
@@ -107,18 +109,16 @@ def _runmany_metrics() -> Dict[str, Any]:
             "cell_seconds": obs_metrics.histogram(
                 "repro_runmany_cell_seconds",
                 "Wall-clock seconds of one freshly simulated sweep cell."),
+            # The rest are CellPool counters, under its names.
             "timeouts": obs_metrics.counter(
                 "repro_runmany_timeouts_total",
-                "Cells failed on the per-cell wall-clock deadline."),
-            "pool_crashes": obs_metrics.counter(
+                "Attempts that overran the per-cell wall-clock deadline."),
+            "executor_rebuilds": obs_metrics.counter(
                 "repro_runmany_pool_crashes_total",
-                "Retry rounds triggered by a poisoned worker pool."),
-            "retries": obs_metrics.counter(
+                "Pool discards after a lost worker or a deadline overrun."),
+            "requeues": obs_metrics.counter(
                 "repro_runmany_retries_total",
-                "Cells resubmitted to a fresh pool after a crash."),
-            "backoffs": obs_metrics.counter(
-                "repro_runmany_backoffs_total",
-                "Backoff sleeps taken between retry rounds."),
+                "Cells requeued after a lost worker or a deadline overrun."),
         }
     return _RUNMANY_METRICS
 
@@ -341,9 +341,9 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
 def execute_spec_with_cid(spec: RunSpec, cid: str = "") -> RunOutcome:
     """Worker entry point that binds a correlation id around the run.
 
-    The serve daemon submits cells through this so a worker's structured
-    log lines (``REPRO_LOG`` is inherited across the process boundary)
-    carry the same ``cid`` the client minted for the job.
+    :class:`CellPool` submits every attempt through this, so a worker's
+    structured log lines (``REPRO_LOG`` is inherited across the process
+    boundary) carry the ``cid`` of the sweep or job the cell belongs to.
     """
     with correlation_scope(cid):
         log_event("worker", "run_started", cell=spec.label, pid=os.getpid())
@@ -357,19 +357,6 @@ def execute_spec_with_cid(spec: RunSpec, cid: str = "") -> RunOutcome:
             error=str(outcome.error) if outcome.error else None,
         )
     return outcome
-
-
-def _execute_indexed(item: Tuple[int, RunSpec]) -> Tuple[int, RunOutcome]:
-    """Pool entry point: carry the submission index through the worker."""
-    index, spec = item
-    return index, execute_spec(spec)
-
-
-def _execute_chunk(
-    items: List[Tuple[int, RunSpec]],
-) -> List[Tuple[int, RunOutcome]]:
-    """Pool entry point: several runs per IPC round trip."""
-    return [(index, execute_spec(spec)) for index, spec in items]
 
 
 def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
@@ -391,279 +378,262 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-#: The shared worker pool, kept alive across run_many calls.  A sweep is
+@dataclass(eq=False)
+class Cell:
+    """One cell's attempt record, as :class:`CellPool` drives it.
+
+    ``status`` goes queued -> running -> (backoff -> running)* -> done |
+    failed, and ``outcome`` is set once the cell is terminal.  The last
+    four fields describe the attempt in flight.
+    """
+
+    spec: RunSpec
+    #: Names the cell in logs and seeds its backoff jitter.
+    key: str = ""
+    #: Correlation id bound around the worker's run.
+    cid: str = ""
+    status: str = "queued"
+    #: Attempts started, and how many of them lost their worker.
+    attempts: int = 0
+    crashes: int = 0
+    outcome: Optional[RunOutcome] = None
+    #: Why the last attempt failed, or why the cell was cancelled.
+    last_error: str = ""
+    future: Any = None
+    #: The pool generation the attempt was submitted to.
+    generation: int = 0
+    #: ``time.monotonic()`` at submission, and the deadline it started.
+    started: float = 0.0
+    deadline: Optional[float] = None
+
+
+class CellPool:
+    """A process pool plus the one failure model of every cell scheduler.
+
+    :func:`run_many` drives it synchronously and the serve daemon from
+    asyncio: :meth:`start` submits a cell's next attempt and, once that
+    has :meth:`ended`, :meth:`settle` classifies it.  The pool never
+    waits; the caller keeps at most ``workers`` attempts in flight, so a
+    deadline that starts at submission is an honest per-cell clock.  A
+    deadline overrun or a lost worker (a crash, or an attempt caught in
+    a discarded pool) costs one attempt: the pool is discarded once per
+    failure wave (a generation counter; the next :meth:`start` builds a
+    fresh one) and the cell requeued after :func:`backoff_delay`, until
+    ``max_attempts`` fails it.  A simulation exception is an outcome.
+    """
+
+    def __init__(
+        self,
+        workers: int,
+        *,
+        timeout: Optional[float] = None,
+        max_attempts: int = 3,
+        instruments: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.workers = workers
+        self.timeout = timeout
+        self.max_attempts = max(1, max_attempts)
+        #: Metric counters keyed like :attr:`counts`, each bumped with it.
+        self.instruments = instruments or {}
+        self.executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        #: Bumped by every discard; older attempts have lost their worker.
+        self.generation = 0
+        self.counts = dict.fromkeys(
+            ("requeues", "timeouts", "worker_crashes", "executor_rebuilds"), 0
+        )
+
+    def start(self, cell: Cell) -> None:
+        """Submit ``cell``'s next attempt; its deadline starts now."""
+        import concurrent.futures
+
+        if getattr(self.executor, "_broken", False):
+            self._discard(self.generation)  # a worker died while it idled
+        if self.executor is None:
+            self.executor = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.workers, mp_context=_pool_context()
+            )
+        cell.attempts += 1
+        cell.status = "running"
+        cell.generation = self.generation
+        cell.started = time.monotonic()
+        cell.deadline = None if self.timeout is None else cell.started + self.timeout
+        try:
+            cell.future = self.executor.submit(
+                execute_spec_with_cid, cell.spec, cell.cid
+            )
+        except Exception as exc:  # the pool broke since the check above
+            cell.future = concurrent.futures.Future()
+            cell.future.set_exception(exc)
+
+    def ended(self, cell: Cell, now: float) -> bool:
+        """Whether ``cell``'s attempt is over: done, overdue, or discarded."""
+        return (
+            cell.future.done()
+            or cell.generation != self.generation
+            or (cell.deadline is not None and now >= cell.deadline)
+        )
+
+    def settle(self, cell: Cell) -> Optional[float]:
+        """Classify how ``cell``'s attempt ended.
+
+        Returns None once the cell is terminal (``cell.outcome`` is set),
+        otherwise the backoff in seconds before it may :meth:`start`
+        again.
+        """
+        future, cell.future = cell.future, None
+        if not future.done() and cell.generation == self.generation:
+            kind, counter = CELL_TIMEOUT, "timeouts"
+            reason = f"exceeded the {self.timeout}s per-cell deadline"
+        else:
+            try:
+                outcome = future.result(timeout=0)
+            except Exception:  # BrokenProcessPool, cancelled, or discarded
+                cell.crashes += 1
+                kind, counter = WORKER_CRASH, "worker_crashes"
+                reason = f"worker process died {cell.crashes} time(s)"
+            else:
+                cell.outcome = outcome
+                cell.status = "done" if outcome.ok else "failed"
+                return None
+        self._tally(counter)
+        cell.last_error = f"{kind}: {reason}"
+        self._discard(cell.generation)
+        if cell.attempts < self.max_attempts:
+            self._tally("requeues")
+            cell.status = "backoff"
+            log_event("pool", "cell_requeued", level="warning",
+                      cell=cell.key, cid=cell.cid or None,
+                      attempts=cell.attempts, error=cell.last_error)
+            return backoff_delay(cell.attempts, key=cell.key)
+        cell.status = "failed"
+        cell.outcome = RunOutcome(
+            spec=cell.spec,
+            error=RunError(
+                exc_type=kind,
+                message=f"{reason} (gave up after {cell.attempts} attempt(s))",
+                traceback="",
+                workload=cell.spec.workload,
+                policy=cell.spec.policy.name,
+                seed=cell.spec.seed,
+                attempts=cell.attempts,
+            ),
+        )
+        return None
+
+    def close(self) -> None:
+        """Kill the workers; the next :meth:`start` builds a fresh pool.
+
+        ``shutdown(wait=False)`` alone would leave a worker stuck in a
+        hung cell running; killing it gives its CPU back.
+        """
+        executor, self.executor = self.executor, None
+        if executor is None:
+            return
+        processes = list((getattr(executor, "_processes", None) or {}).values())
+        try:
+            executor.shutdown(wait=False, cancel_futures=True)
+        except Exception:  # pragma: no cover - shutdown of a broken pool
+            pass
+        for process in processes:
+            if process.is_alive():
+                process.kill()
+
+    def _discard(self, generation: int) -> None:
+        """Discard the pool an attempt of ``generation`` failed on, once."""
+        if generation != self.generation:
+            return
+        self.generation += 1
+        self._tally("executor_rebuilds")
+        log_event("pool", "executor_rebuilt", level="warning",
+                  generation=self.generation)
+        self.close()
+
+    def _tally(self, counter: str) -> None:
+        self.counts[counter] += 1
+        instrument = self.instruments.get(counter)
+        if instrument is not None:
+            instrument.inc()
+
+
+#: The shared cell pool, kept alive across run_many calls.  A sweep is
 #: many small phases (one per table row/figure bar); rebuilding a pool
 #: per phase used to cost more than short batches saved, which is how
 #: the committed bench recorded a 0.91x "speedup".  :func:`shutdown_pool`
-#: is registered atexit, and any executor failure (a crashed or hung
-#: worker) discards the pool so a broken executor is never reused.
-_POOL: Optional[concurrent.futures.ProcessPoolExecutor] = None
-_POOL_WORKERS: int = 0
+#: is registered atexit, and a failure discards the executor inside it,
+#: so a broken executor is never reused.
+_POOL: Optional[CellPool] = None
 
 
 def shutdown_pool() -> None:
-    """Tear down the shared worker pool, killing any hung workers.
+    """Tear down the shared cell pool, killing any hung workers."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.close()
 
-    Used by tests, at interpreter exit, and whenever an executor failure
-    poisons the pool (the next :func:`_shared_pool` call builds a fresh
-    one).
+
+def _shared_pool(workers: int) -> Optional[CellPool]:
+    """The persistent pool of exactly ``workers`` processes, or None.
+
+    Repeated same-width calls (the sweep-phase pattern) reuse it; a
+    width change replaces it.  None means no multiprocessing support.
     """
-    global _POOL, _POOL_WORKERS
-    if _POOL is None:
-        return
-    discard, _POOL, _POOL_WORKERS = _POOL, None, 0
-    discard_executor(discard)
-
-
-def discard_executor(executor: concurrent.futures.ProcessPoolExecutor) -> None:
-    """Shut ``executor`` down without waiting, then kill its live workers.
-
-    ``shutdown(wait=False)`` alone leaves a worker stuck in a hung cell
-    running; killing it gives its CPU back.  Safe on a broken pool.
-    """
-    processes = list((getattr(executor, "_processes", None) or {}).values())
-    try:
-        executor.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # pragma: no cover - shutdown of a broken pool
-        pass
-    for process in processes:
-        if process.is_alive():
-            process.kill()
-
-
-def _shared_pool(workers: int) -> Optional[concurrent.futures.ProcessPoolExecutor]:
-    """A persistent pool of exactly ``workers`` processes, or None.
-
-    The pool is rebuilt when the requested width changes or the executor
-    is broken (a worker died); repeated healthy same-width calls (the
-    sweep-phase pattern) reuse it as-is.
-    """
-    global _POOL, _POOL_WORKERS
-    if (
-        _POOL is not None
-        and _POOL_WORKERS == workers
-        and not getattr(_POOL, "_broken", False)
-    ):
-        return _POOL
-    context = _pool_context()
-    if context is None:
-        return None
-    import concurrent.futures
-
-    shutdown_pool()
-    _POOL = concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, mp_context=context
-    )
-    _POOL_WORKERS = workers
+    global _POOL
+    if _POOL is None or _POOL.workers != workers:
+        if _pool_context() is None:  # pragma: no cover - no multiprocessing
+            return None
+        shutdown_pool()
+        _POOL = CellPool(workers, instruments=_runmany_metrics())
     return _POOL
 
 
 atexit.register(shutdown_pool)
 
 
-def _default_chunksize(pending: int, workers: int) -> int:
-    """Batch several runs per IPC round trip, keeping ~4 chunks/worker
-    so the pool still load-balances uneven run lengths."""
-    return max(1, pending // (workers * 4))
-
-
-def _failed_outcome(
-    spec: RunSpec, exc_type: str, message: str, attempts: int
-) -> RunOutcome:
-    return RunOutcome(
-        spec=spec,
-        error=RunError(
-            exc_type=exc_type,
-            message=message,
-            traceback="",
-            workload=spec.workload,
-            policy=spec.policy.name,
-            seed=spec.seed,
-            attempts=attempts,
-        ),
-    )
-
-
-def _drain_chunked(
-    pool: concurrent.futures.ProcessPoolExecutor,
-    pending: List[Tuple[int, RunSpec]],
-    chunksize: Optional[int],
-    workers: int,
-) -> Tuple[List[Tuple[int, RunOutcome]], List[Tuple[int, RunSpec]], bool]:
-    """Submit everything in chunks and collect what completes.
-
-    Returns ``(completed, survivors, broken)``: cells whose chunk failed
-    at the executor level (worker death, cancellation) come back as
-    survivors with ``broken=True`` so the caller can retry them on a
-    fresh pool.
-    """
-    import concurrent.futures
-
-    size = chunksize or _default_chunksize(len(pending), workers)
-    futures: Dict[Any, List[Tuple[int, RunSpec]]] = {}
-    completed: List[Tuple[int, RunOutcome]] = []
-    survivors: List[Tuple[int, RunSpec]] = []
-    broken = False
-    for start in range(0, len(pending), size):
-        chunk = pending[start:start + size]
-        try:
-            futures[pool.submit(_execute_chunk, chunk)] = chunk
-        except Exception:  # pool already broken: refuse, retry elsewhere
-            survivors.extend(chunk)
-            broken = True
-    for future, chunk in futures.items():
-        try:
-            completed.extend(future.result())
-        except (Exception, concurrent.futures.CancelledError):
-            survivors.extend(chunk)
-            broken = True
-    return completed, survivors, broken
-
-
-def _drain_windowed(
-    pool: concurrent.futures.ProcessPoolExecutor,
-    pending: List[Tuple[int, RunSpec]],
-    timeout: float,
-    workers: int,
-) -> Tuple[
-    List[Tuple[int, RunOutcome]],
-    List[Tuple[int, RunSpec]],
-    List[Tuple[int, RunSpec]],
-    bool,
-]:
-    """Timeout-enforcing drain: at most ``workers`` cells in flight, each
-    with its own wall-clock deadline starting at submission.
-
-    Keeping the window no wider than the pool means a submitted cell has
-    a free worker, so submission time ≈ start time and the deadline is an
-    honest per-cell clock.  Returns ``(completed, survivors, timed_out,
-    broken)``; a timed-out cell poisons the pool (its worker is stuck),
-    so the round ends and the caller retries the survivors on a fresh
-    pool.  Timed-out cells are *not* retried — a deterministic simulation
-    that blew its deadline once will blow it again.
-    """
-    import concurrent.futures
-
-    queue = list(pending)
-    inflight: Dict[Any, Tuple[int, RunSpec, float]] = {}
-    completed: List[Tuple[int, RunOutcome]] = []
-    survivors: List[Tuple[int, RunSpec]] = []
-    timed_out: List[Tuple[int, RunSpec]] = []
-    broken = False
-    while (queue or inflight) and not broken:
-        while queue and len(inflight) < workers:
-            index, spec = queue.pop(0)
-            try:
-                future = pool.submit(_execute_indexed, (index, spec))
-            except Exception:
-                survivors.append((index, spec))
-                broken = True
-                break
-            inflight[future] = (index, spec, time.monotonic() + timeout)
-        if broken or not inflight:
-            break
-        nearest = min(deadline for _, _, deadline in inflight.values())
-        done, _ = concurrent.futures.wait(
-            list(inflight),
-            timeout=max(0.0, nearest - time.monotonic()),
-            return_when=concurrent.futures.FIRST_COMPLETED,
-        )
-        if done:
-            for future in done:
-                index, spec, _ = inflight.pop(future)
-                try:
-                    completed.append(future.result())
-                except (Exception, concurrent.futures.CancelledError):
-                    survivors.append((index, spec))
-                    broken = True
-            continue
-        # Nothing completed before the nearest deadline: every *running*
-        # overdue cell is stuck.  Pending-but-overdue cells merely queued
-        # behind a stuck worker; they survive to the retry round.
-        now = time.monotonic()
-        for future in list(inflight):
-            index, spec, deadline = inflight[future]
-            if deadline <= now and future.running():
-                inflight.pop(future)
-                timed_out.append((index, spec))
-                future.cancel()
-        broken = True
-    if broken:
-        survivors.extend((index, spec) for index, spec, _ in inflight.values())
-        survivors.extend(queue)
-    return completed, survivors, timed_out, broken
-
-
 def _run_pooled(
-    pending: List[Tuple[int, RunSpec]],
-    workers: int,
-    chunksize: Optional[int],
-    timeout: Optional[float],
-    max_attempts: int,
-    on_result,
+    pool: CellPool, cells: List[Cell], on_done: Callable[[Cell], None]
 ) -> None:
-    """Execute pending cells on the shared pool with crash recovery.
+    """Drive ``cells`` through ``pool`` until every one is terminal.
 
-    Worker crashes (``BrokenProcessPool``) discard the poisoned pool and
-    re-submit the in-flight cells on a fresh one, up to ``max_attempts``
-    rounds with deterministic backoff; cells still unfinished then fail
-    with a ``WorkerCrash`` error carrying the attempt count.  Outcomes
-    are delivered through ``on_result(index, outcome)`` as each retry
-    round completes, so an interrupt loses at most the in-flight round
-    (everything delivered is already recorded/checkpointed).
+    At most ``pool.workers`` attempts are in flight.  Each terminal cell
+    goes to ``on_done`` at once, so an interrupt loses only the attempts
+    in flight (everything delivered is already recorded/checkpointed).
     """
-    metrics = _runmany_metrics()
-    remaining = list(pending)
-    attempt = 0
-    while remaining:
-        pool = _shared_pool(workers)
-        if pool is None:  # pragma: no cover - no multiprocessing support
-            for index, spec in remaining:
-                on_result(index, execute_spec(spec))
-            return
-        if timeout is None:
-            completed, survivors, broken = _drain_chunked(
-                pool, remaining, chunksize, workers
+    import concurrent.futures
+
+    queue = list(cells)
+    backoff: List[Tuple[float, Cell]] = []  # (earliest restart, cell)
+    running: List[Cell] = []
+    while queue or backoff or running:
+        now = time.monotonic()
+        for cell in [cell for cell in running if pool.ended(cell, now)]:
+            running.remove(cell)
+            delay = pool.settle(cell)
+            if delay is None:
+                on_done(cell)
+            else:
+                backoff.append((now + delay, cell))
+        queue += [cell for ready, cell in backoff if ready <= now]
+        backoff = [(ready, cell) for ready, cell in backoff if ready > now]
+        while queue and len(running) < pool.workers:
+            cell = queue.pop(0)
+            pool.start(cell)
+            running.append(cell)
+        now = time.monotonic()
+        if any(pool.ended(cell, now) for cell in running):
+            continue  # wait() never wakes for an attempt a discard cancelled
+        wakeups = [ready for ready, _ in backoff] + [
+            cell.deadline for cell in running if cell.deadline is not None
+        ]
+        timeout = max(0.0, min(wakeups) - now) if wakeups else None
+        if running:
+            concurrent.futures.wait(
+                [cell.future for cell in running],
+                timeout=timeout,
+                return_when=concurrent.futures.FIRST_COMPLETED,
             )
-            just_timed_out: List[Tuple[int, RunSpec]] = []
-        else:
-            completed, survivors, just_timed_out, broken = _drain_windowed(
-                pool, remaining, timeout, workers
-            )
-        for index, outcome in completed:
-            on_result(index, outcome)
-        for index, spec in just_timed_out:
-            metrics["timeouts"].inc()
-            log_event("run_many", "cell_timeout", level="warning",
-                      cell=spec.label, timeout_s=timeout)
-            on_result(index, _failed_outcome(
-                spec, CELL_TIMEOUT,
-                f"exceeded the {timeout}s per-cell wall-clock deadline",
-                attempts=attempt + 1,
-            ))
-        if not broken:
-            return
-        # The pool is poisoned (crashed worker or hung cell): discard it
-        # so neither this retry round nor a later run_many call can be
-        # handed a broken executor.
-        shutdown_pool()
-        metrics["pool_crashes"].inc()
-        attempt += 1
-        if attempt >= max_attempts:
-            for index, spec in survivors:
-                on_result(index, _failed_outcome(
-                    spec, WORKER_CRASH,
-                    f"worker pool died {attempt} time(s) running this batch",
-                    attempts=attempt,
-                ))
-            return
-        if survivors:
-            metrics["retries"].inc(len(survivors))
-            metrics["backoffs"].inc()
-            log_event("run_many", "pool_retry", level="warning",
-                      attempt=attempt, cells=len(survivors))
-            time.sleep(backoff_delay(attempt, key=f"run_many:{len(pending)}"))
-        remaining = sorted(survivors, key=lambda item: item[0])
+        elif timeout:
+            time.sleep(timeout)
 
 
 def _run_via_serve(
@@ -693,7 +663,6 @@ def _run_via_serve(
 def run_many(
     specs: Sequence[RunSpec],
     workers: int = 1,
-    chunksize: Optional[int] = None,
     store: Optional[Any] = None,
     *,
     timeout: Optional[float] = None,
@@ -705,12 +674,12 @@ def run_many(
     """Execute every spec and return outcomes in submission order.
 
     ``workers=1`` (or a single spec, or a platform without process
-    support) runs serially in this process; otherwise a shared persistent
-    pool of ``workers`` processes executes the batch, ``chunksize`` specs
-    per task (default: ~4 chunks per worker).  Either way the returned
-    list lines up index-for-index with ``specs`` and parallel results are
-    identical to serial ones (each run is a self-contained deterministic
-    simulation).
+    support) runs serially in this process; otherwise the shared
+    persistent :class:`CellPool` of ``workers`` processes executes the
+    batch, one cell per task and at most ``workers`` in flight.  Either
+    way the returned list lines up index-for-index with ``specs`` and
+    parallel results are identical to serial ones (each run is a
+    self-contained deterministic simulation).
 
     ``store`` (a :class:`~repro.experiments.store.ResultStore`) is
     consulted per spec before simulating — hits come back as cached
@@ -719,12 +688,14 @@ def run_many(
 
     Resilience knobs:
 
-    * ``timeout`` — per-cell wall-clock deadline in seconds (pooled
-      execution only); a stuck cell fails with a ``CellTimeout`` error
-      instead of hanging the sweep.
-    * ``max_attempts`` — how many pool rebuild/retry rounds a worker
-      crash may consume before the surviving cells fail with
-      ``WorkerCrash``.
+    * ``timeout`` — per-attempt wall-clock deadline in seconds, starting
+      at submission (pooled execution only: the serial path cannot
+      preempt a run and ignores it).
+    * ``max_attempts`` — attempts per cell.  A deadline overrun or a
+      lost worker costs one and requeues the cell on a fresh pool; the
+      last one fails it as ``CellTimeout`` or ``WorkerCrash``, so a hung
+      cell costs up to ``max_attempts * timeout`` (``max_attempts=1``
+      fails it on the first overrun).  See :class:`CellPool`.
     * ``checkpoint`` — a
       :class:`~repro.experiments.checkpoint.SweepCheckpoint` updated as
       cells finish; a KeyboardInterrupt saves it and raises
@@ -775,19 +746,23 @@ def run_many(
                     for (index, _), outcome in zip(pending, served):
                         record(index, outcome, put=True)
                     pending = []
-            if pending:
-                if workers > 1 and len(pending) > 1:
-                    _run_pooled(
-                        pending, workers, chunksize, timeout, max_attempts,
-                        lambda index, outcome: record(
-                            index, outcome, put=not outcome.cached
-                        ),
-                    )
-                else:
-                    # Record cell by cell so an interrupt keeps finished work.
-                    for index, spec in pending:
-                        outcome = execute_spec(spec)
-                        record(index, outcome, put=not outcome.cached)
+            pool = (
+                _shared_pool(workers) if workers > 1 and len(pending) > 1
+                else None
+            )
+            if pool is not None:
+                pool.timeout, pool.max_attempts = timeout, max(1, max_attempts)
+                index_of = {
+                    Cell(spec, key=spec.label, cid=sweep_cid): index
+                    for index, spec in pending
+                }
+                _run_pooled(pool, list(index_of), lambda cell: record(
+                    index_of[cell], cell.outcome, put=True
+                ))
+            else:
+                # Record cell by cell so an interrupt keeps finished work.
+                for index, spec in pending:
+                    record(index, execute_spec(spec), put=True)
     except KeyboardInterrupt:
         if checkpoint is None:
             raise

@@ -4,17 +4,18 @@ A small asyncio job-queue daemon in front of the content-addressed
 :class:`~repro.experiments.store.ResultStore`: clients POST batches of
 sweep cells over HTTP, identical cells are deduplicated across
 concurrent clients, warm cells answer straight from the store, cold
-cells are scheduled onto a fixed process pool, and progress streams back
-as newline-delimited JSON.  Results and their trace/metrics/profile
+cells are scheduled onto the process pool ``run_many`` uses
+(:class:`~repro.experiments.parallel.CellPool`), and progress streams
+back as newline-delimited JSON.  Results and their trace/metrics/profile
 artifacts persist in the store for every later sweep.
 
-The service is fault-tolerant: crashed or stuck workers are detected,
-the pool is rebuilt, and the affected cells are requeued with bounded
-attempts and deterministic backoff; clients retry, reconnect, and resume
-progress streams from the last-seen event.  A seeded
-:class:`~repro.serve.faults.ServeFaultPlan` (worker kills, delayed
-completions, dropped stream frames) makes every recovery path
-chaos-testable.
+The service is fault-tolerant with the same failure model as
+``run_many``: crashed or stuck workers are detected, the pool is
+rebuilt, and the affected cells are requeued with bounded attempts and
+deterministic backoff; clients retry, reconnect, and resume progress
+streams from the last-seen event.  A seeded
+:class:`~repro.serve.faults.ServeFaultPlan` (worker kills, dropped
+stream frames) makes the recovery paths chaos-testable.
 """
 
 from repro._lazy import lazy_exports

@@ -122,15 +122,11 @@ class ServeClient:
         timeout: float = 30.0,
         *,
         retries: int = 4,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         cid: str = "",
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retries = max(0, retries)
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         #: Correlation id stamped on submitted jobs (minted per submit
         #: when empty), so client/server/worker logs line up.
         self.cid = cid
@@ -146,12 +142,9 @@ class ServeClient:
         except _CONNECTION_ERRORS as exc:
             if attempt <= self.retries:
                 _client_metrics()["retries"].inc()
-                time.sleep(backoff_delay(
-                    attempt,
-                    base=self.backoff_base,
-                    cap=self.backoff_cap,
-                    key=f"{self.base_url}:{label}",
-                ))
+                time.sleep(
+                    backoff_delay(attempt, key=f"{self.base_url}:{label}")
+                )
             raise exc
 
     def _request_raw(
@@ -317,10 +310,7 @@ class ServeClient:
                 log_event("client", "stream_resumed", level="warning",
                           job=job_id, after=last)
                 time.sleep(backoff_delay(
-                    failures,
-                    base=self.backoff_base,
-                    cap=self.backoff_cap,
-                    key=f"{self.base_url}:stream {job_id}",
+                    failures, key=f"{self.base_url}:stream {job_id}"
                 ))
                 continue
             if finished:
@@ -336,10 +326,7 @@ class ServeClient:
             log_event("client", "stream_resumed", level="warning",
                       job=job_id, after=last)
             time.sleep(backoff_delay(
-                failures,
-                base=self.backoff_base,
-                cap=self.backoff_cap,
-                key=f"{self.base_url}:stream {job_id}",
+                failures, key=f"{self.base_url}:stream {job_id}"
             ))
 
     # -- sweep backend -------------------------------------------------

@@ -50,25 +50,24 @@ execution, so structured logs thread client -> server -> worker.
 Scheduling & resilience
 -----------------------
 
-Cold cells run on a pool of ``workers`` processes
-(:class:`concurrent.futures.ProcessPoolExecutor`); an
-:class:`asyncio.Semaphore` of the same width keeps the queue honest so a
-cell is only marked ``running`` when it actually occupies a worker.
-Every unique cell executes at most once no matter how many jobs
-reference it — the dedupe map is keyed by the same content address the
-store uses.
+Cold cells run on the same :class:`~repro.experiments.parallel.CellPool`
+``run_many`` uses, so both share one failure model: a cell whose
+worker dies or whose attempt overruns ``cell_timeout`` (counted from
+submission) costs one attempt, the pool is discarded once per failure
+wave (stuck workers killed) and the cell is requeued after the seeded
+backoff, up to ``max_attempts`` before it fails as ``CellTimeout`` or
+``WorkerCrash`` with the attempt count in its
+:class:`~repro.experiments.parallel.RunError`.  Each cell's task drives
+the pool from asyncio; an :class:`asyncio.Semaphore` of ``workers``
+slots keeps at most that many attempts in flight, so a cell is only
+marked ``running`` when it actually occupies a worker.  Every unique
+cell executes at most once no matter how many jobs reference it — the
+dedupe map is keyed by the same content address the store uses.
 
-A cell whose worker dies (``BrokenProcessPool``) or whose attempt blows
-the ``cell_timeout`` deadline is *requeued* — the poisoned executor is
-torn down (stuck workers killed) and rebuilt exactly once per failure
-wave (a generation counter under a lock), and the cell retries after
-capped exponential backoff with deterministic jitter, up to
-``max_attempts`` before failing terminally with the attempt count in its
-:class:`~repro.experiments.parallel.RunError`.  ``job_timeout`` bounds a
-whole job: on expiry its still-unstarted cells are cancelled.  A
-:class:`~repro.serve.faults.ServeFaultPlan` makes all of these paths
-chaos-testable with seeded worker kills, delayed completions, and
-dropped stream frames.
+``job_timeout`` bounds a whole job: on expiry its still-unstarted cells
+are cancelled.  A :class:`~repro.serve.faults.ServeFaultPlan` makes the
+recovery paths chaos-testable with seeded worker kills and dropped
+stream frames.
 """
 
 from __future__ import annotations
@@ -76,21 +75,13 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import time
 import urllib.parse
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.experiments.parallel import (
-    RunOutcome,
-    RunSpec,
-    _failed_outcome,
-    _pool_context,
-    backoff_delay,
-    discard_executor,
-    execute_spec,
-    execute_spec_with_cid,
-)
+from repro.experiments import parallel
+from repro.experiments.parallel import CellPool, RunSpec
 from repro.experiments.store import ResultStore, spec_from_json, spec_key
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import log_event
@@ -110,27 +101,19 @@ class BadRequest(ValueError):
     """Client error: reported as a 400 with the message as the reason."""
 
 
-@dataclass
-class Cell:
-    """One unique sweep cell and its lifecycle on this server."""
+@dataclass(eq=False)
+class Cell(parallel.Cell):
+    """One unique sweep cell and its lifecycle on this server.
 
-    key: str
-    spec: RunSpec
-    status: str  # queued | running | backoff | done | cached | failed | cancelled
-    done: asyncio.Event
-    outcome: Optional[RunOutcome] = None
+    Beyond the pool's statuses a cell can be ``cached`` (served from the
+    store) or ``cancelled``; ``key`` is its content address and ``cid``
+    the correlation id of the job that created it.
+    """
+
+    #: Set once the cell is terminal; jobs wait on it.
+    done: asyncio.Event = field(default_factory=asyncio.Event)
     #: How many submitted specs (across all jobs) resolved to this cell.
     refs: int = 0
-    #: Execution attempts consumed (crash/timeout requeues increment it).
-    attempts: int = 0
-    #: Loop time the current attempt started (diagnostics).
-    started: float = 0.0
-    #: Last non-terminal failure or the cancellation reason.
-    last_error: str = ""
-    #: (exc_type, message) of the attempt that just failed, pre-requeue.
-    failure: Tuple[str, str] = ("", "")
-    #: Correlation id of the job that first created this cell.
-    cid: str = ""
 
     def to_json(self) -> Dict[str, Any]:
         doc = {
@@ -177,8 +160,6 @@ class ExperimentServer:
         cell_timeout: Optional[float] = None,
         job_timeout: Optional[float] = None,
         max_attempts: int = 3,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         faults: Optional[ServeFaultPlan] = None,
         registry: Optional[obs_metrics.MetricsRegistry] = None,
     ) -> None:
@@ -186,31 +167,24 @@ class ExperimentServer:
         self.workers = max(1, workers)
         self.host = host
         self.port = port
-        self.cell_timeout = cell_timeout
         self.job_timeout = job_timeout
-        self.max_attempts = max(1, max_attempts)
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.faults = faults
         self.cells: Dict[str, Cell] = {}
         self.jobs: Dict[str, Job] = {}
         self.submitted = 0
         self.deduped = 0
-        self.requeues = 0
-        self.timeouts = 0
-        self.worker_crashes = 0
-        self.executor_rebuilds = 0
         self.cancelled_jobs = 0
         self.fault_kills = 0
         self._job_counter = 0
-        self._generation = 0
-        self._executor: Optional[ProcessPoolExecutor] = None
         self._slots: Optional[asyncio.Semaphore] = None
-        self._rebuild_lock: Optional[asyncio.Lock] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: Set["asyncio.Task[Any]"] = set()
         self.registry = registry if registry is not None else obs_metrics.REGISTRY
         self._init_metrics()
+        #: Workers and failure model (``/stats`` reads its counters); no
+        #: process starts until a cold cell needs one.
+        self.pool = CellPool(self.workers, timeout=cell_timeout,
+                             max_attempts=max_attempts, instruments=self._m_pool)
 
     def _init_metrics(self) -> None:
         """Declare the daemon's instrument set on ``self.registry``.
@@ -260,16 +234,20 @@ class ExperimentServer:
             "repro_serve_cell_seconds",
             "Wall-clock seconds of one cell execution attempt.",
         )
-        self._m_requeues = reg.counter(
-            "repro_serve_requeues_total", "Cells requeued after a crash or timeout.")
-        self._m_timeouts = reg.counter(
-            "repro_serve_timeouts_total", "Attempts that blew the per-cell deadline.")
-        self._m_worker_crashes = reg.counter(
-            "repro_serve_worker_crashes_total",
-            "Attempts lost to a dead worker (BrokenProcessPool and kin).")
-        self._m_executor_rebuilds = reg.counter(
-            "repro_serve_executor_rebuilds_total",
-            "Process-pool rebuilds after a failure wave.")
+        self._m_pool = {  # the CellPool's counters, under its names
+            "requeues": reg.counter(
+                "repro_serve_requeues_total",
+                "Cells requeued after a crash or timeout."),
+            "timeouts": reg.counter(
+                "repro_serve_timeouts_total",
+                "Attempts that blew the per-cell deadline."),
+            "worker_crashes": reg.counter(
+                "repro_serve_worker_crashes_total",
+                "Attempts lost to a dead worker (BrokenProcessPool and kin)."),
+            "executor_rebuilds": reg.counter(
+                "repro_serve_executor_rebuilds_total",
+                "Process-pool rebuilds after a failure wave."),
+        }
         self._m_fault_kills = reg.counter(
             "repro_serve_fault_kills_total",
             "Worker kills injected by the ServeFaultPlan.")
@@ -299,21 +277,17 @@ class ExperimentServer:
         reg.gauge(
             "repro_serve_executor_generation",
             "Process-pool generation (increments on every rebuild).",
-        ).set_function(lambda: self._generation)
+        ).set_function(lambda: self.pool.generation)
 
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listening socket and the worker pool.
+        """Bind the listening socket (the pool starts on first use).
 
         ``port=0`` picks an ephemeral port; ``self.port`` is updated to
         the bound one either way.
         """
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=_pool_context()
-        )
         self._slots = asyncio.Semaphore(self.workers)
-        self._rebuild_lock = asyncio.Lock()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -325,8 +299,7 @@ class ExperimentServer:
             await self._server.wait_closed()
         for task in list(self._tasks):
             task.cancel()
-        if self._executor is not None:
-            discard_executor(self._executor)
+        self.pool.close()
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -365,10 +338,13 @@ class ExperimentServer:
             self.submitted += 1
             self._m_specs_submitted.inc()
             cell = self.cells.get(key)
-            if cell is None:
-                cell = Cell(key=key, spec=spec, status="queued",
-                            done=asyncio.Event(), cid=job.cid)
-                self.cells[key] = cell
+            if cell is None or cell.status == "cancelled":
+                # A cell an earlier job abandoned is revived as a new Cell:
+                # the abandoned one's task may still wait for a slot or a
+                # backoff, and must find its own cell cancelled and exit.
+                cell = self.cells[key] = Cell(
+                    spec, key=key, cid=job.cid, refs=cell.refs if cell else 0
+                )
                 cached = self.store.fetch(spec)
                 if cached is not None:
                     cell.status = "cached"
@@ -377,15 +353,6 @@ class ExperimentServer:
                     self._m_cells_terminal.labels(status="cached").inc()
                 else:
                     self._spawn(self._run_cell(cell))
-            elif cell.status == "cancelled":
-                # Revive: a new job wants a cell an earlier job abandoned.
-                cell.status = "queued"
-                cell.done = asyncio.Event()
-                cell.outcome = None
-                cell.attempts = 0
-                cell.last_error = ""
-                cell.cid = job.cid
-                self._spawn(self._run_cell(cell))
             else:
                 # The dedupe path: an identical cell is already cached,
                 # queued, or running on behalf of another submission.
@@ -400,86 +367,35 @@ class ExperimentServer:
         return job
 
     async def _run_cell(self, cell: Cell) -> None:
-        """Drive one cell to a terminal state, requeueing on faults."""
+        """Drive one cell through the pool to a terminal state."""
         assert self._slots is not None
-        loop = asyncio.get_running_loop()
         while True:
-            if cell.status == "cancelled":
-                return
             async with self._slots:
                 if cell.status == "cancelled":
-                    return
-                cell.attempts += 1
-                cell.status = "running"
-                cell.started = loop.time()
-                requeue = await self._attempt(cell, loop)
-            if not requeue:
-                return
-            cell.status = "backoff"
-            self.requeues += 1
-            self._m_requeues.inc()
-            log_event("serve", "cell_requeued", level="warning", cell=cell.key,
-                      cid=cell.cid or None, attempts=cell.attempts,
-                      error=cell.last_error)
-            await asyncio.sleep(backoff_delay(
-                cell.attempts,
-                base=self.backoff_base,
-                cap=self.backoff_cap,
-                key=cell.key,
-            ))
-
-    async def _attempt(self, cell: Cell, loop) -> bool:
-        """One execution attempt; returns True when the cell must requeue."""
-        generation = self._generation
-        kill_task = None
-        self._m_cell_attempts.inc()
-        if self.faults is not None and self.faults.should_kill(
-            cell.key, cell.attempts
-        ):
-            self.fault_kills += 1
-            self._m_fault_kills.inc()
-            kill_task = loop.create_task(self._fault_kill(generation))
-        try:
-            future = loop.run_in_executor(
-                self._executor, execute_spec_with_cid, cell.spec, cell.cid
-            )
-            if self.cell_timeout is not None:
-                outcome = await asyncio.wait_for(future, self.cell_timeout)
-            else:
-                outcome = await future
-        except asyncio.TimeoutError:
-            self.timeouts += 1
-            self._m_timeouts.inc()
-            self._m_cell_seconds.observe(loop.time() - cell.started)
-            cell.failure = (
-                "CellTimeout",
-                f"exceeded the {self.cell_timeout}s per-cell deadline",
-            )
-            await self._rebuild_executor(generation)
-            return self._requeue_or_fail(cell)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # BrokenProcessPool, pickling failure, ...
-            self.worker_crashes += 1
-            self._m_worker_crashes.inc()
-            self._m_cell_seconds.observe(loop.time() - cell.started)
-            cell.failure = (type(exc).__name__, str(exc) or "worker process died")
-            await self._rebuild_executor(generation)
-            return self._requeue_or_fail(cell)
-        finally:
-            if kill_task is not None:
-                kill_task.cancel()
-        self._m_cell_seconds.observe(loop.time() - cell.started)
-        if self.faults is not None:
-            delay = self.faults.completion_delay(cell.key)
-            if delay:
-                await asyncio.sleep(delay)
-        cell.outcome = outcome
+                    return  # abandoned while it waited for a slot or backoff
+                self.pool.start(cell)
+                self._m_cell_attempts.inc()
+                kill = None
+                if self.faults is not None and self.faults.should_kill(
+                    cell.key, cell.attempts
+                ):
+                    self.fault_kills += 1
+                    self._m_fault_kills.inc()
+                    kill = asyncio.get_running_loop().create_task(
+                        self._fault_kill(cell.generation)
+                    )
+                await _attempt_over(cell)
+                if kill is not None:
+                    kill.cancel()
+                delay = self.pool.settle(cell)
+            self._m_cell_seconds.observe(time.monotonic() - cell.started)
+            if delay is None:
+                break
+            await asyncio.sleep(delay)
+        outcome = cell.outcome
+        assert outcome is not None
         if outcome.ok:
             self.store.put(outcome)
-            cell.status = "done"
-        else:
-            cell.status = "failed"
         self._m_cells_terminal.labels(status=cell.status).inc()
         log_event("serve", "cell_done" if outcome.ok else "cell_failed",
                   level="info" if outcome.ok else "error",
@@ -487,49 +403,6 @@ class ExperimentServer:
                   status=cell.status,
                   error=str(outcome.error) if outcome.error else None)
         cell.done.set()
-        return False
-
-    def _requeue_or_fail(self, cell: Cell) -> bool:
-        """Schedule a retry, or fail the cell once its attempts are spent."""
-        exc_type, message = cell.failure
-        cell.last_error = f"{exc_type}: {message}"
-        if cell.attempts < self.max_attempts:
-            return True
-        cell.outcome = _failed_outcome(
-            cell.spec, exc_type,
-            f"{message} (gave up after {cell.attempts} attempt(s))",
-            attempts=cell.attempts,
-        )
-        cell.status = "failed"
-        self._m_cells_terminal.labels(status="failed").inc()
-        log_event("serve", "cell_failed", level="error", cell=cell.key,
-                  cid=cell.cid or None, attempts=cell.attempts,
-                  error=cell.last_error)
-        cell.done.set()
-        return False
-
-    async def _rebuild_executor(self, generation: int) -> None:
-        """Replace the (possibly poisoned) pool, once per failure wave.
-
-        Several cells can observe the same crash; the generation counter
-        under the lock makes the first one rebuild and the rest reuse the
-        fresh pool.  Workers of the old pool that are still alive (a
-        stuck cell after a timeout) are killed so their CPU comes back.
-        """
-        assert self._rebuild_lock is not None
-        async with self._rebuild_lock:
-            if generation != self._generation:
-                return
-            self._generation += 1
-            self.executor_rebuilds += 1
-            self._m_executor_rebuilds.inc()
-            log_event("serve", "executor_rebuilt", level="warning",
-                      generation=self._generation)
-            old, self._executor = self._executor, ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=_pool_context()
-            )
-            if old is not None:
-                discard_executor(old)
 
     async def _fault_kill(self, generation: int) -> None:
         """ServeFaultPlan hook: kill one live worker of this generation."""
@@ -538,11 +411,13 @@ class ExperimentServer:
         # The pool spawns processes lazily on first submit; poll briefly
         # so the kill lands even when it races the spawn.
         for _ in range(50):
-            if generation != self._generation:
+            if generation != self.pool.generation:
                 return
             processes = [
                 process
-                for process in (getattr(self._executor, "_processes", None) or {}).values()
+                for process in (
+                    getattr(self.pool.executor, "_processes", None) or {}
+                ).values()
                 if process.is_alive()
             ]
             if processes:
@@ -682,18 +557,15 @@ class ExperimentServer:
             "specs_submitted": self.submitted,
             "specs_deduped": self.deduped,
             "cache": self.store.summary(),
-            "scheduler": {
-                "requeues": self.requeues,
-                "timeouts": self.timeouts,
-                "worker_crashes": self.worker_crashes,
-                "executor_rebuilds": self.executor_rebuilds,
-                "cancelled_jobs": self.cancelled_jobs,
-                "fault_kills": self.fault_kills,
-            },
+            "scheduler": dict(
+                self.pool.counts,
+                cancelled_jobs=self.cancelled_jobs,
+                fault_kills=self.fault_kills,
+            ),
             "resilience": {
-                "cell_timeout": self.cell_timeout,
+                "cell_timeout": self.pool.timeout,
                 "job_timeout": self.job_timeout,
-                "max_attempts": self.max_attempts,
+                "max_attempts": self.pool.max_attempts,
             },
         }
         if self.faults is not None:
@@ -898,6 +770,24 @@ class ExperimentServer:
             await job.changed.wait()
 
 
+async def _attempt_over(cell: Cell) -> None:
+    """Wait until ``cell``'s attempt is done or past its deadline.
+
+    ``asyncio.wait`` never raises, so a pool that cancels the attempt
+    cannot cancel this task; :meth:`CellPool.settle` reads the attempt.
+    """
+    waiter = asyncio.wrap_future(cell.future)
+    timeout = (
+        None if cell.deadline is None
+        else max(0.0, cell.deadline - time.monotonic())
+    )
+    await asyncio.wait({waiter}, timeout=timeout)
+    if not waiter.done():
+        waiter.cancel()  # overrun: settle discards the pool
+    elif not waiter.cancelled():
+        waiter.exception()  # mark read; settle classifies the failure
+
+
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
     try:
         return await reader.readline()
@@ -1029,7 +919,7 @@ async def run_server(
         faults=faults,
     )
     await server.start()
-    resilience = f"max_attempts={server.max_attempts}"
+    resilience = f"max_attempts={server.pool.max_attempts}"
     if cell_timeout is not None:
         resilience += f", cell_timeout={cell_timeout}s"
     if job_timeout is not None:

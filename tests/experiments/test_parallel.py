@@ -230,13 +230,6 @@ def test_runspec_with_dict_overrides_stays_hashable():
     }
 
 
-def test_default_chunksize():
-    assert parallel._default_chunksize(1, 4) == 1
-    assert parallel._default_chunksize(8, 2) == 1
-    assert parallel._default_chunksize(64, 2) == 8
-    assert parallel._default_chunksize(1000, 4) == 62
-
-
 def test_pool_reused_across_run_many_calls():
     """The sweep-phase pattern — many same-width run_many calls — must
     reuse one pool instead of forking a fresh one per call."""

@@ -531,3 +531,64 @@ def test_correlation_id_threads_client_to_job(tmp_path):
         rows = client._request("GET", "/jobs")["jobs"]
         assert [r["cid"] for r in rows] == ["sweep-e2e42"]
         assert rows[0]["complete"] and rows[0]["total"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Scheduler regressions: a cell must neither run twice nor be stranded
+
+
+from concurrent.futures import Future, ProcessPoolExecutor
+
+
+def test_serve_resubmitted_cancelled_cell_runs_once(tmp_path):
+    """A cancelled cell that a new job revives runs exactly once: the
+    abandoned cell's task, still parked on the busy slot, must exit
+    instead of running the revived cell a second time."""
+    registry = MetricsRegistry()
+    with running_server(
+        ResultStore(tmp_path / "cache"), workers=1, registry=registry,
+    ) as srv:
+        client = ServeClient(f"http://127.0.0.1:{srv.port}")
+        tiny = tiny_specs()[0]
+        job = client.submit_specs([_hang_spec(seed=1, seconds=1.5), tiny])
+        deadline = time.monotonic() + 10
+        while client.job(job["job"])["cells"][0]["status"] != "running":
+            assert time.monotonic() < deadline, "the hang never started"
+            time.sleep(0.02)
+        assert client.cancel(job["job"])["cells"][1]["status"] == "cancelled"
+        revived = client.submit_specs([tiny])
+        [cell] = client.wait(revived["job"], timeout=60)["cells"]
+        assert cell["status"] == "done"
+        assert cell["attempts"] == 1
+        time.sleep(0.5)  # room for a stale task to start a second run
+        families = parse_exposition(client.metrics())
+        # One attempt for the hang and one for the revived cell.
+        assert families["repro_serve_cell_attempts_total"].value() == 2
+
+
+def test_serve_attempt_cancelled_by_pool_discard_is_requeued(
+    tmp_path, monkeypatch,
+):
+    """A work item that a pool discard cancels before any worker took it
+    comes back cancelled, not broken; it costs the cell one attempt like
+    any lost worker, instead of ending the cell's task and stranding the
+    cell as running."""
+    submit = ProcessPoolExecutor.submit
+    calls = []
+
+    def cancel_first(self, fn, *args, **kwargs):
+        calls.append(fn)
+        if len(calls) == 1:
+            future = Future()
+            future.cancel()
+            return future
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", cancel_first)
+    with running_server(ResultStore(tmp_path / "cache")) as srv:
+        client = ServeClient(f"http://127.0.0.1:{srv.port}")
+        job = client.submit_specs([tiny_specs()[0]])
+        [cell] = client.wait(job["job"], timeout=20)["cells"]
+        assert cell["status"] == "done"
+        assert cell["attempts"] == 2
+        assert client.stats()["scheduler"]["worker_crashes"] == 1

@@ -73,6 +73,32 @@ def test_runner_and_store_skip_observability_and_the_pool():
     }
 
 
+def test_parallel_import_skips_the_pool_modules():
+    loaded = _loaded_after("repro.experiments.parallel")
+    assert not loaded & {"asyncio", "concurrent.futures", "multiprocessing"}
+
+
+def test_pooled_run_many_never_loads_asyncio():
+    """The sweep loop is synchronous: a pooled ``run_many`` leaves out
+    asyncio and the ``ssl`` it imports, which would add ~2 MB of RSS to
+    every sweep process."""
+    loaded = set(_fresh("""
+import json, sys
+from repro.core.policy import ProtocolPolicy
+from repro.experiments.parallel import RunSpec, run_many
+
+specs = [
+    RunSpec.make("migratory-counters", ProtocolPolicy.adaptive_default(),
+                 preset="tiny", iterations=4, seed=seed)
+    for seed in (1, 2)
+]
+assert all(outcome.ok for outcome in run_many(specs, workers=2))
+print(json.dumps(sorted(sys.modules)))
+"""))
+    assert "concurrent.futures.process" in loaded  # the pool really ran
+    assert not loaded & {"asyncio", "ssl"}
+
+
 @pytest.mark.parametrize("package", PACKAGES)
 def test_package_exports_resolve_on_first_access(package):
     doc = _fresh(f"""
