@@ -211,7 +211,7 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
             with open(args.stats_json, "w") as handle:
                 json.dump(store.summary(), handle, indent=2, sort_keys=True)
                 handle.write("\n")
-            print(f"wrote {args.stats_json}")
+            print(f"wrote {args.stats_json}", file=sys.stderr)
     return 0
 
 
@@ -907,11 +907,11 @@ def build_parser() -> argparse.ArgumentParser:
     cache_p.add_argument("action", choices=("stats", "prune", "clear"),
                          help="stats: print the store summary as JSON; "
                               "prune: LRU-evict down to --max-bytes; "
-                              "clear: delete every cached entry + artifact")
+                              "clear: delete every cached entry")
     cache_p.add_argument("--max-bytes", default=None, metavar="SIZE",
                          help="prune target size (e.g. 512, 100K, 64M, 2G): "
-                              "least-recently-fetched entries and their "
-                              "artifacts are evicted until the store fits")
+                              "least-recently-fetched entries are evicted "
+                              "until the store fits")
     cache_p.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="result-cache root (default .repro-cache, or "
                               "$REPRO_SIM_CACHE)")

@@ -96,6 +96,13 @@ WORKER_CRASH = "WorkerCrash"
 SERVE_URL_ENV = "REPRO_SIM_SERVE"
 _DEFAULT_SERVE_URL = "http://127.0.0.1:8787"
 
+#: The failure tallies every :class:`CellPool` keeps.
+_POOL_COUNTS = ("requeues", "timeouts", "worker_crashes", "executor_rebuilds")
+
+#: One tally for every run_many pool in this process, so it survives
+#: :func:`_shared_pool` replacing the pool on a width change.
+_RUNMANY_COUNTS = dict.fromkeys(_POOL_COUNTS, 0)
+
 _RUNMANY_METRICS: Optional[Dict[str, Any]] = None
 
 
@@ -109,17 +116,17 @@ def _runmany_metrics() -> Dict[str, Any]:
             "cell_seconds": obs_metrics.histogram(
                 "repro_runmany_cell_seconds",
                 "Wall-clock seconds of one freshly simulated sweep cell."),
-            # The rest are CellPool counters, under its names.
-            "timeouts": obs_metrics.counter(
-                "repro_runmany_timeouts_total",
-                "Attempts that overran the per-cell wall-clock deadline."),
-            "executor_rebuilds": obs_metrics.counter(
-                "repro_runmany_pool_crashes_total",
-                "Pool discards after a lost worker or a deadline overrun."),
-            "requeues": obs_metrics.counter(
-                "repro_runmany_retries_total",
-                "Cells requeued after a lost worker or a deadline overrun."),
         }
+        for name, count, doc in (
+            ("repro_runmany_timeouts_total", "timeouts",
+             "Attempts that overran the per-cell wall-clock deadline."),
+            ("repro_runmany_pool_crashes_total", "executor_rebuilds",
+             "Pool discards after a lost worker or a deadline overrun."),
+            ("repro_runmany_retries_total", "requeues",
+             "Cells requeued after a lost worker or a deadline overrun."),
+        ):
+            obs_metrics.counter(name, doc).set_function(
+                lambda count=count: _RUNMANY_COUNTS[count])
     return _RUNMANY_METRICS
 
 
@@ -428,18 +435,18 @@ class CellPool:
         *,
         timeout: Optional[float] = None,
         max_attempts: int = 3,
-        instruments: Optional[Dict[str, Any]] = None,
+        counts: Optional[Dict[str, int]] = None,
     ) -> None:
         self.workers = workers
         self.timeout = timeout
         self.max_attempts = max(1, max_attempts)
-        #: Metric counters keyed like :attr:`counts`, each bumped with it.
-        self.instruments = instruments or {}
         self.executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
         #: Bumped by every discard; older attempts have lost their worker.
         self.generation = 0
-        self.counts = dict.fromkeys(
-            ("requeues", "timeouts", "worker_crashes", "executor_rebuilds"), 0
+        #: The :data:`_POOL_COUNTS` tallies (``/stats`` ``scheduler.*``);
+        #: pass ``counts`` to keep one tally across several pools.
+        self.counts = (
+            counts if counts is not None else dict.fromkeys(_POOL_COUNTS, 0)
         )
 
     def start(self, cell: Cell) -> None:
@@ -495,11 +502,11 @@ class CellPool:
                 cell.outcome = outcome
                 cell.status = "done" if outcome.ok else "failed"
                 return None
-        self._tally(counter)
+        self.counts[counter] += 1
         cell.last_error = f"{kind}: {reason}"
         self._discard(cell.generation)
         if cell.attempts < self.max_attempts:
-            self._tally("requeues")
+            self.counts["requeues"] += 1
             cell.status = "backoff"
             log_event("pool", "cell_requeued", level="warning",
                       cell=cell.key, cid=cell.cid or None,
@@ -543,16 +550,10 @@ class CellPool:
         if generation != self.generation:
             return
         self.generation += 1
-        self._tally("executor_rebuilds")
+        self.counts["executor_rebuilds"] += 1
         log_event("pool", "executor_rebuilt", level="warning",
                   generation=self.generation)
         self.close()
-
-    def _tally(self, counter: str) -> None:
-        self.counts[counter] += 1
-        instrument = self.instruments.get(counter)
-        if instrument is not None:
-            instrument.inc()
 
 
 #: The shared cell pool, kept alive across run_many calls.  A sweep is
@@ -583,7 +584,7 @@ def _shared_pool(workers: int) -> Optional[CellPool]:
         if _pool_context() is None:  # pragma: no cover - no multiprocessing
             return None
         shutdown_pool()
-        _POOL = CellPool(workers, instruments=_runmany_metrics())
+        _POOL = CellPool(workers, counts=_RUNMANY_COUNTS)
     return _POOL
 
 

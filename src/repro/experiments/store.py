@@ -20,7 +20,6 @@ On-disk layout (one directory, safe to delete at any time)::
 
     <root>/
       objects/<key[:2]>/<key>.json   one entry per cell (atomic writes)
-      artifacts/<key>/               trace/metrics/profile files for the cell
 
 Each entry stores the rebuilt-result payload *and* its
 ``result_fingerprint`` — the same equality witness the bench
@@ -29,6 +28,10 @@ and recomputes the fingerprint before serving; any mismatch (truncated
 file, hand-edited counter, bit rot) counts as corruption, evicts the
 entry, and falls back to recomputation.  A cache hit is therefore
 byte-identical to a fresh simulation or it is not a hit.
+
+:class:`CacheStats` is the store's only tally: ``repro-sim cache stats``
+prints it, and the serve daemon that owns the store renders it both in
+``/stats`` and as the ``repro_store_*`` families of ``/metrics``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
@@ -52,7 +55,6 @@ from repro.experiments.parallel import (
 )
 from repro.machine.config import MachineConfig
 from repro.machine.result import RunResult
-from repro.obs import metrics as obs_metrics
 from repro.stats.breakdown import StallBreakdown
 from repro.stats.counters import Counters
 
@@ -257,6 +259,7 @@ class CacheStats:
     corrupt: int = 0
     evictions: int = 0
     evicted_bytes: int = 0
+    stored_bytes: int = 0
 
     @property
     def lookups(self) -> int:
@@ -274,6 +277,7 @@ class CacheStats:
             "corrupt": self.corrupt,
             "evictions": self.evictions,
             "evicted_bytes": self.evicted_bytes,
+            "stored_bytes": self.stored_bytes,
             "hit_rate": round(self.hit_rate, 4),
         }
 
@@ -283,82 +287,18 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get(CACHE_DIR_ENV) or ".repro-cache")
 
 
-def _store_metrics(registry: Optional[obs_metrics.MetricsRegistry]) -> Dict[str, Any]:
-    """Fleet-metric instruments for one store (shared via get-or-create)."""
-    reg = registry if registry is not None else obs_metrics.REGISTRY
-    return {
-        "hits": reg.counter(
-            "repro_store_hits_total", "Fingerprint-verified result-cache hits."),
-        "misses": reg.counter(
-            "repro_store_misses_total", "Result-cache lookups that missed."),
-        "stores": reg.counter(
-            "repro_store_stores_total", "Result entries written."),
-        "corrupt": reg.counter(
-            "repro_store_corrupt_total",
-            "Entries evicted because their fingerprint failed verification."),
-        "evictions": reg.counter(
-            "repro_store_evictions_total", "Entries evicted by LRU prune."),
-        "evicted_bytes": reg.counter(
-            "repro_store_evicted_bytes_total", "Bytes reclaimed by LRU prune."),
-        "stored_bytes": reg.counter(
-            "repro_store_stored_bytes_total",
-            "Bytes written into the store (entries + artifacts)."),
-    }
-
-
 class ResultStore:
-    """A persistent content-addressed store of run results + artifacts."""
+    """A persistent content-addressed store of run results."""
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        metrics_registry: Optional[obs_metrics.MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.objects = self.root / "objects"
-        self.artifacts = self.root / "artifacts"
         self.stats = CacheStats()
-        self._metrics = _store_metrics(metrics_registry)
 
     # -- paths ---------------------------------------------------------
 
     def entry_path(self, key: str) -> Path:
         return self.objects / key[:2] / f"{key}.json"
-
-    def artifact_dir(self, key: str, create: bool = True) -> Path:
-        """Where a cell's trace/metrics/profile artifacts live."""
-        path = self.artifacts / key
-        if create:
-            path.mkdir(parents=True, exist_ok=True)
-        return path
-
-    def put_artifact(
-        self, key: str, name: str, content: Union[str, bytes]
-    ) -> Path:
-        """Store one named artifact next to the cell's result."""
-        if "/" in name or name.startswith("."):
-            raise ValueError(f"artifact name must be a plain filename: {name!r}")
-        target = self.artifact_dir(key) / name
-        data = content.encode() if isinstance(content, str) else content
-        self._atomic_write(target, data)
-        self._metrics["stored_bytes"].inc(len(data))
-        return target
-
-    def get_artifact(self, key: str, name: str) -> Optional[bytes]:
-        """The raw bytes of one stored artifact, or None if absent."""
-        if "/" in name or name.startswith("."):
-            raise ValueError(f"artifact name must be a plain filename: {name!r}")
-        path = self.artifact_dir(key, create=False) / name
-        try:
-            return path.read_bytes()
-        except OSError:
-            return None
-
-    def list_artifacts(self, key: str) -> List[str]:
-        path = self.artifact_dir(key, create=False)
-        if not path.is_dir():
-            return []
-        return sorted(p.name for p in path.iterdir() if p.is_file())
 
     # -- lookups -------------------------------------------------------
 
@@ -382,7 +322,6 @@ class ResultStore:
                     verified = False
             if verified:
                 self.stats.hits += 1
-                self._metrics["hits"].inc()
                 try:
                     # Recency bump: prune() evicts least-recently-fetched
                     # entries first, so a served hit refreshes its mtime.
@@ -396,10 +335,8 @@ class ResultStore:
                     cached=True,
                 )
             self.stats.corrupt += 1
-            self._metrics["corrupt"].inc()
             path.unlink(missing_ok=True)
         self.stats.misses += 1
-        self._metrics["misses"].inc()
         return None
 
     def put(self, outcome: RunOutcome) -> Optional[str]:
@@ -420,8 +357,7 @@ class ResultStore:
         payload = (json.dumps(entry, sort_keys=True, indent=1) + "\n").encode()
         self._atomic_write(path, payload)
         self.stats.stores += 1
-        self._metrics["stores"].inc()
-        self._metrics["stored_bytes"].inc(len(payload))
+        self.stats.stored_bytes += len(payload)
         return key
 
     def load_entry(self, key: str) -> Optional[Dict[str, Any]]:
@@ -462,13 +398,12 @@ class ResultStore:
         )
 
     def clear(self) -> int:
-        """Delete every entry and artifact; returns the entry count."""
+        """Delete every entry; returns the entry count."""
         count = len(self)
         import shutil
 
-        for child in (self.objects, self.artifacts):
-            if child.is_dir():
-                shutil.rmtree(child)
+        if self.objects.is_dir():
+            shutil.rmtree(self.objects)
         return count
 
     def prune(self, max_bytes: int) -> Dict[str, Any]:
@@ -476,13 +411,8 @@ class ResultStore:
 
         Entries are ranked by their entry file's mtime — refreshed on
         every verified fetch — so the least-recently-*fetched* cells go
-        first.  An evicted cell takes its artifact directory with it
-        (artifacts are meaningless without the result they annotate) and
-        its artifact bytes count toward the cell's footprint.  Returns a
-        JSON-ready report for ``repro-sim cache prune``.
+        first.  Returns a JSON-ready report for ``repro-sim cache prune``.
         """
-        import shutil
-
         entries = []
         for key in self.keys():
             path = self.entry_path(key)
@@ -490,8 +420,7 @@ class ResultStore:
                 stat = path.stat()
             except OSError:
                 continue
-            size = stat.st_size + self._artifact_bytes(key)
-            entries.append((stat.st_mtime, key, path, size))
+            entries.append((stat.st_mtime, key, path, stat.st_size))
         entries.sort(key=lambda item: (item[0], item[1]))
         total = sum(size for _, _, _, size in entries)
         evicted_keys: List[str] = []
@@ -499,15 +428,10 @@ class ResultStore:
             if total <= max_bytes:
                 break
             path.unlink(missing_ok=True)
-            artifact_dir = self.artifacts / key
-            if artifact_dir.is_dir():
-                shutil.rmtree(artifact_dir, ignore_errors=True)
             total -= size
             evicted_keys.append(key)
             self.stats.evictions += 1
             self.stats.evicted_bytes += size
-            self._metrics["evictions"].inc()
-            self._metrics["evicted_bytes"].inc(size)
         return {
             "max_bytes": max_bytes,
             "evicted": len(evicted_keys),
@@ -515,12 +439,6 @@ class ResultStore:
             "remaining_entries": len(self),
             "remaining_bytes": total,
         }
-
-    def _artifact_bytes(self, key: str) -> int:
-        path = self.artifacts / key
-        if not path.is_dir():
-            return 0
-        return sum(p.stat().st_size for p in path.rglob("*") if p.is_file())
 
     def summary(self) -> Dict[str, Any]:
         """One JSON document for ``repro-sim cache stats`` and CI artifacts."""

@@ -8,14 +8,15 @@
   queue-depth snapshots into a bounded ring buffer;
 * :mod:`repro.obs.export` — Chrome-trace (Perfetto) and JSON/CSV export;
 * :mod:`repro.obs.metrics` — fleet metrics (counter/gauge/histogram with
-  labels, Prometheus text exposition) for the serve daemon, result store,
-  parallel runner and serve client;
+  labels, Prometheus text exposition) for the serve daemon, parallel
+  runner and serve client; a count that ``/stats`` also reports is kept
+  once by its owner and read at scrape time;
 * :mod:`repro.obs.log` — structured JSON event logging with correlation
   ids threading client -> server -> worker.
 
-Everything here is opt-in: a machine built without ``trace=True`` and
+Simulation tracing is opt-in: a machine built without ``trace=True`` and
 without a metrics interval runs byte-identically to one predating this
-package, and fleet telemetry mutates nothing when disabled.
+package.  Fleet metrics never touch the simulation core.
 """
 
 from repro._lazy import lazy_exports

@@ -1,8 +1,7 @@
 """Stdlib-only fleet metrics: counters, gauges, histograms + Prometheus text.
 
-This module is the process-wide metrics layer threaded through the serve
-daemon, the result store, the parallel runner, and the serve client.  It is
-deliberately tiny and dependency-free:
+This module is the metrics layer of the serve daemon, the parallel runner,
+and the serve client.  It is deliberately tiny and dependency-free:
 
 * three primitives — :class:`Counter`, :class:`Gauge`, :class:`Histogram` —
   each supporting optional label dimensions via ``.labels(...)``,
@@ -14,16 +13,16 @@ deliberately tiny and dependency-free:
 * a matching :func:`parse_exposition` parser used by the test suite for
   round-trip checks and by ``repro-sim top`` to read scrapes.
 
-Telemetry is opt-out via ``REPRO_TELEMETRY=0`` (or ``set_enabled(False)``);
-when disabled every mutation is an early-return no-op and no label children
-are allocated.  Nothing in here ever touches the simulation core, so results
-remain byte-identical regardless of the telemetry switch.
+A count that a status document also reports (``/stats``, ``cache stats``)
+lives in one place, as a plain integer of the object that owns it; its
+counter reads that integer at scrape time through :meth:`Counter.set_function`
+instead of being bumped a second time.  Nothing in here ever touches the
+simulation core, so results are byte-identical whatever is recorded.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -43,11 +42,7 @@ __all__ = [
     "exposition",
     "parse_exposition",
     "sample_count",
-    "set_enabled",
-    "telemetry_enabled",
 ]
-
-TELEMETRY_ENV = "REPRO_TELEMETRY"
 
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -79,24 +74,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 #: cannot grow memory without bound.
 MAX_LABEL_SETS = 512
 OVERFLOW_LABEL_VALUE = "_overflow"
-
-_enabled = os.environ.get(TELEMETRY_ENV, "1").strip().lower() not in (
-    "0",
-    "off",
-    "false",
-    "no",
-)
-
-
-def set_enabled(value: bool) -> None:
-    """Globally enable/disable metric mutation (scraping still works)."""
-    global _enabled
-    _enabled = bool(value)
-
-
-def telemetry_enabled() -> bool:
-    return _enabled
-
 
 def _format_value(value: float) -> str:
     if value == math.inf:
@@ -209,71 +186,23 @@ class _Metric:
         raise NotImplementedError
 
 
-class Counter(_Metric):
-    """Monotonically increasing counter."""
-
-    metric_type = "counter"
-
-    def __init__(self, name: str, help: str = "", labelnames: Sequence[str] = ()):
-        super().__init__(name, help, labelnames)
-        self._value = 0.0
-
-    def _make_child(self) -> "Counter":
-        return Counter(self.name, self.help)
-
-    def inc(self, amount: float = 1.0) -> None:
-        if not _enabled:
-            return
-        if amount < 0:
-            raise ValueError("counters can only increase")
-        if self.labelnames:
-            raise ValueError("%s has labels; call .labels(...).inc()" % self.name)
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def _render_samples(self, name, labelnames, labelvalues):
-        return ["%s%s %s" % (name, _render_labels(labelnames, labelvalues), _format_value(self._value))]
-
-
-class Gauge(_Metric):
-    """Instantaneous value; optionally computed by a callback at scrape time."""
-
-    metric_type = "gauge"
+class _Scalar(_Metric):
+    """One number per series, or a callback read at scrape time."""
 
     def __init__(self, name: str, help: str = "", labelnames: Sequence[str] = ()):
         super().__init__(name, help, labelnames)
         self._value = 0.0
         self._fn: Optional[Callable[[], float]] = None
 
-    def _make_child(self) -> "Gauge":
-        return Gauge(self.name, self.help)
+    def _make_child(self) -> "_Scalar":
+        return type(self)(self.name, self.help)
 
     def _check_unlabeled(self) -> None:
         if self.labelnames:
             raise ValueError("%s has labels; call .labels(...) first" % self.name)
 
-    def set(self, value: float) -> None:
-        if not _enabled:
-            return
-        self._check_unlabeled()
-        self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        if not _enabled:
-            return
-        self._check_unlabeled()
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     def set_function(self, fn: Callable[[], float]) -> None:
-        """Evaluate ``fn`` at scrape time (queue depths, occupancy, ...)."""
+        """Evaluate ``fn`` at scrape time (queue depths, counts kept elsewhere)."""
         self._check_unlabeled()
         self._fn = fn
 
@@ -288,6 +217,44 @@ class Gauge(_Metric):
 
     def _render_samples(self, name, labelnames, labelvalues):
         return ["%s%s %s" % (name, _render_labels(labelnames, labelvalues), _format_value(self.value))]
+
+
+class Counter(_Scalar):
+    """Monotonically increasing counter.
+
+    Bound with :meth:`set_function`, it renders a count its owner keeps and
+    refuses :meth:`inc`, so the event cannot be counted twice.
+    """
+
+    metric_type = "counter"
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError("counters can only increase")
+        if self.labelnames:
+            raise ValueError("%s has labels; call .labels(...).inc()" % self.name)
+        if self._fn is not None:
+            raise ValueError("%s reads its value from a callback" % self.name)
+        with self._lock:
+            self._value += amount
+
+
+class Gauge(_Scalar):
+    """Instantaneous value; optionally computed by a callback at scrape time."""
+
+    metric_type = "gauge"
+
+    def set(self, value: float) -> None:
+        self._check_unlabeled()
+        self._value = float(value)
+
+    def inc(self, amount: float = 1.0) -> None:
+        self._check_unlabeled()
+        with self._lock:
+            self._value += amount
+
+    def dec(self, amount: float = 1.0) -> None:
+        self.inc(-amount)
 
 
 class Histogram(_Metric):
@@ -317,8 +284,6 @@ class Histogram(_Metric):
         return Histogram(self.name, self.help, buckets=self.buckets)
 
     def observe(self, value: float) -> None:
-        if not _enabled:
-            return
         if self.labelnames:
             raise ValueError("%s has labels; call .labels(...).observe()" % self.name)
         value = float(value)

@@ -6,8 +6,9 @@ sweep cells over HTTP, identical cells are deduplicated across
 concurrent clients, warm cells answer straight from the store, cold
 cells are scheduled onto the process pool ``run_many`` uses
 (:class:`~repro.experiments.parallel.CellPool`), and progress streams
-back as newline-delimited JSON.  Results and their trace/metrics/profile
-artifacts persist in the store for every later sweep.
+back as newline-delimited JSON.  Results persist in the store for every
+later sweep.  ``/stats`` and ``/metrics`` render one set of counts, kept
+by the daemon, its pool, its store and its fault plan.
 
 The service is fault-tolerant with the same failure model as
 ``run_many``: crashed or stuck workers are detected, the pool is

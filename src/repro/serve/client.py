@@ -35,7 +35,6 @@ import json
 import socket
 import time
 import urllib.error
-import urllib.parse
 import urllib.request
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
@@ -148,11 +147,7 @@ class ServeClient:
             raise exc
 
     def _request_raw(
-        self,
-        method: str,
-        path: str,
-        data: Optional[bytes] = None,
-        content_type: str = "application/json",
+        self, method: str, path: str, data: Optional[bytes] = None
     ) -> bytes:
         """Send one request with retries; returns the raw response body."""
         last: Optional[BaseException] = None
@@ -161,7 +156,7 @@ class ServeClient:
                 self.base_url + path,
                 data=data,
                 method=method,
-                headers={"Content-Type": content_type} if data is not None else {},
+                headers={"Content-Type": "application/json"} if data is not None else {},
             )
             try:
                 with self._open(request, attempt, f"{method} {path}") as response:
@@ -217,26 +212,6 @@ class ServeClient:
     def result(self, key: str) -> Dict[str, Any]:
         """The stored entry (spec, fingerprint, result payload) for a key."""
         return self._request("GET", f"/results/{key}")
-
-    def artifacts(self, key: str) -> List[str]:
-        return self._request("GET", f"/results/{key}/artifacts")["artifacts"]
-
-    def put_artifact(
-        self, key: str, name: str, content: "bytes | str"
-    ) -> Dict[str, Any]:
-        """Upload one artifact next to the result for ``key``."""
-        data = content.encode() if isinstance(content, str) else content
-        quoted = urllib.parse.quote(name, safe="")
-        body = self._request_raw(
-            "POST", f"/artifacts/{key}/{quoted}", data,
-            content_type="application/octet-stream",
-        )
-        return json.loads(body.decode())
-
-    def get_artifact(self, key: str, name: str) -> bytes:
-        """Download one stored artifact's raw bytes."""
-        quoted = urllib.parse.quote(name, safe="")
-        return self._request_raw("GET", f"/artifacts/{key}/{quoted}")
 
     def wait(
         self,

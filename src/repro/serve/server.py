@@ -34,18 +34,17 @@ API
                                ``after`` at or past the ``job-done`` seq
                                gets an empty stream)
 ``GET    /results/<key>``      the stored entry (spec, fingerprint, result)
-``GET    /results/<key>/artifacts``  artifact listing for the cell
-``POST   /artifacts/<key>/<name>``   upload one artifact (raw request body)
-``GET    /artifacts/<key>/<name>``   download one artifact's raw bytes
 ``GET    /stats``              cache stats + scheduler/resilience counters
 ``GET    /metrics``            Prometheus text exposition (version 0.0.4)
 
 Every request is counted per route in ``repro_http_requests_total`` and
-timed into ``repro_http_request_seconds``; job/cell lifecycle, requeues,
-timeouts, crashes and fault kills feed the ``repro_serve_*`` series (see
-:mod:`repro.obs.metrics`).  ``POST /jobs`` accepts an optional ``"cid"``
-correlation id which is stored per job/cell and bound around worker
-execution, so structured logs thread client -> server -> worker.
+timed into ``repro_http_request_seconds``.  Every count ``/stats``
+reports is kept once — on this server, its pool, its store, or its fault
+plan — and ``/metrics`` renders the same integer as a ``repro_serve_*``
+or ``repro_store_*`` counter (see :mod:`repro.obs.metrics`).  ``POST
+/jobs`` accepts an optional ``"cid"`` correlation id which is stored per
+job/cell and bound around worker execution, so structured logs thread
+client -> server -> worker.
 
 Scheduling & resilience
 -----------------------
@@ -174,24 +173,24 @@ class ExperimentServer:
         self.submitted = 0
         self.deduped = 0
         self.cancelled_jobs = 0
-        self.fault_kills = 0
         self._job_counter = 0
         self._slots: Optional[asyncio.Semaphore] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: Set["asyncio.Task[Any]"] = set()
-        self.registry = registry if registry is not None else obs_metrics.REGISTRY
-        self._init_metrics()
         #: Workers and failure model (``/stats`` reads its counters); no
         #: process starts until a cold cell needs one.
         self.pool = CellPool(self.workers, timeout=cell_timeout,
-                             max_attempts=max_attempts, instruments=self._m_pool)
+                             max_attempts=max_attempts)
+        self.registry = registry if registry is not None else obs_metrics.REGISTRY
+        self._init_metrics()
 
     def _init_metrics(self) -> None:
-        """Declare the daemon's instrument set on ``self.registry``.
+        """Declare every family ``/metrics`` serves on ``self.registry``.
 
-        Get-or-create semantics make this idempotent; gauges use scrape-time
-        callbacks bound to this instance (the latest-constructed server on a
-        shared registry wins, which is the one-daemon-per-process reality).
+        Get-or-create semantics make this idempotent.  Gauges, and every
+        counter of a count ``/stats`` also reports, read this instance at
+        scrape time (the latest-constructed server on a shared registry
+        wins, which is the one-daemon-per-process reality).
         """
         reg = self.registry
         self._m_http_requests = reg.counter(
@@ -211,18 +210,8 @@ class ExperimentServer:
             buckets=(0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
                      0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0),
         )
-        self._m_jobs_submitted = reg.counter(
-            "repro_serve_jobs_submitted_total", "Jobs accepted via POST /jobs.")
         self._m_jobs_finished = reg.counter(
             "repro_serve_jobs_finished_total", "Jobs whose event log reached job-done.")
-        self._m_jobs_cancelled = reg.counter(
-            "repro_serve_jobs_cancelled_total",
-            "Jobs cancelled by DELETE or the job deadline.")
-        self._m_specs_submitted = reg.counter(
-            "repro_serve_specs_submitted_total", "Specs received across all jobs.")
-        self._m_specs_deduped = reg.counter(
-            "repro_serve_specs_deduped_total",
-            "Specs that attached to an existing in-flight or cached cell.")
         self._m_cells_terminal = reg.counter(
             "repro_serve_cells_total",
             "Cells that reached a terminal state, by status.",
@@ -234,26 +223,49 @@ class ExperimentServer:
             "repro_serve_cell_seconds",
             "Wall-clock seconds of one cell execution attempt.",
         )
-        self._m_pool = {  # the CellPool's counters, under its names
-            "requeues": reg.counter(
-                "repro_serve_requeues_total",
-                "Cells requeued after a crash or timeout."),
-            "timeouts": reg.counter(
-                "repro_serve_timeouts_total",
-                "Attempts that blew the per-cell deadline."),
-            "worker_crashes": reg.counter(
-                "repro_serve_worker_crashes_total",
-                "Attempts lost to a dead worker (BrokenProcessPool and kin)."),
-            "executor_rebuilds": reg.counter(
-                "repro_serve_executor_rebuilds_total",
-                "Process-pool rebuilds after a failure wave."),
-        }
-        self._m_fault_kills = reg.counter(
-            "repro_serve_fault_kills_total",
-            "Worker kills injected by the ServeFaultPlan.")
-        self._m_dropped_frames = reg.counter(
-            "repro_serve_dropped_frames_total",
-            "Stream frames dropped by the ServeFaultPlan.")
+        for name, doc, read in (
+            ("repro_serve_jobs_submitted_total", "Jobs accepted via POST /jobs.",
+             lambda: len(self.jobs)),
+            ("repro_serve_jobs_cancelled_total",
+             "Jobs cancelled by DELETE or the job deadline.",
+             lambda: self.cancelled_jobs),
+            ("repro_serve_specs_submitted_total", "Specs received across all jobs.",
+             lambda: self.submitted),
+            ("repro_serve_specs_deduped_total",
+             "Specs that attached to an existing in-flight or cached cell.",
+             lambda: self.deduped),
+            ("repro_serve_fault_kills_total",
+             "Worker kills injected by the ServeFaultPlan.",
+             lambda: self.faults.kills if self.faults else 0),
+            ("repro_serve_dropped_frames_total",
+             "Stream frames dropped by the ServeFaultPlan.",
+             lambda: self.faults.drops if self.faults else 0),
+        ):
+            reg.counter(name, doc).set_function(read)
+        for count, name, doc in (
+            ("requeues", "repro_serve_requeues_total",
+             "Cells requeued after a crash or timeout."),
+            ("timeouts", "repro_serve_timeouts_total",
+             "Attempts that blew the per-cell deadline."),
+            ("worker_crashes", "repro_serve_worker_crashes_total",
+             "Attempts lost to a dead worker (BrokenProcessPool and kin)."),
+            ("executor_rebuilds", "repro_serve_executor_rebuilds_total",
+             "Process-pool rebuilds after a failure wave."),
+        ):
+            reg.counter(name, doc).set_function(
+                lambda count=count: self.pool.counts[count])
+        for field_name, doc in (
+            ("hits", "Fingerprint-verified result-cache hits."),
+            ("misses", "Result-cache lookups that missed."),
+            ("stores", "Result entries written."),
+            ("corrupt",
+             "Entries evicted because their fingerprint failed verification."),
+            ("evictions", "Entries evicted by LRU prune."),
+            ("evicted_bytes", "Bytes reclaimed by LRU prune."),
+            ("stored_bytes", "Bytes of result entries written."),
+        ):
+            reg.counter(f"repro_store_{field_name}_total", doc).set_function(
+                lambda field_name=field_name: getattr(self.store.stats, field_name))
 
         def count_cells(*statuses: str) -> int:
             return sum(1 for c in self.cells.values() if c.status in statuses)
@@ -333,10 +345,8 @@ class ExperimentServer:
                 raise BadRequest(f"bad spec {doc!r}: {exc}") from None
         self._job_counter += 1
         job = Job(id=f"job-{self._job_counter}", cid=str(cid or ""))
-        self._m_jobs_submitted.inc()
         for spec, key in parsed:
             self.submitted += 1
-            self._m_specs_submitted.inc()
             cell = self.cells.get(key)
             if cell is None or cell.status == "cancelled":
                 # A cell an earlier job abandoned is revived as a new Cell:
@@ -357,7 +367,6 @@ class ExperimentServer:
                 # The dedupe path: an identical cell is already cached,
                 # queued, or running on behalf of another submission.
                 self.deduped += 1
-                self._m_specs_deduped.inc()
             cell.refs += 1
             job.keys.append(key)
         self.jobs[job.id] = job
@@ -379,8 +388,6 @@ class ExperimentServer:
                 if self.faults is not None and self.faults.should_kill(
                     cell.key, cell.attempts
                 ):
-                    self.fault_kills += 1
-                    self._m_fault_kills.inc()
                     kill = asyncio.get_running_loop().create_task(
                         self._fault_kill(cell.generation)
                     )
@@ -506,7 +513,6 @@ class ExperimentServer:
             return
         job.cancelled = True
         self.cancelled_jobs += 1
-        self._m_jobs_cancelled.inc()
         log_event("serve", "job_cancelled", level="warning", job=job.id,
                   cid=job.cid or None, reason=reason)
         shared: Set[str] = set()
@@ -560,7 +566,7 @@ class ExperimentServer:
             "scheduler": dict(
                 self.pool.counts,
                 cancelled_jobs=self.cancelled_jobs,
-                fault_kills=self.fault_kills,
+                fault_kills=self.faults.kills if self.faults else 0,
             ),
             "resilience": {
                 "cell_timeout": self.pool.timeout,
@@ -687,44 +693,6 @@ class ExperimentServer:
                 )
                 return
             await _respond_json(writer, 200, entry)
-        elif (
-            method == "GET"
-            and len(parts) == 3
-            and parts[0] == "results"
-            and parts[2] == "artifacts"
-        ):
-            await _respond_json(
-                writer, 200,
-                {"key": parts[1], "artifacts": self.store.list_artifacts(parts[1])},
-            )
-        elif (
-            method in ("POST", "PUT")
-            and len(parts) == 3
-            and parts[0] == "artifacts"
-        ):
-            key, name = parts[1], urllib.parse.unquote(parts[2])
-            try:
-                path = self.store.put_artifact(key, name, body)
-            except ValueError as exc:
-                raise BadRequest(str(exc)) from None
-            log_event("serve", "artifact_stored", key=key, name=name,
-                      bytes=len(body))
-            await _respond_json(
-                writer, 200,
-                {"key": key, "name": path.name, "bytes": len(body)},
-            )
-        elif method == "GET" and len(parts) == 3 and parts[0] == "artifacts":
-            key, name = parts[1], urllib.parse.unquote(parts[2])
-            content = self.store.get_artifact(key, name)
-            if content is None:
-                await _respond_json(
-                    writer, 404,
-                    {"error": f"no artifact {name!r} for result {key!r}"},
-                )
-                return
-            await _respond_bytes(
-                writer, 200, content, content_type="application/octet-stream"
-            )
         else:
             await _respond_json(
                 writer, 404, {"error": f"no route {method} /{'/'.join(parts)}"}
@@ -756,7 +724,6 @@ class ExperimentServer:
                 if self.faults is not None and self.faults.should_drop_frame(
                     job.id, event["seq"]
                 ):
-                    self._m_dropped_frames.inc()
                     return  # dropped: the client reconnects with ?after=
                 writer.write((json.dumps(event, sort_keys=True) + "\n").encode())
                 await writer.drain()
@@ -861,21 +828,13 @@ def _route_label(method: str, path: str) -> str:
             return "/jobs/{id}"
         if len(parts) == 3 and parts[2] == "stream":
             return "/jobs/{id}/stream"
-    if head == "results":
-        if len(parts) == 2:
-            return "/results/{key}"
-        if len(parts) == 3 and parts[2] == "artifacts":
-            return "/results/{key}/artifacts"
-    if head == "artifacts" and len(parts) == 3:
-        return "/artifacts/{key}/{name}"
+    if head == "results" and len(parts) == 2:
+        return "/results/{key}"
     return "/other"
 
 
 async def _respond_bytes(
-    writer: asyncio.StreamWriter,
-    status: int,
-    payload: bytes,
-    content_type: str = "application/octet-stream",
+    writer: asyncio.StreamWriter, status: int, payload: bytes, content_type: str
 ) -> None:
     writer.write(
         (

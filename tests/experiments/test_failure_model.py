@@ -3,7 +3,8 @@
 Each chaos scenario runs through both cell schedulers — ``run_many`` on a
 two-worker pool, and an in-process ``ExperimentServer`` with two
 workers — and must reach the same terminal ``(exc_type, attempts,
-message)``.  Recovered cells must be byte-identical to a serial run.
+message)`` and report the same number of requeues in its metrics.
+Recovered cells must be byte-identical to a serial run.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from repro.experiments.parallel import (
     shutdown_pool,
 )
 from repro.experiments.store import ResultStore
+from repro.obs.metrics import REGISTRY, MetricsRegistry, parse_exposition
 from repro.serve import ServeClient
 from tests.experiments.test_serve import running_server
 
@@ -30,18 +32,31 @@ def fresh_pool():
     shutdown_pool()
 
 
+def _runmany_retries():
+    retries = REGISTRY.get("repro_runmany_retries_total")
+    return retries.value if retries is not None else 0
+
+
 def _local(specs, tmp_path, **resilience):
-    return run_many(specs, workers=2, **resilience)
+    """The outcomes, and the requeues ``repro_runmany_retries_total`` saw."""
+    before = _runmany_retries()
+    outcomes = run_many(specs, workers=2, **resilience)
+    return outcomes, _runmany_retries() - before
 
 
 def _served(specs, tmp_path, timeout=None, **resilience):
+    """The outcomes, and the daemon's ``repro_serve_requeues_total``."""
     with running_server(
         ResultStore(tmp_path / "served"), workers=2,
-        cell_timeout=timeout, **resilience,
+        cell_timeout=timeout, registry=MetricsRegistry(), **resilience,
     ) as srv:
         client = ServeClient(f"http://127.0.0.1:{srv.port}")
         status = client.wait(client.submit_specs(specs)["job"], timeout=120)
-        return [srv.cells[cell["key"]].outcome for cell in status["cells"]]
+        families = parse_exposition(client.metrics())
+        return (
+            [srv.cells[cell["key"]].outcome for cell in status["cells"]],
+            families["repro_serve_requeues_total"].value(),
+        )
 
 
 def _spec(workload, policy=None, seed=1, **overrides):
@@ -58,8 +73,11 @@ def test_run_many_and_serve_share_one_failure_model(execute, scenario, tmp_path)
     if scenario == "crash-once":
         marker = tmp_path / "crash.marker"
         specs = [_spec("test-crash-once", seed=7, marker=str(marker)), healthy]
-        outcomes = execute(specs, tmp_path)
+        outcomes, requeues = execute(specs, tmp_path)
         assert marker.exists()  # the worker really died once
+        # The crashed cell's requeue, plus the healthy cell's when the
+        # crash broke the pool while it was still running.
+        assert requeues in (1, 2)
         # The marker now exists, so the same specs run serially unharmed.
         serial = run_many(specs, workers=1)
         for recovered, reference in zip(outcomes, serial):
@@ -72,17 +90,34 @@ def test_run_many_and_serve_share_one_failure_model(execute, scenario, tmp_path)
             _spec("test-crash-always"),
             _spec("test-crash-always", ProtocolPolicy.write_invalidate()),
         ]
-        outcomes = execute(specs, tmp_path, max_attempts=2)
+        outcomes, requeues = execute(specs, tmp_path, max_attempts=2)
         expected = [("WorkerCrash", 2, "worker process died 2 time(s) "
                      "(gave up after 2 attempt(s))")] * 2
+        expected_requeues = 2  # each cell's first attempt
     else:
         specs = [_spec("test-hang", seconds=30.0), healthy]
-        outcomes = execute(specs, tmp_path, timeout=0.5, max_attempts=2)
+        outcomes, requeues = execute(specs, tmp_path, timeout=0.5, max_attempts=2)
         expected = [("CellTimeout", 2, "exceeded the 0.5s per-cell deadline "
                      "(gave up after 2 attempt(s))")]
+        expected_requeues = 1  # the hang's first overrun
         assert outcomes[1].ok
     terminal = [
         (outcome.error.exc_type, outcome.error.attempts, outcome.error.message)
         for outcome in outcomes[:len(expected)]
     ]
     assert terminal == expected
+    assert requeues == expected_requeues
+
+
+def test_runmany_retry_count_survives_pool_replacement(tmp_path):
+    """``repro_runmany_retries_total`` counts for every run_many pool in
+    the process, so a width change that replaces the pool keeps it."""
+    marker = tmp_path / "crash.marker"
+    healthy = _spec("migratory-counters", iterations=4)
+    crash = _spec("test-crash-once", seed=7, marker=str(marker))
+    _, requeues = _local([crash, healthy], tmp_path)
+    assert requeues >= 1
+    retries = _runmany_retries()
+    run_many([healthy, _spec("migratory-counters", seed=2, iterations=4)],
+             workers=3)
+    assert _runmany_retries() == retries

@@ -199,6 +199,13 @@ def test_serve_rejects_bad_requests(server, client):
     with pytest.raises(ServeError) as excinfo:
         client.result("0" * 64)
     assert excinfo.value.status == 404
+    # A path that climbs out of the store is no route: nothing is written
+    # next to the store's objects, and nothing is served from there.
+    for method, body in (("POST", b"planted"), ("GET", None)):
+        with pytest.raises(ServeError) as excinfo:
+            client._request_raw(method, "/artifacts/../planted.txt", body)
+        assert excinfo.value.status == 404, method
+    assert not (server.store.root / "planted.txt").exists()
 
 
 def _raw_request(port, payload, half_close=False, timeout=10):
@@ -284,13 +291,17 @@ def _hang_spec(seed, seconds=30.0):
 def test_serve_worker_kill_requeues_and_matches_undisturbed_run(tmp_path):
     """Acceptance: a cell whose worker is killed by ServeFaultPlan is
     requeued on a rebuilt pool and its result is byte-identical (same
-    fingerprint) to an undisturbed local run."""
+    fingerprint) to an undisturbed local run.  Every count ``/stats``
+    reports afterwards is also the value of its ``/metrics`` family."""
     faults = ServeFaultPlan(seed=11, kill_fraction=1.0, max_kills=1,
                             kill_delay=0.02)
+    registry = MetricsRegistry()
     # The first cell sleeps long enough that the 20ms-delayed kill lands
     # while it is still executing; the rest are ordinary tiny cells.
     specs = [_hang_spec(seed=9, seconds=0.75)] + tiny_specs()
-    with running_server(ResultStore(tmp_path / "cache"), faults=faults) as srv:
+    with running_server(
+        ResultStore(tmp_path / "cache"), faults=faults, registry=registry,
+    ) as srv:
         client = ServeClient(f"http://127.0.0.1:{srv.port}")
         job = client.submit_specs(specs)
         status = client.wait(job["job"], timeout=120)
@@ -309,6 +320,35 @@ def test_serve_worker_kill_requeues_and_matches_undisturbed_run(tmp_path):
             assert entry["fingerprint"] == result_fingerprint(
                 execute_spec(spec).unwrap()
             )
+        # One count per event: the scrape renders the numbers /stats reports.
+        stats = client.stats()
+        families = parse_exposition(client.metrics())
+        scheduler_families = {
+            "requeues": "repro_serve_requeues_total",
+            "timeouts": "repro_serve_timeouts_total",
+            "worker_crashes": "repro_serve_worker_crashes_total",
+            "executor_rebuilds": "repro_serve_executor_rebuilds_total",
+            "cancelled_jobs": "repro_serve_jobs_cancelled_total",
+            "fault_kills": "repro_serve_fault_kills_total",
+        }
+        assert set(stats["scheduler"]) == set(scheduler_families)
+        pairs = [
+            (family, stats["scheduler"][key])
+            for key, family in scheduler_families.items()
+        ] + [
+            (f"repro_store_{key}_total", stats["cache"][key])
+            for key in ("hits", "misses", "stores", "corrupt", "evictions",
+                        "evicted_bytes", "stored_bytes")
+        ] + [
+            ("repro_serve_jobs_submitted_total", stats["jobs"]),
+            ("repro_serve_specs_submitted_total", stats["specs_submitted"]),
+            ("repro_serve_specs_deduped_total", stats["specs_deduped"]),
+            ("repro_serve_fault_kills_total", stats["faults"]["kills"]),
+            ("repro_serve_dropped_frames_total", stats["faults"]["drops"]),
+        ]
+        assert [(name, families[name].value()) for name, _ in pairs] == pairs
+        assert stats["cache"]["stores"] == 3
+        assert stats["cache"]["stored_bytes"] > 0
 
 
 def test_serve_cell_timeout_requeues_then_fails_with_attempts(tmp_path):
@@ -437,7 +477,7 @@ def test_run_many_serve_backend_falls_back_to_local(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Telemetry: /metrics scrape, artifact upload, correlation ids
+# Telemetry: /metrics scrape, correlation ids
 
 
 import urllib.request
@@ -449,7 +489,7 @@ def test_metrics_endpoint_scrapes_job_lifecycle(tmp_path):
     """Acceptance: a real-HTTP scrape parses as Prometheus text, exposes a
     wide series surface, and the job-lifecycle counters actually move."""
     registry = MetricsRegistry()
-    store = ResultStore(tmp_path / "cache", metrics_registry=registry)
+    store = ResultStore(tmp_path / "cache")
     with running_server(store, registry=registry) as srv:
         client = ServeClient(f"http://127.0.0.1:{srv.port}")
 
@@ -492,38 +532,9 @@ def test_metrics_endpoint_scrapes_job_lifecycle(tmp_path):
         assert families["repro_serve_cells_running"].value() == 0
 
 
-def test_artifact_upload_roundtrip_over_http(tmp_path):
-    registry = MetricsRegistry()
-    store = ResultStore(tmp_path / "cache", metrics_registry=registry)
-    with running_server(store, registry=registry) as srv:
-        client = ServeClient(f"http://127.0.0.1:{srv.port}")
-        spec = tiny_specs()[0]
-        job = client.submit_specs([spec])
-        client.wait(job["job"], timeout=120)
-        key = spec_key(spec)
-
-        payload = b"\x00\x01binary trace bytes\xff"
-        receipt = client.put_artifact(key, "trace.bin", payload)
-        assert receipt == {"key": key, "name": "trace.bin", "bytes": len(payload)}
-        client.put_artifact(key, "notes.txt", "plain text artifact")
-
-        assert client.artifacts(key) == ["notes.txt", "trace.bin"]
-        assert client.get_artifact(key, "trace.bin") == payload
-        assert client.get_artifact(key, "notes.txt") == b"plain text artifact"
-        # The bytes landed in the store's artifact dir for the cell.
-        assert store.get_artifact(key, "trace.bin") == payload
-
-        with pytest.raises(ServeError) as excinfo:
-            client.put_artifact(key, "../escape", b"nope")
-        assert excinfo.value.status == 400
-        with pytest.raises(ServeError) as excinfo:
-            client.get_artifact(key, "missing.bin")
-        assert excinfo.value.status == 404
-
-
 def test_correlation_id_threads_client_to_job(tmp_path):
     registry = MetricsRegistry()
-    store = ResultStore(tmp_path / "cache", metrics_registry=registry)
+    store = ResultStore(tmp_path / "cache")
     with running_server(store, registry=registry) as srv:
         client = ServeClient(f"http://127.0.0.1:{srv.port}", cid="sweep-e2e42")
         job = client.submit_specs([tiny_specs()[0]])

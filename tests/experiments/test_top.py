@@ -78,7 +78,7 @@ def test_fetch_frame_against_live_daemon(tmp_path):
     from tests.experiments.test_serve import running_server
 
     registry = MetricsRegistry()
-    store = ResultStore(tmp_path / "cache", metrics_registry=registry)
+    store = ResultStore(tmp_path / "cache")
     with running_server(store, registry=registry) as srv:
         frame = fetch_frame(f"http://127.0.0.1:{srv.port}")
     assert "workers" in frame

@@ -73,6 +73,26 @@ def test_gauge_set_inc_dec_and_callback(registry):
     assert math.isnan(g.value)
 
 
+def test_counter_bound_to_a_callback_renders_it_and_refuses_inc(registry):
+    c = registry.counter("kept_elsewhere_total", "A count its owner keeps.")
+    owner = {"n": 3}
+    c.set_function(lambda: owner["n"])
+    assert c.value == 3
+    owner["n"] = 5
+    assert c.value == 5
+    assert parse_exposition(registry.exposition())["kept_elsewhere_total"].value() == 5
+    # One count per event: the owner's integer is the only write path.
+    with pytest.raises(ValueError, match="callback"):
+        c.inc()
+    assert c.value == 5
+
+
+def test_labeled_counter_rejects_set_function(registry):
+    c = registry.counter("by_route_total", "Requests.", labelnames=("route",))
+    with pytest.raises(ValueError, match="has labels"):
+        c.set_function(lambda: 1)
+
+
 def test_histogram_buckets_are_cumulative(registry):
     h = registry.histogram("lat", "Latency.", buckets=(0.1, 1.0, 10.0))
     for v in (0.05, 5.0, 100.0):
@@ -129,22 +149,6 @@ def test_invalid_names_rejected(registry):
         registry.counter("ok", labelnames=("le-gal?",))
     with pytest.raises(ValueError):
         registry.histogram("h", labelnames=("le",))
-
-
-def test_disable_makes_mutations_noops(registry):
-    c = registry.counter("quiet", "")
-    obs_metrics.set_enabled(False)
-    try:
-        c.inc()
-        registry.gauge("g").set(5)
-        registry.histogram("h", buckets=(1.0,)).observe(0.5)
-        assert c.value == 0
-        assert registry.get("g").value == 0
-        assert registry.get("h").count == 0
-    finally:
-        obs_metrics.set_enabled(True)
-    c.inc()
-    assert c.value == 1
 
 
 def test_concurrent_label_creation_is_safe(registry):
