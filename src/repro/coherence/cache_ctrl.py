@@ -30,7 +30,7 @@ trick and view objects are documented in :mod:`repro.memory.cache`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.coherence.checker import CoherenceChecker
 from repro.coherence.messages import NUM_KINDS, CoherenceMessage, MsgKind
@@ -50,6 +50,14 @@ from repro.sim.engine import SimulationError, Simulator
 from repro.stats.counters import Counters
 
 DoneCallback = Callable[[], None]
+
+#: Miss-classification mark bits (``CacheController._marks``).
+_MISSED = 1  # this node has missed on the block before
+_LOST = 2  # the copy was lost to an invalidation or forward since
+#: Blocks per page of marks.  Pages are made on first touch, so a sparse
+#: address space costs a page per touched region, not one byte per block
+#: up to the highest address.
+_MARK_PAGE = 4096
 
 
 class MSHR:
@@ -174,9 +182,9 @@ class CacheController:
         #: Version observed by the most recent completed processor read
         #: (consumed by consistency litmus tests).
         self.last_read_version = 0
-        # Miss classification state.
-        self._seen: Set[int] = set()
-        self._lost_to_inv: Set[int] = set()
+        # Miss classification: one byte of mark bits per block, in pages
+        # indexed by block // _MARK_PAGE.
+        self._marks: Dict[int, bytearray] = {}
         # Kind-indexed message dispatch table (None = protocol error).
         table: List[Optional[Callable[[CoherenceMessage], None]]] = [None] * NUM_KINDS
         table[MsgKind.RP.index] = self._on_rp
@@ -313,14 +321,36 @@ class CacheController:
         )
 
     def _classify_miss(self, block: int) -> None:
-        if block not in self._seen:
-            self._seen.add(block)
+        """Count a miss as cold, coherence or replacement.
+
+        A block this node never missed on is cold, even if a copy it got
+        without a miss (a prefetch) was lost since; otherwise a copy lost
+        to an invalidation or forward makes it a coherence miss, and an
+        eviction a replacement miss.
+        """
+        marks, slot = self._mark_slot(block)
+        mark = marks[slot]
+        if not mark & _MISSED:
             self._c_cold_misses.inc()
-        elif block in self._lost_to_inv:
+        elif mark & _LOST:
             self._c_coherence_misses.inc()
         else:
             self._c_replacement_misses.inc()
-        self._lost_to_inv.discard(block)
+        marks[slot] = _MISSED
+
+    def _mark_lost(self, block: int) -> None:
+        """Note that this node's copy of ``block`` was invalidated or taken."""
+        marks, slot = self._mark_slot(block)
+        marks[slot] |= _LOST
+
+    def _mark_slot(self, block: int) -> Tuple[bytearray, int]:
+        """The page of marks holding ``block`` (made on first touch), and
+        the block's index in it."""
+        page, slot = divmod(block, _MARK_PAGE)
+        marks = self._marks.get(page)
+        if marks is None:
+            marks = self._marks[page] = bytearray(_MARK_PAGE)
+        return marks, slot
 
     def _ensure_frame(self, block: int) -> bool:
         """Free the frame ``block`` will occupy.  False if blocked on MIack."""
@@ -522,7 +552,7 @@ class CacheController:
                 self.last_read_version = mshr.version
             # (A committed write consumed this way already performed at
             # home; the later writer's invalidation voids only the copy.)
-            self._lost_to_inv.add(block)
+            self._mark_lost(block)
 
         if mshr.trace:
             self.tracer.close_span(
@@ -577,7 +607,7 @@ class CacheController:
             cache.tags[index] = -1
             cache.versions[index] = 0
             cache.locked[index] = 0
-            self._lost_to_inv.add(block)
+            self._mark_lost(block)
             if self.tracer is not None and msg.trace:
                 self.tracer.transition(
                     msg.trace, self.sim.now, f"cache{self.node}",
@@ -669,7 +699,7 @@ class CacheController:
             cache.tags[index] = -1
             cache.versions[index] = 0
             cache.locked[index] = 0
-            self._lost_to_inv.add(block)
+            self._mark_lost(block)
         else:
             self._send_after_service(
                 CoherenceMessage(
@@ -776,7 +806,7 @@ class CacheController:
         cache.tags[index] = -1
         cache.versions[index] = 0
         cache.locked[index] = 0
-        self._lost_to_inv.add(block)
+        self._mark_lost(block)
 
     def _fault_evict_and_nak(
         self, block: int, line, msg: CoherenceMessage

@@ -27,12 +27,15 @@ Storage layout
 Per-block records are struct-of-arrays: a ``block -> row`` index dict
 plus dense per-row columns (state codes in a ``bytearray``, owner /
 version / last-writer in ``array('q')``, busy / awaiting-writeback flags
-in ``bytearray``s).  Sharer sets stay Python ``set`` objects — their
-iteration order is part of the deterministic invalidation send order —
-and pending queues are allocated lazily (most blocks never queue).
-:class:`DirectoryEntry` is a thin *view* over one row, kept for cold
-paths (tests, diagnostics, time-series sampling); handlers work on row
-indices and integer codes, dispatched through a kind-indexed table.
+in ``bytearray``s).  A row with no sharers points at the one shared,
+immutable ``_NO_SHARERS``; it gets its own Python ``set`` on its first
+sharer.  Sharer sets are only built by insertion, never emptied in place,
+so each one's iteration order (part of the deterministic invalidation and
+update send order) is that of its insertions.  Pending queues are
+allocated lazily too (most blocks never queue), and so are the
+:class:`DirectoryEntry` views: a thin *view* over one row, kept for cold
+paths (tests, diagnostics); handlers work on row indices and integer
+codes, dispatched through a kind-indexed table.
 
 The last-writer pointer (the paper's LW with its valid bit, see
 :class:`repro.core.detection.LastWriterTracker`) is inlined as the
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.coherence.messages import NUM_KINDS, CoherenceMessage, MsgKind
 from repro.coherence.states import (
@@ -66,14 +69,17 @@ from repro.memory.dram import MemoryModule
 from repro.sim.engine import SimulationError, Simulator
 from repro.stats.counters import Counters
 
+#: The sharer list of every row that has no sharers.
+_NO_SHARERS: AbstractSet[int] = frozenset()
+
 
 class DirectoryEntry:
     """A view over one directory row.
 
     Reads and writes pass through to the owning controller's columns, so
     a view is always current; one stable view exists per row.  Views are
-    for cold paths (tests, dumps, sampling) — the protocol handlers use
-    row indices directly.
+    for cold paths (tests, dumps) — the protocol handlers use row indices
+    directly.
     """
 
     __slots__ = ("_dir", "_row")
@@ -91,11 +97,11 @@ class DirectoryEntry:
         self._dir._states[self._row] = value.code
 
     @property
-    def sharers(self) -> Set[int]:
+    def sharers(self) -> AbstractSet[int]:
         return self._dir._sharers[self._row]
 
     @sharers.setter
-    def sharers(self, value: Set[int]) -> None:
+    def sharers(self, value: AbstractSet[int]) -> None:
         self._dir._sharers[self._row] = value
 
     @property
@@ -270,10 +276,10 @@ class DirectoryController:
         self._upd_count = array("q")
         self._busy = bytearray()
         self._awaiting = bytearray()
-        self._sharers: List[Set[int]] = []
+        self._sharers: List[AbstractSet[int]] = []
         self._inflight: List[Optional[Tuple[CoherenceMessage, bool]]] = []
         self._pending: List[Optional[Deque[CoherenceMessage]]] = []
-        self._row_views: List[Optional[DirectoryEntry]] = []
+        self._row_views: Dict[int, DirectoryEntry] = {}
         # Kind-indexed message dispatch table (None = protocol error).
         table: List[Optional[Callable[[int, CoherenceMessage], None]]]
         table = [None] * NUM_KINDS
@@ -306,14 +312,13 @@ class DirectoryController:
             self._upd_count.append(0)
             self._busy.append(0)
             self._awaiting.append(0)
-            self._sharers.append(set())
+            self._sharers.append(_NO_SHARERS)
             self._inflight.append(None)
             self._pending.append(None)
-            self._row_views.append(None)
         return row
 
     def _view(self, row: int) -> DirectoryEntry:
-        view = self._row_views[row]
+        view = self._row_views.get(row)
         if view is None:
             self._row_views[row] = view = DirectoryEntry(self, row)
         return view
@@ -341,6 +346,13 @@ class DirectoryController:
                 DIR_STATES_BY_CODE[new].name,
             )
         self._states[row] = new
+
+    def queued(self) -> int:
+        """Transactions queued or in flight here (the sampler's column)."""
+        inflight = self._inflight
+        return sum(map(len, filter(None, self._pending))) + (
+            len(inflight) - inflight.count(None)
+        )
 
     def introspect(self) -> list:
         """Transient directory entries (busy / awaiting / queued), for dumps."""
@@ -445,7 +457,7 @@ class DirectoryController:
                 self._c_exclusive_grants.inc()
                 self._set_state(row, msg, DIR_DR)
                 self._owners[row] = i
-                self._sharers[row] = set()
+                self._sharers[row] = _NO_SHARERS
                 self._lw[row] = i
                 self._send_at(
                     done,
@@ -459,7 +471,10 @@ class DirectoryController:
             done = self.memory.access(self.sim.now)
             self._set_state(row, msg, DIR_SR)
             sharers = self._sharers[row]
-            sharers.add(i)
+            if sharers:
+                sharers.add(i)
+            else:  # the first sharer gives the row its own set
+                self._sharers[row] = sharers = {i}
             if len(sharers) > 2:
                 self._lw[row] = -1  # LW valid bit reset (paper Figure 4)
             self._send_at(
@@ -478,7 +493,7 @@ class DirectoryController:
             done = self.memory.access(self.sim.now)
             self._set_state(row, msg, DIR_MD)
             self._owners[row] = i
-            self._sharers[row] = set()
+            self._sharers[row] = _NO_SHARERS
             self._send_at(
                 done,
                 CoherenceMessage(
@@ -509,7 +524,7 @@ class DirectoryController:
             done = self.memory.access(self.sim.now)
             self._set_state(row, msg, DIR_DR)
             self._owners[row] = i
-            self._sharers[row] = set()
+            self._sharers[row] = _NO_SHARERS
             self._lw[row] = i
             self._record_inval_count(0, block, i)
             self._send_rxp(done, i, block, n_invals=0,
@@ -528,7 +543,7 @@ class DirectoryController:
             else:
                 self._set_state(row, msg, DIR_DR)
             self._owners[row] = i
-            self._sharers[row] = set()
+            self._sharers[row] = _NO_SHARERS
             self._lw[row] = i
             self._record_inval_count(len(others), block, i)
             self._send_rxp(done, i, block, n_invals=len(others),
@@ -572,7 +587,7 @@ class DirectoryController:
             else:
                 self._set_state(row, msg, DIR_MD)
             self._owners[row] = i
-            self._sharers[row] = set()
+            self._sharers[row] = _NO_SHARERS
             self._send_rxp(done, i, block, n_invals=0,
                            version=self._versions[row], trace=msg.trace)
         else:  # pragma: no cover - exhaustive
@@ -661,7 +676,7 @@ class DirectoryController:
         done = self.memory.directory_access(self.sim.now)
         self._set_state(row, msg, DIR_DR)
         self._owners[row] = msg.requester
-        self._sharers[row] = set()
+        self._sharers[row] = _NO_SHARERS
         self._lw[row] = msg.requester
         self._send_at(
             done,
@@ -683,7 +698,7 @@ class DirectoryController:
         else:
             self._set_state(row, msg, DIR_MD)
         self._owners[row] = msg.requester
-        self._sharers[row] = set()
+        self._sharers[row] = _NO_SHARERS
         # Home's directory is now updated; release the requester's
         # replacement lock (Figure 3's MIack).
         self._send_at(

@@ -213,7 +213,7 @@ class Machine:
             processor.detach()
         for directory in self.directories:
             directory._dispatch = None
-            directory._row_views = [None] * len(directory._blocks)
+            directory._row_views.clear()
         for controller in self.caches:
             controller._dispatch = None
             controller.cache.drop_views()

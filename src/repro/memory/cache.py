@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 from array import array
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 #: Integer state codes stored in the ``states`` column.
 STATE_I = 0
@@ -205,7 +205,7 @@ class CacheArray:
         self.locked = bytearray(num_lines)
         self.lru = array("q", [0]) * num_lines
         # One stable view per frame, materialized on demand.
-        self._views: List[Optional[CacheLine]] = [None] * num_lines
+        self._views: Dict[int, CacheLine] = {}
         self._tick = 0
 
     # ------------------------------------------------------------------
@@ -230,14 +230,14 @@ class CacheArray:
     # ------------------------------------------------------------------
     def view(self, index: int) -> CacheLine:
         """The stable view object for frame ``index``."""
-        line = self._views[index]
+        line = self._views.get(index)
         if line is None:
             self._views[index] = line = CacheLine(self, index)
         return line
 
     def drop_views(self) -> None:
         """Forget the materialized views (each points back at this array)."""
-        self._views = [None] * self.num_frames
+        self._views.clear()
 
     def find(self, block: int) -> int:
         """Frame index of the valid line holding ``block``, or -1."""

@@ -178,11 +178,7 @@ class MetricsSampler:
                 now,
                 sim.pending(),
                 sum(len(c.mshrs) for c in m.caches),
-                sum(
-                    len(e.pending) + (e.inflight is not None)
-                    for d in m.directories
-                    for e in d.entries.values()
-                ),
+                sum(d.queued() for d in m.directories),
                 len(m.transport._inflight),
                 utils[0],
                 utils[1],

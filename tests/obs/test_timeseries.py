@@ -98,3 +98,24 @@ def test_sampler_capacity_bounds_retention():
     assert len(ring) <= 5
     assert ring.total_samples > 5
     assert ring.dropped == ring.total_samples - len(ring)
+
+
+#: ``dir_pending`` of tiny producer-consumer under AD, sampled every 400
+#: pclocks: readers queue behind each forwarded read of the produced line.
+PRODUCER_CONSUMER_DIR_PENDING = [
+    1, 9, 7, 0, 0, 7, 1, 0, 0, 0, 0, 5, 3, 0, 0, 0, 0, 7, 0, 0, 0, 3, 0, 0,
+    0, 0, 9, 3, 1, 0, 0, 1, 8, 5, 0, 0, 0, 0, 0, 0, 0, 0, 5, 2, 0, 0, 0, 10,
+    6, 3, 0, 0,
+]
+
+
+def test_dir_pending_series_is_pinned():
+    config = MachineConfig.dash_default(
+        policy=ProtocolPolicy.adaptive_default(), metrics_interval=400
+    )
+    machine = Machine(config)
+    workload = make_workload("producer-consumer", config.num_nodes, "tiny", seed=42)
+    machine.run(workload.programs())
+    ring = machine.metrics.ring
+    column = ring.columns.index("dir_pending")
+    assert [row[column] for row in ring.rows] == PRODUCER_CONSUMER_DIR_PENDING
