@@ -13,7 +13,6 @@ Examples::
     repro-sim sharing migratory-counters
     repro-sim chaos mp3d --intensities 0,0.5 --preset tiny
     repro-sim serve --port 8787 --workers 4
-    repro-sim top --url http://127.0.0.1:8787
     repro-sim cache stats
     repro-sim list
 
@@ -21,7 +20,7 @@ Sweep-shaped commands (run / figure5 / report) consult the persistent
 content-addressed result cache (``.repro-cache`` or ``$REPRO_SIM_CACHE``)
 before simulating; ``--no-cache`` forces recomputation and ``--cache-dir``
 points at an alternate store.  ``repro-sim bench`` never uses the cache —
-it measures the simulator.
+it checks what this code simulates against a committed snapshot.
 """
 
 from __future__ import annotations
@@ -149,33 +148,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_figure5(args: argparse.Namespace) -> int:
     """Run the Figure 5 sweep (optionally cached) and print the chart.
 
-    With a store, the sweep is checkpointed: an interrupted run saves
-    per-cell progress and ``--resume`` relaunches it, recomputing only
-    the cells the store does not already hold.  ``--backend serve``
-    executes cold cells on a remote daemon instead of local processes.
+    With a store, each cell is stored as it finishes: an interrupted run
+    exits 130, and rerunning the same command recomputes only the cells
+    the store does not already hold.  ``--backend serve`` executes cold
+    cells on a remote daemon instead of local processes.
     """
     import json
 
     from repro.experiments import render_figure5, run_figure5
-    from repro.experiments.checkpoint import (
-        CheckpointMismatch,
-        SweepCheckpoint,
-        SweepInterrupted,
-    )
 
     store = _open_store(args)
-    checkpoint = None
-    if args.checkpoint or args.resume:
-        if store is None:
-            raise SystemExit(
-                "--checkpoint/--resume need the result cache: a checkpoint "
-                "records which cells are warm in the store, so --no-cache "
-                "would have nothing to resume from"
-            )
-        path = args.checkpoint or (
-            store.root / "checkpoints" / f"figure5-{args.preset}.json"
+    if store is None and args.stats_json:
+        raise SystemExit(
+            "--stats-json writes the result cache's stats, so --no-cache "
+            "leaves it nothing to write; drop one of the two flags"
         )
-        checkpoint = SweepCheckpoint(path, resume=args.resume)
     run_kwargs = {}
     if args.timeout is not None:
         run_kwargs["timeout"] = args.timeout
@@ -188,21 +175,15 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
             check_coherence=not args.no_check,
             workers=args.workers,
             store=store,
-            checkpoint=checkpoint,
             **run_kwargs,
         )
-    except CheckpointMismatch as exc:
-        raise SystemExit(str(exc)) from None
-    except SweepInterrupted as exc:
-        counts = exc.checkpoint.counts()
-        done = counts.get("done", 0) + counts.get("cached", 0)
-        print(f"\ninterrupted: {done}/{exc.checkpoint.total} cells finished; "
-              f"checkpoint saved to {exc.checkpoint.path}")
-        print("relaunch with --resume to recompute only the cold cells")
+    except KeyboardInterrupt:
+        if store is None:
+            raise
+        print(f"\ninterrupted: {store.stats.stores} new cell(s) stored in "
+              f"{store.root}")
+        print("rerun the same command to compute only the rest")
         return 130
-    if checkpoint is not None:
-        counts = checkpoint.counts()
-        print(f"checkpoint: {counts} -> {checkpoint.path}")
     print(render_figure5(rows))
     if store is not None:
         print()
@@ -255,22 +236,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("\nshutting down")
     return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    """Live dashboard over a serve daemon's /metrics + /stats."""
-    import os
-
-    from repro.experiments.parallel import SERVE_URL_ENV
-    from repro.serve.top import run_top
-
-    url = args.url or os.environ.get(SERVE_URL_ENV) or "http://127.0.0.1:8787"
-    return run_top(
-        url,
-        interval=args.interval,
-        once=args.once,
-        iterations=args.iterations,
-    )
 
 
 def _parse_size(text: str) -> int:
@@ -493,15 +458,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the perf bench suite and write a BENCH_<date>.json snapshot."""
+    """Run the bench suite, write a BENCH_<date>.json snapshot, gate it."""
     from repro.experiments.bench import (
         compare_bench_results,
-        diff_bench,
-        host_warnings,
         load_bench,
         render_bench,
         run_bench_suite,
-        timing_regressions,
         write_bench,
     )
 
@@ -509,48 +471,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # BENCH_<today>.json, which can collide with --against on the day a
     # baseline was captured — writing first would gate new-vs-new.
     baseline = load_bench(args.against) if args.against else None
-    doc = run_bench_suite(
-        preset="tiny" if args.quick else args.preset, workers=args.workers
-    )
+    doc = run_bench_suite(preset="tiny" if args.quick else args.preset)
     print(render_bench(doc))
     target = write_bench(doc, path=args.output)
     print(f"\nwrote {target}")
-    # None = serial-only snapshot (1-CPU host skipped the parallel pass);
-    # only an actual divergence fails the gate.
-    ok = doc["parallel_matches_serial"] is not False
-    if baseline is not None:
-        print()
-        print(diff_bench(baseline, doc))
-        # Snapshots from a different host are still gate-worthy on
-        # *results* (they're host-independent), but their timings are
-        # apples-to-oranges — warn instead of silently diffing them.
-        for warning in host_warnings(baseline, doc):
-            print(f"  host mismatch: {warning}")
-        # Soft gate: timing deltas above only inform; *simulation results*
-        # (execution times, event counts, counters) must match exactly.
-        mismatches = compare_bench_results(baseline, doc)
-        if mismatches:
-            ok = False
-            print(f"\nRESULT MISMATCH vs {args.against}:")
-            for line in mismatches:
-                print(f"  {line}")
-        else:
-            print(f"\nsimulation results identical to {args.against}")
-        # Optional hard gate on wall-time drift (off by default: timing
-        # is host-dependent, so the diff above only informs unless the
-        # caller names a threshold).
-        if args.tolerance is not None:
-            slow = timing_regressions(baseline, doc, args.tolerance)
-            if slow:
-                ok = False
-                print(f"\nTIMING REGRESSION vs {args.against} "
-                      f"(tolerance {args.tolerance:.0%}):")
-                for line in slow:
-                    print(f"  {line}")
-            else:
-                print(f"wall times within {args.tolerance:.0%} of "
-                      f"{args.against}")
-    return 0 if ok else 1
+    if baseline is None:
+        return 0
+    mismatches = compare_bench_results(baseline, doc)
+    if mismatches:
+        print(f"\nRESULT MISMATCH vs {args.against}:")
+        for line in mismatches:
+            print(f"  {line}")
+        return 1
+    print(f"\nsimulation results identical to {args.against}")
+    return 0
 
 
 def _cmd_bus(args: argparse.Namespace) -> int:
@@ -667,13 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig5_p.add_argument("--stats-json", default=None, metavar="STATS_JSON",
                         help="write cache hit/miss stats + store summary "
                              "as JSON (CI warm-cache gate reads this)")
-    fig5_p.add_argument("--checkpoint", default=None, metavar="FILE",
-                        help="record per-cell progress here (default: "
-                             "<cache>/checkpoints/figure5-<preset>.json "
-                             "when --resume is given)")
-    fig5_p.add_argument("--resume", action="store_true",
-                        help="resume an interrupted sweep from its "
-                             "checkpoint, recomputing only cold cells")
     fig5_p.add_argument("--timeout", type=float, default=None, metavar="SEC",
                         help="per-attempt wall-clock deadline from "
                              "submission (pooled runs, as serve "
@@ -793,26 +720,18 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.set_defaults(func=_cmd_report)
 
     bench_p = sub.add_parser(
-        "bench", help="run the perf suite and write a BENCH_<date>.json snapshot"
+        "bench",
+        help="run the Figure-5 suite and write a BENCH_<date>.json "
+             "snapshot of its results",
     )
     bench_p.add_argument("--preset", default="default")
     bench_p.add_argument("--quick", action="store_true",
                          help="tiny preset (CI smoke; ~seconds)")
-    bench_p.add_argument("--workers", type=int, default=None,
-                         help="worker processes for the parallel pass "
-                              "(default: all cores; if that resolves to 1 "
-                              "the parallel pass is skipped and a serial-"
-                              "only snapshot is recorded)")
     bench_p.add_argument("--output", default=None,
                          help="snapshot path (default BENCH_<date>.json)")
     bench_p.add_argument("--against", default=None, metavar="BENCH_JSON",
-                         help="print a regression diff against an older snapshot")
-    bench_p.add_argument("--tolerance", type=float, default=None,
-                         metavar="FRACTION",
-                         help="with --against: fail if any run's wall time "
-                              "regressed by more than this fraction "
-                              "(e.g. 0.25 = 25%%; default: timing drift "
-                              "only informs, never fails)")
+                         help="fail unless every simulation result matches "
+                              "this older snapshot")
     bench_p.set_defaults(func=_cmd_bench)
 
     chaos_p = sub.add_parser(
@@ -884,22 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "or a file path to append to (also settable "
                               "via $REPRO_LOG)")
     serve_p.set_defaults(func=_cmd_serve)
-
-    top_p = sub.add_parser(
-        "top",
-        help="live terminal dashboard for a serve daemon "
-             "(polls /metrics + /stats)",
-    )
-    top_p.add_argument("--url", default=None, metavar="URL",
-                       help="daemon base URL (default $REPRO_SIM_SERVE or "
-                            "http://127.0.0.1:8787)")
-    top_p.add_argument("--interval", type=float, default=2.0, metavar="SEC",
-                       help="refresh interval (default 2s)")
-    top_p.add_argument("--once", action="store_true",
-                       help="print a single frame and exit (no screen clear)")
-    top_p.add_argument("--iterations", type=int, default=None, metavar="N",
-                       help="render N frames then exit (scripting/CI)")
-    top_p.set_defaults(func=_cmd_top)
 
     cache_p = sub.add_parser(
         "cache", help="inspect, prune, or clear the persistent result cache"

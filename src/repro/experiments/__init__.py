@@ -5,8 +5,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".ablations": ("run_bandwidth_sweep", "run_rxq_heuristic_ablation"),
     ".bench": (
-        "BENCH_SCHEMA", "diff_bench", "render_bench", "run_bench_suite",
-        "write_bench",
+        "BENCH_SCHEMA", "render_bench", "run_bench_suite", "write_bench",
     ),
     ".chaos": ("ChaosCell", "ChaosReport", "run_chaos"),
     ".figure5": ("PAPER_ETR", "Figure5Row", "render_figure5", "run_figure5"),

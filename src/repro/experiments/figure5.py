@@ -58,9 +58,9 @@ def run_figure5(
 ) -> List[Figure5Row]:
     """The four paper benchmarks under W-I and AD, one row per workload.
 
-    Extra keyword arguments (timeout, max_attempts, checkpoint,
-    backend, ...) pass through to ``run_many``, so the sweep can run
-    with deadlines, against a checkpoint, or on a remote daemon.
+    Extra keyword arguments (timeout, max_attempts, backend, ...) pass
+    through to ``run_many``, so the sweep can run with deadlines or on a
+    remote daemon.
     """
     comparisons = compare_many(
         PAPER_BENCHMARKS, preset=preset, config=config,

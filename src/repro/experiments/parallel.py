@@ -29,13 +29,6 @@ Design points:
   ``WorkerCrash`` or ``CellTimeout`` :class:`RunError` instead of
   hanging or crashing the sweep.  Timeouts need the pool: the serial
   inline path cannot preempt a run and ignores ``timeout``.
-* **Checkpointed sweeps.**  ``run_many(..., checkpoint=...)`` records
-  per-cell progress in a
-  :class:`~repro.experiments.checkpoint.SweepCheckpoint`; an interrupt
-  (Ctrl-C) saves the checkpoint and raises
-  :class:`~repro.experiments.checkpoint.SweepInterrupted` carrying the
-  partial results, so the sweep can be relaunched to recompute only cold
-  cells (the :class:`ResultStore` holds the warm ones).
 * **Graceful serial fallback.**  ``workers=1``, a single spec, or a
   platform without multiprocessing support all run inline in this
   process (no pool, no pickling).
@@ -46,7 +39,9 @@ Design points:
   previously computed cells from a
   :class:`~repro.experiments.store.ResultStore` and populates it with
   fresh ones; cached outcomes are fingerprint-verified and byte-identical
-  to recomputation.
+  to recomputation.  Each fresh cell is stored as it finishes, so
+  rerunning an interrupted sweep on the same store recomputes only the
+  cells it never finished.
 * **Remote execution.**  ``run_many(..., backend="serve")`` ships the
   cold cells to a ``repro-sim serve`` daemon
   (:class:`~repro.serve.client.ServeClient`) and falls back to local
@@ -558,8 +553,7 @@ class CellPool:
 
 #: The shared cell pool, kept alive across run_many calls.  A sweep is
 #: many small phases (one per table row/figure bar); rebuilding a pool
-#: per phase used to cost more than short batches saved, which is how
-#: the committed bench recorded a 0.91x "speedup".  :func:`shutdown_pool`
+#: per phase costs more than short batches save.  :func:`shutdown_pool`
 #: is registered atexit, and a failure discards the executor inside it,
 #: so a broken executor is never reused.
 _POOL: Optional[CellPool] = None
@@ -598,7 +592,7 @@ def _run_pooled(
 
     At most ``pool.workers`` attempts are in flight.  Each terminal cell
     goes to ``on_done`` at once, so an interrupt loses only the attempts
-    in flight (everything delivered is already recorded/checkpointed).
+    in flight (everything delivered is already recorded and stored).
     """
     import concurrent.futures
 
@@ -668,7 +662,6 @@ def run_many(
     *,
     timeout: Optional[float] = None,
     max_attempts: int = 3,
-    checkpoint: Optional[Any] = None,
     backend: str = "local",
     serve_url: Optional[str] = None,
 ) -> List[RunOutcome]:
@@ -684,8 +677,9 @@ def run_many(
 
     ``store`` (a :class:`~repro.experiments.store.ResultStore`) is
     consulted per spec before simulating — hits come back as cached
-    outcomes with verified fingerprints — and populated with every fresh
-    successful result afterwards.  Failed runs are never cached.
+    outcomes with verified fingerprints — and populated with each fresh
+    successful result as it finishes, so an interrupted sweep keeps its
+    finished cells.  Failed runs are never cached.
 
     Resilience knobs:
 
@@ -697,11 +691,6 @@ def run_many(
       last one fails it as ``CellTimeout`` or ``WorkerCrash``, so a hung
       cell costs up to ``max_attempts * timeout`` (``max_attempts=1``
       fails it on the first overrun).  See :class:`CellPool`.
-    * ``checkpoint`` — a
-      :class:`~repro.experiments.checkpoint.SweepCheckpoint` updated as
-      cells finish; a KeyboardInterrupt saves it and raises
-      :class:`~repro.experiments.checkpoint.SweepInterrupted` with the
-      partial outcomes.
     * ``backend="serve"`` — execute cold cells on a remote ``repro-sim
       serve`` daemon (``serve_url``, ``$REPRO_SIM_SERVE``, or
       localhost:8787), falling back to local execution when the daemon
@@ -714,8 +703,6 @@ def run_many(
     metrics = _runmany_metrics()
     metrics["sweeps"].inc()
     sweep_cid = new_correlation_id("sweep")
-    if checkpoint is not None:
-        checkpoint.begin(specs)
     outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
 
     def record(index: int, outcome: RunOutcome, put: bool) -> None:
@@ -724,8 +711,6 @@ def run_many(
             metrics["cell_seconds"].observe(outcome.wall_time)
         if put and store is not None and outcome.ok:
             store.put(outcome)
-        if checkpoint is not None:
-            checkpoint.record(specs[index], outcome)
 
     pending: List[Tuple[int, RunSpec]] = []
     for index, spec in enumerate(specs):
@@ -737,40 +722,32 @@ def run_many(
 
     log_event("run_many", "sweep_started", cid=sweep_cid, cells=len(specs),
               cold=len(pending), workers=workers, backend=backend)
-    try:
-        with correlation_scope(sweep_cid):
-            if pending and backend == "serve":
-                served = _run_via_serve(
-                    [spec for _, spec in pending], serve_url, cid=sweep_cid
-                )
-                if served is not None:
-                    for (index, _), outcome in zip(pending, served):
-                        record(index, outcome, put=True)
-                    pending = []
-            pool = (
-                _shared_pool(workers) if workers > 1 and len(pending) > 1
-                else None
+    with correlation_scope(sweep_cid):
+        if pending and backend == "serve":
+            served = _run_via_serve(
+                [spec for _, spec in pending], serve_url, cid=sweep_cid
             )
-            if pool is not None:
-                pool.timeout, pool.max_attempts = timeout, max(1, max_attempts)
-                index_of = {
-                    Cell(spec, key=spec.label, cid=sweep_cid): index
-                    for index, spec in pending
-                }
-                _run_pooled(pool, list(index_of), lambda cell: record(
-                    index_of[cell], cell.outcome, put=True
-                ))
-            else:
-                # Record cell by cell so an interrupt keeps finished work.
-                for index, spec in pending:
-                    record(index, execute_spec(spec), put=True)
-    except KeyboardInterrupt:
-        if checkpoint is None:
-            raise
-        from repro.experiments.checkpoint import SweepInterrupted
-
-        checkpoint.save()
-        raise SweepInterrupted(outcomes, checkpoint) from None
+            if served is not None:
+                for (index, _), outcome in zip(pending, served):
+                    record(index, outcome, put=True)
+                pending = []
+        pool = (
+            _shared_pool(workers) if workers > 1 and len(pending) > 1
+            else None
+        )
+        if pool is not None:
+            pool.timeout, pool.max_attempts = timeout, max(1, max_attempts)
+            index_of = {
+                Cell(spec, key=spec.label, cid=sweep_cid): index
+                for index, spec in pending
+            }
+            _run_pooled(pool, list(index_of), lambda cell: record(
+                index_of[cell], cell.outcome, put=True
+            ))
+        else:
+            # Record cell by cell so an interrupt keeps finished work.
+            for index, spec in pending:
+                record(index, execute_spec(spec), put=True)
     log_event("run_many", "sweep_finished", cid=sweep_cid, cells=len(specs),
               failed=sum(1 for o in outcomes if o is not None and not o.ok))
     assert all(outcome is not None for outcome in outcomes)

@@ -204,7 +204,7 @@ def compare_protocols(
     comparison (first = baseline, second = contender for the pairwise
     metrics).  ``workers=N`` runs the independent simulations
     concurrently.  ``run_kwargs`` passes resilience options (timeout,
-    max_attempts, checkpoint, backend, ...) through to :func:`run_many`.
+    max_attempts, backend, ...) through to :func:`run_many`.
     """
     specs = comparison_specs(
         workload, preset=preset, consistency=consistency, config=config,
@@ -237,8 +237,8 @@ def compare_many(
 
     All ``len(policies) * len(workloads)`` runs are independent, so the
     pool drains them together instead of pairing serially per workload.
-    Extra keyword arguments (timeout, max_attempts, checkpoint,
-    backend, ...) pass through to :func:`run_many`.
+    Extra keyword arguments (timeout, max_attempts, backend, ...) pass
+    through to :func:`run_many`.
     """
     chosen = tuple(policies or DEFAULT_COMPARE_POLICIES)
     specs: List[RunSpec] = []

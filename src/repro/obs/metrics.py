@@ -10,8 +10,8 @@ and the serve client.  It is deliberately tiny and dependency-free:
 * Prometheus text exposition (`exposition()`) in the 0.0.4 text format
   (``# HELP`` / ``# TYPE`` headers, ``name{label="v"} value`` samples,
   cumulative histogram buckets), served by ``GET /metrics``,
-* a matching :func:`parse_exposition` parser used by the test suite for
-  round-trip checks and by ``repro-sim top`` to read scrapes.
+* a matching :func:`parse_exposition` parser, used by the tests, CI and
+  the ``bench/`` harness to read scrapes.
 
 A count that a status document also reports (``/stats``, ``cache stats``)
 lives in one place, as a plain integer of the object that owns it; its
@@ -441,7 +441,7 @@ def exposition() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Exposition parser — used by tests (round-trip) and `repro-sim top`.
+# Exposition parser — used by tests, CI and the bench/ harness.
 # ---------------------------------------------------------------------------
 
 MetricSample = Tuple[str, Dict[str, str], float]

@@ -23,6 +23,7 @@ from repro.experiments.parallel import (
     run_many,
     shutdown_pool,
 )
+from repro.experiments.store import ResultStore
 
 
 @pytest.fixture(autouse=True)
@@ -130,3 +131,27 @@ def test_worker_crash_exhausts_attempts_with_accounting():
         assert "died 2 time(s)" in outcome.error.message
     # The shared pool is usable again afterwards.
     assert run_many([_mig_spec(9)], workers=2)[0].ok
+
+
+def test_interrupted_sweep_resumes_from_the_store(tmp_path):
+    """Ctrl-C mid-sweep keeps every finished cell in the store, so
+    rerunning the same sweep recomputes only the cells it never finished."""
+    specs = [
+        _mig_spec(1),
+        _mig_spec(2),
+        RunSpec.make(
+            "test-interrupt-once", ProtocolPolicy.adaptive_default(),
+            preset="tiny", marker=str(tmp_path / "interrupt.marker"),
+        ),
+        _mig_spec(3),
+    ]
+    store = ResultStore(tmp_path / "cache")
+    with pytest.raises(KeyboardInterrupt):
+        run_many(specs, store=store)
+    assert store.stats.stores == 2
+
+    rerun = ResultStore(tmp_path / "cache")
+    outcomes = run_many(specs, store=rerun)
+    assert all(o.ok for o in outcomes)
+    assert (rerun.stats.hits, rerun.stats.misses) == (2, 2)
+    assert [o.cached for o in outcomes] == [True, True, False, False]

@@ -1,6 +1,7 @@
 """CLI tests (fast paths only)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -107,15 +108,20 @@ def test_compare_command_workers(capsys):
 
 def test_bench_command_quick(tmp_path, capsys):
     target = tmp_path / "BENCH_smoke.json"
-    code = main(["bench", "--quick", "--workers", "2", "--output", str(target)])
+    baseline = Path(__file__).resolve().parents[1] / "BENCH_2026-08-08.json"
+    code = main(["bench", "--quick", "--output", str(target),
+                 "--against", str(baseline)])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "speedup" in out and "results identical" in out
-    import json
-
+    assert "simulation results identical" in capsys.readouterr().out
     doc = json.loads(target.read_text())
     assert doc["schema"] == "repro-bench/1"
-    assert doc["parallel_matches_serial"] is True
+    assert len(doc["runs"]) == 8
+    assert not doc.keys() & {
+        "speedup", "serial_wall_time_s", "parallel_wall_time_s",
+        "events_per_sec_serial",
+    }
+    for run in doc["runs"]:
+        assert not run.keys() & {"wall_time_s", "events_per_sec"}
 
 
 def test_verify_command(capsys):
@@ -253,26 +259,39 @@ def test_cache_prune_requires_max_bytes():
         main(["cache", "prune"])
 
 
-def test_figure5_checkpoint_and_resume(tmp_path, capsys):
-    checkpoint = tmp_path / "sweep.json"
-    args = ["figure5", "--preset", "tiny", "--no-check",
-            "--checkpoint", str(checkpoint)]
+def test_figure5_interrupt_exits_130_and_rerun_computes_the_rest(
+    monkeypatch, capsys
+):
+    import repro.experiments.parallel as parallel
+
+    execute = parallel.execute_spec
+    calls = []
+
+    def interrupt_third_cell(spec):
+        calls.append(spec)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return execute(spec)
+
+    monkeypatch.setattr(parallel, "execute_spec", interrupt_third_cell)
+    args = ["figure5", "--preset", "tiny", "--no-check"]
+    # Without a store there is nothing to keep: Ctrl-C propagates.
+    with pytest.raises(KeyboardInterrupt):
+        main(args + ["--no-cache"])
+    calls.clear()
+    assert main(args) == 130
+    out = capsys.readouterr().out
+    assert "interrupted: 2 new cell(s) stored" in out
+    assert "rerun the same command to compute only the rest" in out
+
+    monkeypatch.setattr(parallel, "execute_spec", execute)
     assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "checkpoint" in out and "'done'" in out
-    doc = json.loads(checkpoint.read_text())
-    assert doc["schema"] == "repro-checkpoint/1"
-    assert all(c["status"] == "done" for c in doc["cells"].values())
-
-    # Relaunching with --resume serves every cell from the warm cache.
-    assert main(args + ["--resume"]) == 0
-    out = capsys.readouterr().out
-    assert "'cached'" in out
-    doc = json.loads(checkpoint.read_text())
-    assert all(c["status"] == "cached" for c in doc["cells"].values())
+    assert "2 hits / 6 misses" in capsys.readouterr().out
 
 
-def test_figure5_checkpoint_requires_cache():
-    with pytest.raises(SystemExit, match="result cache"):
+def test_figure5_stats_json_requires_cache(tmp_path):
+    stats = tmp_path / "stats.json"
+    with pytest.raises(SystemExit, match="--stats-json.*--no-cache"):
         main(["figure5", "--preset", "tiny", "--no-check", "--no-cache",
-              "--resume"])
+              "--stats-json", str(stats)])
+    assert not stats.exists()
