@@ -198,8 +198,6 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the experiment job-queue daemon until interrupted."""
-    import asyncio
-
     from repro.experiments.parallel import default_workers
     from repro.experiments.store import ResultStore, default_cache_dir
     from repro.serve.faults import ServeFaultPlan
@@ -228,13 +226,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_drops=args.fault_drop_frames,
         )
     try:
-        asyncio.run(run_server(
+        run_server(
             store, workers=workers, host=args.host, port=args.port,
             cell_timeout=args.cell_timeout, job_timeout=args.job_timeout,
             max_attempts=args.max_attempts, faults=faults,
-        ))
+        )
     except KeyboardInterrupt:
-        print("\nshutting down")
+        pass  # interrupted before run_server took over SIGINT
+    print("\nshutting down")
     return 0
 
 
@@ -763,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_p = sub.add_parser(
         "serve",
-        help="run the async job-queue daemon (HTTP sweep submissions, "
+        help="run the job-queue daemon (HTTP sweep submissions, "
              "shared result cache)",
     )
     serve_p.add_argument("--host", default="127.0.0.1")

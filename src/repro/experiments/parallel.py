@@ -20,8 +20,9 @@ Design points:
   :class:`RunError` inside its outcome instead of killing the pool; the
   other runs complete normally.
 * **One failure model.**  :class:`CellPool` owns the process pool and
-  classifies every attempt, for this module's :func:`run_many` and for
-  the ``repro-sim serve`` daemon alike.  A worker that dies (OOM kill,
+  classifies every attempt, and :class:`CellScheduler` steps cells
+  through it, for this module's :func:`run_many` and for the
+  ``repro-sim serve`` daemon alike.  A worker that dies (OOM kill,
   segfault, ``os._exit``) or an attempt that overruns
   ``run_many(..., timeout=...)`` costs the cell one attempt: the pool
   is discarded (hung workers killed) and the cell requeued after a
@@ -412,10 +413,10 @@ class Cell:
 class CellPool:
     """A process pool plus the one failure model of every cell scheduler.
 
-    :func:`run_many` drives it synchronously and the serve daemon from
-    asyncio: :meth:`start` submits a cell's next attempt and, once that
-    has :meth:`ended`, :meth:`settle` classifies it.  The pool never
-    waits; the caller keeps at most ``workers`` attempts in flight, so a
+    :class:`CellScheduler` drives it for :func:`run_many` and the serve
+    daemon alike: :meth:`start` submits a cell's next attempt and, once
+    that has :meth:`ended`, :meth:`settle` classifies it.  The pool never
+    waits; the scheduler keeps at most ``workers`` attempts in flight, so a
     deadline that starts at submission is an honest per-cell clock.  A
     deadline overrun or a lost worker (a crash, or an attempt caught in
     a discarded pool) costs one attempt: the pool is discarded once per
@@ -528,10 +529,10 @@ class CellPool:
         ``shutdown(wait=False)`` alone would leave a worker stuck in a
         hung cell running; killing it gives its CPU back.
         """
+        processes = self.processes()
         executor, self.executor = self.executor, None
         if executor is None:
             return
-        processes = list((getattr(executor, "_processes", None) or {}).values())
         try:
             executor.shutdown(wait=False, cancel_futures=True)
         except Exception:  # pragma: no cover - shutdown of a broken pool
@@ -539,6 +540,11 @@ class CellPool:
         for process in processes:
             if process.is_alive():
                 process.kill()
+
+    def processes(self) -> list:
+        """The pool's live worker processes."""
+        workers = getattr(self.executor, "_processes", None) or {}
+        return [process for process in workers.values() if process.is_alive()]
 
     def _discard(self, generation: int) -> None:
         """Discard the pool an attempt of ``generation`` failed on, once."""
@@ -585,45 +591,70 @@ def _shared_pool(workers: int) -> Optional[CellPool]:
 atexit.register(shutdown_pool)
 
 
-def _run_pooled(
-    pool: CellPool, cells: List[Cell], on_done: Callable[[Cell], None]
-) -> None:
-    """Drive ``cells`` through ``pool`` until every one is terminal.
+class CellScheduler:
+    """The one cell scheduler loop, one :meth:`step` at a time.
 
-    At most ``pool.workers`` attempts are in flight.  Each terminal cell
-    goes to ``on_done`` at once, so an interrupt loses only the attempts
-    in flight (everything delivered is already recorded and stored).
+    :func:`run_many` steps it between waits on the attempts' futures, the
+    serve daemon between ``select()`` calls.  Cells join ``queue`` at any
+    time and start in FIFO order, at most ``pool.workers`` at once; a
+    requeued cell rejoins it when its backoff expires, and one whose
+    status became ``cancelled`` meanwhile is dropped, not started.  Each
+    started attempt goes to ``on_start``, each settled one to
+    ``on_settled`` (the cell is terminal unless its status is ``backoff``).
+    """
+
+    def __init__(self, pool: CellPool, on_settled: Callable[[Cell], None],
+                 on_start: Optional[Callable[[Cell], None]] = None) -> None:
+        self.pool = pool
+        self.on_settled = on_settled
+        self.on_start = on_start
+        self.queue: List[Cell] = []
+        self.backoff: List[Tuple[float, Cell]] = []  # (earliest restart, cell)
+        self.running: List[Cell] = []
+
+    def step(self) -> Optional[float]:
+        """Settle the attempts that ended and start what fits; return the
+        ``time.monotonic()`` of the next backoff expiry or deadline (None:
+        only a finished attempt can change anything)."""
+        pool, now = self.pool, time.monotonic()
+        for cell in [cell for cell in self.running if pool.ended(cell, now)]:
+            self.running.remove(cell)
+            delay = pool.settle(cell)
+            if delay is not None:
+                self.backoff.append((now + delay, cell))
+            self.on_settled(cell)
+        self.queue += [cell for ready, cell in self.backoff if ready <= now]
+        self.backoff = [(ready, cell) for ready, cell in self.backoff if ready > now]
+        while self.queue and len(self.running) < pool.workers:
+            cell = self.queue.pop(0)
+            if cell.status == "cancelled":
+                continue
+            pool.start(cell)
+            self.running.append(cell)
+            if self.on_start is not None:
+                self.on_start(cell)
+        now = time.monotonic()
+        if any(pool.ended(cell, now) for cell in self.running):
+            return now  # no future wakes for an attempt a discard cancelled
+        wakeups = [ready for ready, _ in self.backoff]
+        wakeups += [c.deadline for c in self.running if c.deadline is not None]
+        return min(wakeups, default=None)
+
+
+def _run_pooled(scheduler: CellScheduler) -> None:
+    """Step ``scheduler`` until every cell is terminal, waiting in between.
+
+    Each terminal cell reaches ``on_settled`` at once, so an interrupt
+    loses only the attempts in flight.
     """
     import concurrent.futures
 
-    queue = list(cells)
-    backoff: List[Tuple[float, Cell]] = []  # (earliest restart, cell)
-    running: List[Cell] = []
-    while queue or backoff or running:
-        now = time.monotonic()
-        for cell in [cell for cell in running if pool.ended(cell, now)]:
-            running.remove(cell)
-            delay = pool.settle(cell)
-            if delay is None:
-                on_done(cell)
-            else:
-                backoff.append((now + delay, cell))
-        queue += [cell for ready, cell in backoff if ready <= now]
-        backoff = [(ready, cell) for ready, cell in backoff if ready > now]
-        while queue and len(running) < pool.workers:
-            cell = queue.pop(0)
-            pool.start(cell)
-            running.append(cell)
-        now = time.monotonic()
-        if any(pool.ended(cell, now) for cell in running):
-            continue  # wait() never wakes for an attempt a discard cancelled
-        wakeups = [ready for ready, _ in backoff] + [
-            cell.deadline for cell in running if cell.deadline is not None
-        ]
-        timeout = max(0.0, min(wakeups) - now) if wakeups else None
-        if running:
+    while scheduler.queue or scheduler.backoff or scheduler.running:
+        wake = scheduler.step()
+        timeout = None if wake is None else max(0.0, wake - time.monotonic())
+        if scheduler.running:
             concurrent.futures.wait(
-                [cell.future for cell in running],
+                [cell.future for cell in scheduler.running],
                 timeout=timeout,
                 return_when=concurrent.futures.FIRST_COMPLETED,
             )
@@ -741,9 +772,14 @@ def run_many(
                 Cell(spec, key=spec.label, cid=sweep_cid): index
                 for index, spec in pending
             }
-            _run_pooled(pool, list(index_of), lambda cell: record(
-                index_of[cell], cell.outcome, put=True
-            ))
+
+            def settled(cell: Cell) -> None:
+                if cell.status != "backoff":
+                    record(index_of[cell], cell.outcome, put=True)
+
+            scheduler = CellScheduler(pool, settled)
+            scheduler.queue.extend(index_of)
+            _run_pooled(scheduler)
         else:
             # Record cell by cell so an interrupt keeps finished work.
             for index, spec in pending:

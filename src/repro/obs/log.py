@@ -24,7 +24,6 @@ import os
 import sys
 import threading
 import time
-import uuid
 from typing import IO, Iterator, Optional
 
 __all__ = [
@@ -86,7 +85,7 @@ def log_enabled() -> bool:
 
 def new_correlation_id(prefix: str = "c") -> str:
     """Mint a short random correlation id, e.g. ``c-9f2b41d07a3e``."""
-    return "%s-%s" % (prefix, uuid.uuid4().hex[:12])
+    return "%s-%s" % (prefix, os.urandom(6).hex())
 
 
 def correlation_id() -> str:

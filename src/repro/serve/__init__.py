@@ -1,11 +1,11 @@
 """The experiment service: ``repro-sim serve``.
 
-A small asyncio job-queue daemon in front of the content-addressed
-:class:`~repro.experiments.store.ResultStore`: clients POST batches of
-sweep cells over HTTP, identical cells are deduplicated across
-concurrent clients, warm cells answer straight from the store, cold
-cells are scheduled onto the process pool ``run_many`` uses
-(:class:`~repro.experiments.parallel.CellPool`), and progress streams
+A small job-queue daemon, one ``selectors`` loop on one thread, in front
+of the content-addressed :class:`~repro.experiments.store.ResultStore`:
+clients POST batches of sweep cells over HTTP, identical cells are
+deduplicated across concurrent clients, warm cells answer straight from
+the store, cold cells are scheduled onto the process pool ``run_many``
+uses (:class:`~repro.experiments.parallel.CellPool`), and progress streams
 back as newline-delimited JSON.  Results persist in the store for every
 later sweep.  ``/stats`` and ``/metrics`` render one set of counts, kept
 by the daemon, its pool, its store and its fault plan.

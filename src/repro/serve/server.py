@@ -2,8 +2,11 @@
 
 Dependency-free by design (the simulator has no third-party runtime
 deps, and its job server should not be the thing that changes that):
-asyncio streams plus a minimal HTTP/1.1 request parser — enough for the
-JSON API below, not a general web server.
+one :mod:`selectors` loop on the thread that calls
+:meth:`ExperimentServer.serve_forever`, plus a minimal HTTP/1.1 request
+parser (:func:`parse_request`) — enough for the JSON API below, not a
+general web server.  Not asyncio or ``http.server``: both import
+``ssl``, which plain HTTP never uses.
 
 API
 ---
@@ -50,18 +53,25 @@ Scheduling & resilience
 -----------------------
 
 Cold cells run on the same :class:`~repro.experiments.parallel.CellPool`
-``run_many`` uses, so both share one failure model: a cell whose
-worker dies or whose attempt overruns ``cell_timeout`` (counted from
-submission) costs one attempt, the pool is discarded once per failure
-wave (stuck workers killed) and the cell is requeued after the seeded
-backoff, up to ``max_attempts`` before it fails as ``CellTimeout`` or
-``WorkerCrash`` with the attempt count in its
-:class:`~repro.experiments.parallel.RunError`.  Each cell's task drives
-the pool from asyncio; an :class:`asyncio.Semaphore` of ``workers``
-slots keeps at most that many attempts in flight, so a cell is only
-marked ``running`` when it actually occupies a worker.  Every unique
-cell executes at most once no matter how many jobs reference it — the
-dedupe map is keyed by the same content address the store uses.
+``run_many`` uses, stepped by the same
+:class:`~repro.experiments.parallel.CellScheduler`, so both share one
+scheduler loop and one failure model: a cell whose worker dies or whose
+attempt overruns ``cell_timeout`` (counted from submission) costs one
+attempt, the pool is discarded once per failure wave (stuck workers
+killed) and the cell is requeued after the seeded backoff, up to
+``max_attempts`` before it fails as ``CellTimeout`` or ``WorkerCrash``
+with the attempt count in its
+:class:`~repro.experiments.parallel.RunError`.  The scheduler keeps at
+most ``workers`` attempts in flight, so a cell is only marked
+``running`` when it actually occupies a worker.  Every unique cell
+executes at most once no matter how many jobs reference it — the dedupe
+map is keyed by the same content address the store uses.
+
+HTTP, scheduling and store I/O share the loop's one thread: the pool
+forks workers from this process, and a fork while another thread held a
+lock (the log sink's, say) could deadlock the child.  A finished
+attempt's future wakes the loop by writing a byte to a socket pair, the
+only cross-thread step; :meth:`ExperimentServer.close` does the same.
 
 ``job_timeout`` bounds a whole job: on expiry its still-unstarted cells
 are cancelled.  A :class:`~repro.serve.faults.ServeFaultPlan` makes the
@@ -71,16 +81,20 @@ stream frames.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
+import heapq
+import itertools
 import json
+import selectors
+import signal
+import socket
 import time
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.experiments import parallel
-from repro.experiments.parallel import CellPool, RunSpec
+from repro.experiments.parallel import CellPool, CellScheduler, RunSpec
 from repro.experiments.store import ResultStore, spec_from_json, spec_key
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import log_event
@@ -90,10 +104,15 @@ SERVE_SCHEMA = "repro-serve/1"
 
 #: Request body ceiling (a sweep of ~10k cells fits comfortably).
 MAX_BODY_BYTES = 32 * 1024 * 1024
-#: Header lines per request (each line is separately capped at 64 KiB).
+#: Longest request or header line, newline excluded (64 KiB).
+MAX_LINE_BYTES = 64 * 1024
+#: Header lines per request (each line is separately capped).
 MAX_HEADERS = 100
 #: Longest ``Content-Length`` digit run accepted (leading zeros included).
 MAX_LENGTH_DIGITS = 20
+
+#: Cell statuses that never change again.
+TERMINAL = ("done", "cached", "failed", "cancelled")
 
 
 class BadRequest(ValueError):
@@ -109,8 +128,6 @@ class Cell(parallel.Cell):
     the correlation id of the job that created it.
     """
 
-    #: Set once the cell is terminal; jobs wait on it.
-    done: asyncio.Event = field(default_factory=asyncio.Event)
     #: How many submitted specs (across all jobs) resolved to this cell.
     refs: int = 0
 
@@ -142,12 +159,29 @@ class Job:
     #: Append-only NDJSON event log; index == event["seq"], so any
     #: stream connection can replay from ``?after=<seq>``.
     events: List[Dict[str, Any]] = field(default_factory=list)
-    #: Replaced-and-set on every append; streams wait on the current one.
-    changed: asyncio.Event = field(default_factory=asyncio.Event)
+    #: Unique cells with no event yet, and the open stream connections.
+    waiting: int = 0
+    streams: List["_Connection"] = field(default_factory=list)
+
+
+@dataclass(eq=False)
+class _Connection:
+    """One client socket: the request bytes in, the response bytes out."""
+
+    sock: socket.socket
+    received: bytearray = field(default_factory=bytearray)
+    outgoing: bytearray = field(default_factory=bytearray)
+    closing: bool = False  # close once ``outgoing`` is sent
+    #: The parsed request's route label and start ("" until parsed).
+    route: str = ""
+    started: float = 0.0
+    #: A stream's job, and the index of its next event to send.
+    job: Optional[Job] = None
+    next_event: int = 0
 
 
 class ExperimentServer:
-    """The asyncio job-queue daemon (one instance per process)."""
+    """The job-queue daemon (one instance per process)."""
 
     def __init__(
         self,
@@ -174,13 +208,20 @@ class ExperimentServer:
         self.deduped = 0
         self.cancelled_jobs = 0
         self._job_counter = 0
-        self._slots: Optional[asyncio.Semaphore] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._tasks: Set["asyncio.Task[Any]"] = set()
+        #: Open jobs waiting on each cell key.
+        self._waiters: Dict[str, List[Job]] = {}
+        #: The loop's timers: a heap of (when, tiebreak, callback).
+        self._timers: List[Tuple[float, int, Callable[[], None]]] = []
+        self._timer_ids = itertools.count()
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._listener = self._wake_r = self._wake_w = None
+        self._closing = False
         #: Workers and failure model (``/stats`` reads its counters); no
         #: process starts until a cold cell needs one.
         self.pool = CellPool(self.workers, timeout=cell_timeout,
                              max_attempts=max_attempts)
+        self.scheduler = CellScheduler(self.pool, self._settled,
+                                       on_start=self._started)
         self.registry = registry if registry is not None else obs_metrics.REGISTRY
         self._init_metrics()
 
@@ -293,35 +334,68 @@ class ExperimentServer:
 
     # -- lifecycle -----------------------------------------------------
 
-    async def start(self) -> None:
+    def start(self) -> None:
         """Bind the listening socket (the pool starts on first use).
 
         ``port=0`` picks an ephemeral port; ``self.port`` is updated to
-        the bound one either way.
+        the bound one either way.  Call :meth:`serve_forever` next.
         """
-        self._slots = asyncio.Semaphore(self.workers)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        family, _, _, _, address = socket.getaddrinfo(
+            self.host or None, self.port, type=socket.SOCK_STREAM,
+            flags=socket.AI_PASSIVE)[0]
+        self._listener = socket.create_server(address, family=family, backlog=100)
+        self.port = self._listener.getsockname()[1]
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        for sock, on_ready in ((self._listener, self._accept),
+                               (self._wake_r, self._drain_wake)):
+            sock.setblocking(False)
+            self._selector.register(sock, selectors.EVENT_READ, on_ready)
+        self._wake_w.setblocking(False)
 
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._tasks):
-            task.cancel()
-        self.pool.close()
+    def serve_forever(self) -> None:
+        """Run the loop on this thread until :meth:`close`, then release
+        every socket and kill the workers."""
+        assert self._selector is not None, "call start() first"
+        try:
+            while not self._closing:
+                now = time.monotonic()
+                while self._timers and self._timers[0][0] <= now:
+                    heapq.heappop(self._timers)[2]()  # fire a due timer
+                wake = self.scheduler.step()
+                if self._timers and (wake is None or self._timers[0][0] < wake):
+                    wake = self._timers[0][0]
+                timeout = None if wake is None else max(0.0, wake - time.monotonic())
+                for key, _ in self._selector.select(timeout):
+                    key.data()
+        finally:
+            self.pool.close()
+            for key in list(self._selector.get_map().values()):
+                key.fileobj.close()  # the listener, the wake-up, every client
+            self._selector.close()
+            self._wake_w.close()
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
+    def close(self) -> None:
+        """Stop :meth:`serve_forever` before its next iteration (safe from
+        any thread and from a signal handler: it sets a flag and wakes the
+        loop)."""
+        self._closing = True
+        self._wake()
 
-    def _spawn(self, coro) -> None:
-        task = asyncio.get_running_loop().create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+    def _wake(self, *_: Any) -> None:
+        """Make the loop's ``select()`` return (from any thread)."""
+        if self._wake_w is not None:
+            # Full: a wake-up is already pending.  Closed: the loop is gone.
+            with contextlib.suppress(OSError):
+                self._wake_w.send(b"\0")
+
+    def _drain_wake(self) -> None:
+        with contextlib.suppress(BlockingIOError):
+            self._wake_r.recv(4096)  # what is left wakes the next select()
+
+    def _call_later(self, delay: float, callback: Callable[[], None]) -> None:
+        heapq.heappush(self._timers, (time.monotonic() + delay,
+                                      next(self._timer_ids), callback))
 
     # -- scheduling ----------------------------------------------------
 
@@ -350,8 +424,8 @@ class ExperimentServer:
             cell = self.cells.get(key)
             if cell is None or cell.status == "cancelled":
                 # A cell an earlier job abandoned is revived as a new Cell:
-                # the abandoned one's task may still wait for a slot or a
-                # backoff, and must find its own cell cancelled and exit.
+                # the scheduler may still hold the abandoned one, queued or
+                # in backoff, and must find it cancelled and drop it.
                 cell = self.cells[key] = Cell(
                     spec, key=key, cid=job.cid, refs=cell.refs if cell else 0
                 )
@@ -359,10 +433,9 @@ class ExperimentServer:
                 if cached is not None:
                     cell.status = "cached"
                     cell.outcome = cached
-                    cell.done.set()
                     self._m_cells_terminal.labels(status="cached").inc()
                 else:
-                    self._spawn(self._run_cell(cell))
+                    self.scheduler.queue.append(cell)
             else:
                 # The dedupe path: an identical cell is already cached,
                 # queued, or running on behalf of another submission.
@@ -372,33 +445,48 @@ class ExperimentServer:
         self.jobs[job.id] = job
         log_event("serve", "job_submitted", job=job.id, cid=job.cid or None,
                   specs=len(job.keys))
-        self._spawn(self._record_job(job))
+        for key in dict.fromkeys(job.keys):
+            if self.cells[key].status in TERMINAL:
+                self._append_event(job, self.cells[key])
+            else:
+                job.waiting += 1
+                self._waiters.setdefault(key, []).append(job)
+        if not job.waiting:
+            self._finish_job(job)
+        elif self.job_timeout is not None:
+            self._call_later(self.job_timeout, lambda: self.cancel_job(
+                job, reason=f"job exceeded the {self.job_timeout}s deadline"))
         return job
 
-    async def _run_cell(self, cell: Cell) -> None:
-        """Drive one cell through the pool to a terminal state."""
-        assert self._slots is not None
-        while True:
-            async with self._slots:
-                if cell.status == "cancelled":
-                    return  # abandoned while it waited for a slot or backoff
-                self.pool.start(cell)
-                self._m_cell_attempts.inc()
-                kill = None
-                if self.faults is not None and self.faults.should_kill(
-                    cell.key, cell.attempts
-                ):
-                    kill = asyncio.get_running_loop().create_task(
-                        self._fault_kill(cell.generation)
-                    )
-                await _attempt_over(cell)
-                if kill is not None:
-                    kill.cancel()
-                delay = self.pool.settle(cell)
-            self._m_cell_seconds.observe(time.monotonic() - cell.started)
-            if delay is None:
-                break
-            await asyncio.sleep(delay)
+    def _started(self, cell: Cell) -> None:
+        """A cell's attempt went to a worker: wake the loop when it ends."""
+        self._m_cell_attempts.inc()
+        cell.future.add_done_callback(self._wake)
+        if self.faults is not None and self.faults.should_kill(
+            cell.key, cell.attempts
+        ):
+            future = cell.future
+            self._call_later(self.faults.kill_delay,
+                             lambda: self._fault_kill(cell, future, tries=50))
+
+    def _fault_kill(self, cell: Cell, future: Any, tries: int) -> None:
+        """ServeFaultPlan hook: kill one live worker while ``future`` runs."""
+        if cell.future is not future or self.pool.ended(cell, time.monotonic()):
+            return  # the attempt is over
+        processes = self.pool.processes()
+        if processes:
+            processes[0].kill()
+        elif tries > 1:
+            # The pool spawns processes lazily on first submit; retry
+            # briefly so the kill lands even when it races the spawn.
+            self._call_later(
+                0.01, lambda: self._fault_kill(cell, future, tries - 1))
+
+    def _settled(self, cell: Cell) -> None:
+        """An attempt ended: requeued (``backoff``) or terminal."""
+        self._m_cell_seconds.observe(time.monotonic() - cell.started)
+        if cell.status == "backoff":
+            return
         outcome = cell.outcome
         assert outcome is not None
         if outcome.ok:
@@ -409,81 +497,17 @@ class ExperimentServer:
                   cell=cell.key, cid=cell.cid or None, attempts=cell.attempts,
                   status=cell.status,
                   error=str(outcome.error) if outcome.error else None)
-        cell.done.set()
-
-    async def _fault_kill(self, generation: int) -> None:
-        """ServeFaultPlan hook: kill one live worker of this generation."""
-        assert self.faults is not None
-        await asyncio.sleep(self.faults.kill_delay)
-        # The pool spawns processes lazily on first submit; poll briefly
-        # so the kill lands even when it races the spawn.
-        for _ in range(50):
-            if generation != self.pool.generation:
-                return
-            processes = [
-                process
-                for process in (
-                    getattr(self.pool.executor, "_processes", None) or {}
-                ).values()
-                if process.is_alive()
-            ]
-            if processes:
-                processes[0].kill()
-                return
-            await asyncio.sleep(0.01)
+        self._report(cell)
 
     # -- job tracking --------------------------------------------------
 
-    async def _record_job(self, job: Job) -> None:
-        """Build the job's event log as cells finish; enforce job_timeout."""
-        loop = asyncio.get_running_loop()
-        deadline = (
-            loop.time() + self.job_timeout if self.job_timeout is not None else None
-        )
-        pending = list(dict.fromkeys(job.keys))
-        try:
-            while pending:
-                ready = [key for key in pending if self.cells[key].done.is_set()]
-                if ready:
-                    for key in ready:
-                        pending.remove(key)
-                        self._append_event(job, self.cells[key])
-                    continue
-                waiters = {
-                    asyncio.ensure_future(self.cells[key].done.wait()): key
-                    for key in pending
-                }
-                timeout = (
-                    None if deadline is None else max(0.0, deadline - loop.time())
-                )
-                finished, unfinished = await asyncio.wait(
-                    waiters, timeout=timeout,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                for waiter in unfinished:
-                    waiter.cancel()
-                if not finished and deadline is not None and loop.time() >= deadline:
-                    self.cancel_job(
-                        job,
-                        reason=f"job exceeded the {self.job_timeout}s deadline",
-                    )
-                    # Cancelled cells resolve instantly; running ones are
-                    # allowed to finish (their work is kept) — so from
-                    # here, just drain without a deadline.
-                    deadline = None
-        finally:
-            job.finished = True
-            job.events.append({
-                "event": "job-done",
-                "job": job.id,
-                "total": len(job.keys),
-                "seq": len(job.events),
-                "cancelled": job.cancelled,
-            })
-            self._m_jobs_finished.inc()
-            log_event("serve", "job_finished", job=job.id, cid=job.cid or None,
-                      total=len(job.keys), cancelled=job.cancelled)
-            self._notify(job)
+    def _report(self, cell: Cell) -> None:
+        """``cell`` went terminal: log it in every job waiting on it."""
+        for job in self._waiters.pop(cell.key, ()):
+            self._append_event(job, cell)
+            job.waiting -= 1
+            if not job.waiting:
+                self._finish_job(job)
 
     def _append_event(self, job: Job, cell: Cell) -> None:
         event = dict(cell.to_json())
@@ -494,12 +518,21 @@ class ExperimentServer:
             "total": len(job.keys),
         })
         job.events.append(event)
-        self._notify(job)
+        self._push(job)
 
-    @staticmethod
-    def _notify(job: Job) -> None:
-        waiter, job.changed = job.changed, asyncio.Event()
-        waiter.set()
+    def _finish_job(self, job: Job) -> None:
+        job.finished = True
+        job.events.append({
+            "event": "job-done",
+            "job": job.id,
+            "total": len(job.keys),
+            "seq": len(job.events),
+            "cancelled": job.cancelled,
+        })
+        self._m_jobs_finished.inc()
+        log_event("serve", "job_finished", job=job.id, cid=job.cid or None,
+                  total=len(job.keys), cancelled=job.cancelled)
+        self._push(job)
 
     def cancel_job(self, job: Job, reason: str = "cancelled by client") -> None:
         """Abandon the job's not-yet-running cells (unless shared).
@@ -526,7 +559,7 @@ class ExperimentServer:
             cell.status = "cancelled"
             cell.last_error = reason
             self._m_cells_terminal.labels(status="cancelled").inc()
-            cell.done.set()
+            self._report(cell)
 
     # -- status documents ----------------------------------------------
 
@@ -535,10 +568,7 @@ class ExperimentServer:
         counts: Dict[str, int] = {}
         for cell in cells:
             counts[cell["status"]] = counts.get(cell["status"], 0) + 1
-        finished = sum(
-            counts.get(status, 0)
-            for status in ("done", "cached", "failed", "cancelled")
-        )
+        finished = sum(counts.get(status, 0) for status in TERMINAL)
         return {
             "schema": SERVE_SCHEMA,
             "job": job.id,
@@ -580,65 +610,71 @@ class ExperimentServer:
 
     # -- HTTP plumbing -------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        loop = asyncio.get_running_loop()
+    def _accept(self) -> None:
         try:
-            try:
-                method, path, body = await _read_request(reader)
-            except BadRequest as exc:
-                with contextlib.suppress(ConnectionError, OSError):
-                    await _respond_json(writer, 400, {"error": str(exc)})
-                return
-            route = _route_label(method, path)
-            self._m_http_requests.labels(method=method, route=route).inc()
-            started = loop.time()
-            try:
-                await self._route(method, path, body, writer)
-            except BadRequest as exc:
-                self._m_http_errors.labels(route=route).inc()
-                await _respond_json(writer, 400, {"error": str(exc)})
-            except (ConnectionError, OSError):
-                pass  # client went away mid-response
-            except Exception as exc:  # noqa: BLE001 - daemon must survive
-                self._m_http_errors.labels(route=route).inc()
-                try:
-                    await _respond_json(writer, 500, {"error": repr(exc)})
-                except (ConnectionError, OSError):
-                    pass
-            finally:
-                self._m_http_seconds.labels(route=route).observe(
-                    loop.time() - started
-                )
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            sock, _ = self._listener.accept()
+        except OSError:  # BlockingIOError, or a client that gave up
+            return
+        sock.setblocking(False)
+        conn = _Connection(sock)
+        self._selector.register(sock, selectors.EVENT_READ,
+                                lambda: self._ready(conn))
 
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        body: bytes,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    def _ready(self, conn: _Connection) -> None:
+        if conn.sock.fileno() < 0:
+            return  # closed earlier in this batch of events
+        if conn.outgoing:
+            self._flush(conn)
+            return
+        try:
+            chunk = conn.sock.recv(65536)
+        except BlockingIOError:
+            return
+        except OSError:  # the client dropped the connection: EOF
+            chunk = b""
+        if conn.route:  # a stream between events: only its EOF matters
+            if not chunk:
+                self._close(conn)
+            return
+        conn.received += chunk
+        try:
+            request = parse_request(conn.received, eof=not chunk)
+        except BadRequest as exc:
+            self._reply(conn, 400, {"error": str(exc)})
+            return
+        if request is not None:
+            self._handle(conn, *request)
+
+    def _handle(self, conn: _Connection, method: str, path: str,
+                body: bytes) -> None:
+        conn.route = _route_label(method, path)
+        conn.started = time.monotonic()
+        self._m_http_requests.labels(method=method, route=conn.route).inc()
+        try:
+            self._route(conn, method, path, body)
+        except BadRequest as exc:
+            self._m_http_errors.labels(route=conn.route).inc()
+            self._reply(conn, 400, {"error": str(exc)})
+        except Exception as exc:  # noqa: BLE001 - daemon must survive
+            self._m_http_errors.labels(route=conn.route).inc()
+            self._reply(conn, 500, {"error": repr(exc)})
+
+    def _route(self, conn: _Connection, method: str, path: str,
+               body: bytes) -> None:
         raw_path, _, query_string = path.partition("?")
         parts = [part for part in raw_path.split("/") if part]
         query = urllib.parse.parse_qs(query_string)
         if method == "GET" and parts == ["healthz"]:
-            await _respond_json(
-                writer, 200,
+            self._reply(
+                conn, 200,
                 {"ok": True, "schema": SERVE_SCHEMA, "workers": self.workers,
                  "cache_dir": str(self.store.root)},
             )
         elif method == "GET" and parts == ["stats"]:
-            await _respond_json(writer, 200, self.stats())
+            self._reply(conn, 200, self.stats())
         elif method == "GET" and parts == ["metrics"]:
-            await _respond_bytes(
-                writer, 200, self.registry.exposition().encode(),
+            self._reply(
+                conn, 200, self.registry.exposition().encode(),
                 content_type="text/plain; version=0.0.4; charset=utf-8",
             )
         elif method == "GET" and parts == ["jobs"]:
@@ -648,9 +684,7 @@ class ExperimentServer:
                 status.pop("cells", None)
                 status["cid"] = job.cid
                 jobs.append(status)
-            await _respond_json(
-                writer, 200, {"schema": SERVE_SCHEMA, "jobs": jobs}
-            )
+            self._reply(conn, 200, {"schema": SERVE_SCHEMA, "jobs": jobs})
         elif method == "POST" and parts == ["jobs"]:
             try:
                 doc = json.loads(body or b"{}")
@@ -659,15 +693,15 @@ class ExperimentServer:
             if not isinstance(doc, dict):
                 raise BadRequest('body must be {"specs": [<spec>, ...]}')
             job = self.submit(doc.get("specs"), cid=doc.get("cid") or "")
-            await _respond_json(writer, 200, self.job_status(job))
+            self._reply(conn, 200, self.job_status(job))
         elif method in ("GET", "DELETE") and len(parts) == 2 and parts[0] == "jobs":
             job = self.jobs.get(parts[1])
             if job is None:
-                await _respond_json(writer, 404, {"error": f"no job {parts[1]!r}"})
+                self._reply(conn, 404, {"error": f"no job {parts[1]!r}"})
                 return
             if method == "DELETE":
                 self.cancel_job(job)
-            await _respond_json(writer, 200, self.job_status(job))
+            self._reply(conn, 200, self.job_status(job))
         elif (
             method == "GET"
             and len(parts) == 3
@@ -676,7 +710,7 @@ class ExperimentServer:
         ):
             job = self.jobs.get(parts[1])
             if job is None:
-                await _respond_json(writer, 404, {"error": f"no job {parts[1]!r}"})
+                self._reply(conn, 404, {"error": f"no job {parts[1]!r}"})
                 return
             try:
                 after = int(query.get("after", ["-1"])[0])
@@ -684,101 +718,138 @@ class ExperimentServer:
                 raise BadRequest(
                     f"after must be an integer, got {query['after'][0]!r}"
                 ) from None
-            await self._stream_job(job, writer, after)
+            conn.outgoing += (
+                b"HTTP/1.1 200 OK\r\n"
+                b"Content-Type: application/x-ndjson\r\n"
+                b"Cache-Control: no-store\r\n"
+                b"Connection: close\r\n\r\n"
+            )
+            conn.job, conn.next_event = job, max(0, after + 1)
+            job.streams.append(conn)
+            self._stream(conn)
         elif method == "GET" and len(parts) == 2 and parts[0] == "results":
             entry = self.store.load_entry(parts[1])
             if entry is None:
-                await _respond_json(
-                    writer, 404, {"error": f"no result {parts[1]!r}"}
+                self._reply(
+                    conn, 404, {"error": f"no result {parts[1]!r}"}
                 )
                 return
-            await _respond_json(writer, 200, entry)
+            self._reply(conn, 200, entry)
         else:
-            await _respond_json(
-                writer, 404, {"error": f"no route {method} /{'/'.join(parts)}"}
+            self._reply(
+                conn, 404, {"error": f"no route {method} /{'/'.join(parts)}"}
             )
 
-    async def _stream_job(
-        self, job: Job, writer: asyncio.StreamWriter, after: int = -1
-    ) -> None:
+    def _push(self, job: Job) -> None:
+        for conn in list(job.streams):
+            self._stream(conn)
+
+    def _stream(self, conn: _Connection) -> None:
         """NDJSON progress replayed from ``after``: the job's event log.
 
         Events are served from the job's append-only log, so any number
         of connections — including one resuming after a drop — see the
-        same sequence.  The ``ServeFaultPlan`` drop-frame hook aborts the
+        same sequence.  The ``ServeFaultPlan`` drop-frame hook closes the
         connection *instead of* sending a frame, exercising exactly the
         client's resume path.
         """
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Cache-Control: no-store\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        await writer.drain()
-        index = max(0, after + 1)
-        while True:
-            if index < len(job.events):
-                event = job.events[index]
-                index += 1
-                if self.faults is not None and self.faults.should_drop_frame(
-                    job.id, event["seq"]
-                ):
-                    return  # dropped: the client reconnects with ?after=
-                writer.write((json.dumps(event, sort_keys=True) + "\n").encode())
-                await writer.drain()
-                if event.get("event") == "job-done":
-                    return
-                continue
-            if job.finished:
-                # ``after`` was at or past the final event: nothing left
-                # to send, and nothing will ever set ``job.changed`` again.
-                return
-            await job.changed.wait()
+        job = conn.job
+        assert job is not None
+        while conn.next_event < len(job.events) and not conn.closing:
+            event = job.events[conn.next_event]
+            conn.next_event += 1
+            if self.faults is not None and self.faults.should_drop_frame(
+                job.id, event["seq"]
+            ):
+                conn.closing = True  # dropped: the client reconnects with ?after=
+            else:
+                conn.outgoing += (json.dumps(event, sort_keys=True) + "\n").encode()
+        if job.finished and conn.next_event >= len(job.events):
+            conn.closing = True  # job-done sent, or ``after`` was past it
+        self._flush(conn)
+
+    def _reply(self, conn: _Connection, status: int, doc: Any,
+               content_type: str = "application/json") -> None:
+        """Send ``doc`` (as JSON, or bytes as they are), then close."""
+        payload = doc if isinstance(doc, bytes) else (
+            json.dumps(doc, sort_keys=True) + "\n").encode()
+        conn.outgoing += (
+            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            f"Connection: close\r\n\r\n"
+        ).encode() + payload
+        conn.closing = True
+        self._flush(conn)
+
+    def _flush(self, conn: _Connection) -> None:
+        """Send what the socket takes; close once all is sent and due."""
+        if conn.outgoing:
+            try:
+                del conn.outgoing[:conn.sock.send(conn.outgoing)]
+            except BlockingIOError:
+                pass
+            except OSError:  # the client went away mid-response
+                conn.outgoing.clear()
+                conn.closing = True
+        if conn.closing and not conn.outgoing:
+            self._close(conn)
+        else:  # wait until writable, or (a stream between events) for EOF
+            self._selector.modify(
+                conn.sock,
+                selectors.EVENT_WRITE if conn.outgoing else selectors.EVENT_READ,
+                lambda: self._ready(conn))
+
+    def _close(self, conn: _Connection) -> None:
+        if conn.sock.fileno() < 0:
+            return  # already closed
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+        if conn.job is not None:
+            conn.job.streams.remove(conn)
+        if conn.route:
+            self._m_http_seconds.labels(route=conn.route).observe(
+                time.monotonic() - conn.started
+            )
 
 
-async def _attempt_over(cell: Cell) -> None:
-    """Wait until ``cell``'s attempt is done or past its deadline.
+def _line_end(data: bytes, start: int, eof: bool) -> Optional[int]:
+    """Where the line at ``start`` ends: past its newline, or at EOF.
 
-    ``asyncio.wait`` never raises, so a pool that cancels the attempt
-    cannot cancel this task; :meth:`CellPool.settle` reads the attempt.
+    None means the line is still incomplete.
     """
-    waiter = asyncio.wrap_future(cell.future)
-    timeout = (
-        None if cell.deadline is None
-        else max(0.0, cell.deadline - time.monotonic())
-    )
-    await asyncio.wait({waiter}, timeout=timeout)
-    if not waiter.done():
-        waiter.cancel()  # overrun: settle discards the pool
-    elif not waiter.cancelled():
-        waiter.exception()  # mark read; settle classifies the failure
+    newline = data.find(b"\n", start)
+    if newline - start > MAX_LINE_BYTES or (
+        newline < 0 and len(data) - start > MAX_LINE_BYTES
+    ):
+        raise BadRequest("request line or header too long")
+    if newline >= 0:
+        return newline + 1
+    return len(data) if eof else None
 
 
-async def _read_line(reader: asyncio.StreamReader) -> bytes:
-    try:
-        return await reader.readline()
-    except (ConnectionError, OSError):
-        raise BadRequest("connection dropped") from None
-    except ValueError:  # no newline within the stream's 64 KiB limit
-        raise BadRequest("request line or header too long") from None
+def parse_request(data: bytes, eof: bool) -> Optional[Tuple[str, str, bytes]]:
+    """Parse one HTTP/1.1 request from the bytes received so far.
 
-
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Tuple[str, str, bytes]:
-    """Parse one HTTP/1.1 request: (method, path, body).
-
-    Any malformed or truncated request raises :class:`BadRequest`.
+    Returns ``(method, path, body)``, or None while more bytes could
+    still change the answer; ``eof`` says none will come.  A malformed
+    request, or one that EOF cut short, raises :class:`BadRequest`.
+    ``data`` may be a ``bytearray``; bytes after the body are ignored.
     """
-    request_line = await _read_line(reader)
+    end = _line_end(data, 0, eof)
+    if end is None:
+        return None
+    request_line = bytes(data[:end])
     try:
         method, path, _version = request_line.decode("latin-1").split(None, 2)
     except ValueError:
         raise BadRequest(f"malformed request line {request_line!r}") from None
     headers: Dict[str, str] = {}
     for _ in range(MAX_HEADERS + 1):
-        line = await _read_line(reader)
+        start, end = end, _line_end(data, end, eof)
+        if end is None:
+            return None
+        line = bytes(data[start:end])
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
@@ -792,15 +863,11 @@ async def _read_request(
     length = int(raw_length)
     if length > MAX_BODY_BYTES:
         raise BadRequest(f"body too large ({length} bytes)")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise BadRequest(
-            f"body ended after {len(exc.partial)} of {length} bytes"
-        ) from None
-    except (ConnectionError, OSError):
-        raise BadRequest("connection dropped") from None
-    return method.upper(), path, body
+    if len(data) - end < length:
+        if not eof:
+            return None
+        raise BadRequest(f"body ended after {len(data) - end} of {length} bytes")
+    return method.upper(), path, bytes(data[end:end + length])
 
 
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -833,29 +900,7 @@ def _route_label(method: str, path: str) -> str:
     return "/other"
 
 
-async def _respond_bytes(
-    writer: asyncio.StreamWriter, status: int, payload: bytes, content_type: str
-) -> None:
-    writer.write(
-        (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"Connection: close\r\n\r\n"
-        ).encode()
-    )
-    writer.write(payload)
-    await writer.drain()
-
-
-async def _respond_json(
-    writer: asyncio.StreamWriter, status: int, doc: Dict[str, Any]
-) -> None:
-    payload = (json.dumps(doc, sort_keys=True) + "\n").encode()
-    await _respond_bytes(writer, status, payload, content_type="application/json")
-
-
-async def run_server(
+def run_server(
     store: ResultStore,
     workers: int = 1,
     host: str = "127.0.0.1",
@@ -866,7 +911,11 @@ async def run_server(
     max_attempts: int = 3,
     faults: Optional[ServeFaultPlan] = None,
 ) -> None:
-    """Start a server and block until cancelled (the CLI entry point)."""
+    """Serve until SIGINT (the CLI entry point; call it on the main thread).
+
+    Ctrl-C only calls :meth:`ExperimentServer.close`, so the loop stops
+    between two iterations, never inside a store write.
+    """
     server = ExperimentServer(
         store,
         workers=workers,
@@ -877,20 +926,21 @@ async def run_server(
         max_attempts=max_attempts,
         faults=faults,
     )
-    await server.start()
-    resilience = f"max_attempts={server.pool.max_attempts}"
-    if cell_timeout is not None:
-        resilience += f", cell_timeout={cell_timeout}s"
-    if job_timeout is not None:
-        resilience += f", job_timeout={job_timeout}s"
-    if faults is not None:
-        resilience += ", FAULT INJECTION ON"
-    print(
-        f"repro-sim serve: http://{server.host}:{server.port} "
-        f"({server.workers} workers, cache {store.root}, {resilience})",
-        flush=True,
-    )
+    previous = signal.signal(signal.SIGINT, lambda signum, frame: server.close())
     try:
-        await server.serve_forever()
+        server.start()
+        resilience = f"max_attempts={server.pool.max_attempts}"
+        if cell_timeout is not None:
+            resilience += f", cell_timeout={cell_timeout}s"
+        if job_timeout is not None:
+            resilience += f", job_timeout={job_timeout}s"
+        if faults is not None:
+            resilience += ", FAULT INJECTION ON"
+        print(
+            f"repro-sim serve: http://{server.host}:{server.port} "
+            f"({server.workers} workers, cache {store.root}, {resilience})",
+            flush=True,
+        )
+        server.serve_forever()
     finally:
-        await server.close()
+        signal.signal(signal.SIGINT, previous)

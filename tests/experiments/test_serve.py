@@ -1,16 +1,22 @@
 """The ``repro-sim serve`` daemon, end to end over real HTTP.
 
-The server runs on an asyncio loop in a background thread bound to an
-ephemeral port; the stdlib ``ServeClient`` talks to it exactly as a
+The server runs its loop in a background thread bound to an ephemeral
+port; the stdlib ``ServeClient`` talks to it exactly as a
 remote submitter would.  Under test: batch submission, cross-submission
 dedupe by content address, cache-backed instant resolution on resubmit,
 NDJSON progress streaming, and result fingerprints matching a local run.
 """
 
-import asyncio
 import contextlib
+import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -34,27 +40,17 @@ def pinned_code_version(monkeypatch):
 
 @contextlib.contextmanager
 def running_server(store, workers=1, **server_kwargs):
-    """An ExperimentServer on an ephemeral port, loop in a daemon thread."""
+    """An ExperimentServer on an ephemeral port, its loop in a daemon thread."""
     srv = ExperimentServer(store, workers=workers, port=0, **server_kwargs)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def main():
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(srv.start())
-        started.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=main, daemon=True)
+    srv.start()
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
-    assert started.wait(10), "server failed to start"
     try:
         yield srv
     finally:
-        asyncio.run_coroutine_threadsafe(srv.close(), loop).result(10)
-        loop.call_soon_threadsafe(loop.stop)
+        srv.close()
         thread.join(10)
-        loop.close()
+        assert not thread.is_alive(), "the serve loop did not stop"
 
 
 @pytest.fixture
@@ -248,6 +244,25 @@ def test_serve_malformed_http_gets_400(server, client, payload, half_close, reas
     assert client.healthz()["ok"]  # the daemon keeps serving
 
 
+def test_serve_reassembles_a_request_sent_in_chunks(server):
+    body = json.dumps({"specs": [spec_to_json(tiny_specs()[0])]}).encode()
+    payload = _post_jobs(b"Content-Length: %d\r\n" % len(body), body)
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        for cut in (slice(0, 20), slice(20, len(payload) - 7),
+                    slice(len(payload) - 7, None)):
+            sock.sendall(payload[cut])
+            time.sleep(0.05)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, doc = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+    assert json.loads(doc)["job"] == "job-1"
+
+
 def test_serve_stream_after_last_event_of_finished_job_closes(server, client):
     # The job's cells have already run, so no worker is forked while the
     # stream connection is open (a forked worker would inherit the socket
@@ -271,7 +286,6 @@ def test_serve_stream_after_last_event_of_finished_job_closes(server, client):
 
 
 import io
-import time
 import urllib.error
 
 import tests.experiments.chaos_workloads  # noqa: F401 - registers test workloads
@@ -603,3 +617,59 @@ def test_serve_attempt_cancelled_by_pool_discard_is_requeued(
         assert cell["status"] == "done"
         assert cell["attempts"] == 2
         assert client.stats()["scheduler"]["worker_crashes"] == 1
+
+
+# ---------------------------------------------------------------------------
+# The CLI daemon as a process: start, serve a cold job, stop on Ctrl-C
+
+
+REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_cli_daemon_serves_a_cold_job_and_exits_on_sigint(tmp_path):
+    events = tmp_path / "events.jsonl"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--workers", "2", "--cache-dir", str(tmp_path / "cache"),
+         "--log", str(events)],
+        stdout=subprocess.PIPE, text=True, env=env, start_new_session=True,
+    )
+    try:
+        banner = proc.stdout.readline()
+        assert banner.startswith("repro-sim serve: http://"), banner
+        url = banner.split()[2]
+        client = ServeClient(url)
+        status = client.wait(client.submit_specs(tiny_specs())["job"], timeout=60)
+        assert [cell["status"] for cell in status["cells"]] == ["done", "done"]
+        maps = f"/proc/{proc.pid}/maps"
+        if os.path.exists(maps):
+            with open(maps) as handle:
+                assert "libssl" not in handle.read()
+        workers = {
+            event["pid"]
+            for event in map(json.loads, events.read_text().splitlines())
+            if event["event"] == "run_started"
+        }
+        assert workers and proc.pid not in workers  # the cells really forked
+        proc.send_signal(signal.SIGINT)
+        out, _ = proc.communicate(timeout=10)
+        assert proc.returncode == 0
+        assert out.rstrip().endswith("shutting down")
+        deadline = time.monotonic() + 5
+        while any(_alive(pid) for pid in workers):
+            assert time.monotonic() < deadline, "a worker outlived the daemon"
+            time.sleep(0.05)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()

@@ -1,16 +1,16 @@
 """Fuzz the serve daemon's hand-rolled HTTP/1.1 request parser.
 
-Whatever bytes arrive before EOF, ``_read_request`` must either return
-``(method, path, body)`` or raise ``BadRequest``, which the connection
-handler answers with a 400.  Any other exception escapes the handler:
-the client gets no response and asyncio logs an unhandled exception.
+Whatever bytes arrive before EOF, ``parse_request(data, eof=True)`` must
+either return ``(method, path, body)`` or raise ``BadRequest``, which
+the daemon answers with a 400.  Any other exception would escape the
+connection handler and cost the client its response.  Fed the same
+bytes a piece at a time, the parser must not decide early: its first
+answer is the one the whole request gets.
 """
-
-import asyncio
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.serve.server import BadRequest, _read_request
+from repro.serve.server import BadRequest, parse_request
 
 EOL = st.sampled_from([b"\r\n", b"\n"])
 
@@ -57,14 +57,12 @@ REQUEST = st.builds(
 )
 
 
-def _parse(data):
-    async def main():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return await _read_request(reader)
-
-    return asyncio.run(main())
+def _parse(data, eof=True):
+    """The request, or ("BadRequest", reason)."""
+    try:
+        return parse_request(data, eof=eof)
+    except BadRequest as exc:
+        return ("BadRequest", str(exc))
 
 
 @settings(max_examples=400, deadline=None)
@@ -72,9 +70,21 @@ def _parse(data):
 @example(b"POST /jobs HTTP/1.1\r\nContent-Length: " + b"1" * 4301 + b"\r\n\r\n")
 def test_read_request_returns_a_request_or_raises_bad_request(data):
     try:
-        method, path, body = _parse(data)
+        method, path, body = parse_request(data, eof=True)
     except BadRequest:
         return
     assert isinstance(method, str) and method == method.upper()
     assert isinstance(path, str)
     assert isinstance(body, bytes)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(REQUEST, st.binary(max_size=400)), st.lists(st.integers(0, 400)))
+@example(b"GET / HTTP/1.1\r\nX-Big: " + b"a" * 70000 + b"\r\n\r\n", [30000, 66000])
+def test_first_answer_from_a_prefix_is_the_whole_requests_answer(data, cuts):
+    whole = _parse(data)
+    for cut in sorted(cuts) + [len(data)]:
+        answer = _parse(bytearray(data[:cut]), eof=False)
+        if answer is not None:
+            assert answer == whole
+            return
