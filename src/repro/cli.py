@@ -7,7 +7,6 @@ Examples::
     repro-sim table1
     repro-sim figure5 --preset tiny --stats-json cache-stats.json
     repro-sim report --preset default --workers 4
-    repro-sim bench --quick
     repro-sim profile mp3d --protocol AD --top 20 --output profile.json
     repro-sim trace mp3d --protocol AD --perfetto trace.json --metrics m.csv
     repro-sim sharing migratory-counters
@@ -18,9 +17,8 @@ Examples::
 
 Sweep-shaped commands (run / figure5 / report) consult the persistent
 content-addressed result cache (``.repro-cache`` or ``$REPRO_SIM_CACHE``)
-before simulating; ``--no-cache`` forces recomputation and ``--cache-dir``
-points at an alternate store.  ``repro-sim bench`` never uses the cache —
-it checks what this code simulates against a committed snapshot.
+before simulating; ``--no-cache`` skips it and ``--cache-dir`` points at
+an alternate store.
 """
 
 from __future__ import annotations
@@ -61,8 +59,8 @@ def _open_store(args: argparse.Namespace):
 
 def _add_cache_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
-                        help="always simulate; do not consult or populate "
-                             "the result cache")
+                        help="do not consult or populate the persistent "
+                             "result cache")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="result-cache root (default .repro-cache, or "
                              "$REPRO_SIM_CACHE)")
@@ -445,44 +443,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    store = _open_store(args)
     print(
         full_report(
             preset=args.preset,
             check_coherence=not args.no_check,
             workers=args.workers,
-            store=_open_store(args),
+            store=store,
         )
     )
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the bench suite, write a BENCH_<date>.json snapshot, gate it."""
-    from repro.experiments.bench import (
-        compare_bench_results,
-        load_bench,
-        render_bench,
-        run_bench_suite,
-        write_bench,
-    )
-
-    # Load the baseline *before* running: the default output path is
-    # BENCH_<today>.json, which can collide with --against on the day a
-    # baseline was captured — writing first would gate new-vs-new.
-    baseline = load_bench(args.against) if args.against else None
-    doc = run_bench_suite(preset="tiny" if args.quick else args.preset)
-    print(render_bench(doc))
-    target = write_bench(doc, path=args.output)
-    print(f"\nwrote {target}")
-    if baseline is None:
-        return 0
-    mismatches = compare_bench_results(baseline, doc)
-    if mismatches:
-        print(f"\nRESULT MISMATCH vs {args.against}:")
-        for line in mismatches:
-            print(f"  {line}")
-        return 1
-    print(f"\nsimulation results identical to {args.against}")
+    if store is not None:
+        print()
+        _print_cache_summary(store)
     return 0
 
 
@@ -717,21 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes per experiment sweep (default 1)")
     _add_cache_args(rep_p)
     rep_p.set_defaults(func=_cmd_report)
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the Figure-5 suite and write a BENCH_<date>.json "
-             "snapshot of its results",
-    )
-    bench_p.add_argument("--preset", default="default")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="tiny preset (CI smoke; ~seconds)")
-    bench_p.add_argument("--output", default=None,
-                         help="snapshot path (default BENCH_<date>.json)")
-    bench_p.add_argument("--against", default=None, metavar="BENCH_JSON",
-                         help="fail unless every simulation result matches "
-                              "this older snapshot")
-    bench_p.set_defaults(func=_cmd_bench)
 
     chaos_p = sub.add_parser(
         "chaos",

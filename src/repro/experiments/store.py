@@ -22,11 +22,11 @@ On-disk layout (one directory, safe to delete at any time)::
       objects/<key[:2]>/<key>.json   one entry per cell (atomic writes)
 
 Each entry stores the rebuilt-result payload *and* its
-``result_fingerprint`` — the same equality witness the bench
-``--against`` gate uses.  :meth:`ResultStore.fetch` rebuilds the result
-and recomputes the fingerprint before serving; any mismatch (truncated
-file, hand-edited counter, bit rot) counts as corruption, evicts the
-entry, and falls back to recomputation.  A cache hit is therefore
+``result_fingerprint`` (every deterministic observable of the run).
+:meth:`ResultStore.fetch` rebuilds the result and recomputes the
+fingerprint before serving; any mismatch (truncated file, hand-edited
+counter, bit rot) counts as corruption, evicts the entry, and falls back
+to recomputation.  A cache hit is therefore
 byte-identical to a fresh simulation or it is not a hit.
 
 :class:`CacheStats` is the store's only tally: ``repro-sim cache stats``

@@ -18,7 +18,7 @@ This module provides both sides of that comparison:
 The methodological artifact the paper warns about can then be measured
 directly: record a trace under one protocol, replay it under another,
 and compare with a native program-driven run (see
-``benchmarks/bench_trace_methodology.py``).
+``tests/workloads/test_trace.py``).
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ from repro.analysis import (
     wi_episode_cost,
 )
 from repro.coherence.messages import MsgKind
+from repro.experiments import compare_protocols
+from repro.machine.config import MachineConfig
 
 
 def test_wi_episode_is_704_bits():
@@ -77,6 +79,44 @@ def test_line_size_generalization():
 
     assert episode_bits_for_line.__doc__  # documented public helper
     assert traffic_reduction_for_line(16) == pytest.approx(0.534, abs=0.001)
+    assert traffic_reduction_for_line(32) == pytest.approx(1 - 456 / 1088, abs=0.001)
     values = [traffic_reduction_for_line(size) for size in (16, 32, 64, 128, 1024)]
     assert values == sorted(values)  # grows with line size
     assert values[-1] < 2 / 3  # asymptote: AD moves 1 line vs W-I's 3
+
+
+def test_simulated_pure_migratory_matches_model():
+    comparison = compare_protocols(
+        "migratory-counters", check_coherence=False, iterations=40,
+        num_counters=8,
+    )
+    # The measured reduction approaches the per-episode model (cold misses
+    # and lock-grant ordering add a few points of slack).
+    assert comparison.traffic_reduction == pytest.approx(
+        migratory_traffic_reduction(), abs=0.08
+    )
+
+
+def test_simulated_line_size_sweep_tracks_closed_form():
+    from repro.analysis.message_cost import traffic_reduction_for_line
+
+    measured = {}
+    for line in (16, 32, 64):
+        comparison = compare_protocols(
+            "migratory-counters",
+            config=MachineConfig.dash_default(line_size=line),
+            check_coherence=False,
+            iterations=30,
+            num_counters=8,
+            record_lines=1,
+            line_size=line,
+        )
+        measured[line] = comparison.traffic_reduction
+        # Simulation tracks the closed form within a few points (cold
+        # misses and lock handoffs add non-episode traffic).
+        assert measured[line] == pytest.approx(
+            traffic_reduction_for_line(line), abs=0.10
+        )
+    # The reduction grows with the line size, as the model predicts.
+    values = list(measured.values())
+    assert values == sorted(values)

@@ -6,6 +6,7 @@ orderings — not absolute cycle counts.
 
 import pytest
 
+from repro.core.policy import ProtocolPolicy
 from repro.experiments import (
     PAPER_TABLE1,
     compare_protocols,
@@ -16,6 +17,7 @@ from repro.experiments import (
     render_table1,
     render_table3,
     render_table4,
+    run_bandwidth_sweep,
     run_figure5,
     run_figure6,
     run_nomig_necessity,
@@ -23,6 +25,7 @@ from repro.experiments import (
     run_section54,
     run_table3,
     run_table4,
+    run_workload,
 )
 from repro.experiments.figure6 import cell
 from repro.machine.config import MachineConfig
@@ -180,6 +183,33 @@ def test_rxq_heuristic_no_consistent_improvement():
     rows = run_rxq_heuristic_ablation(preset="tiny")
     # The heuristic must never be a large win (paper dropped it).
     assert all(row.time_ratio > 0.9 for row in rows)
+
+
+def test_bandwidth_sweep_default_preset():
+    """Section 6: AD's traffic reduction matters more on narrow links."""
+    points = run_bandwidth_sweep(
+        workload="mp3d", link_widths=(4, 8, 16, 32), check_coherence=False,
+        workers=2,
+    )
+    # AD's advantage is at least as large on the narrowest links as on
+    # the widest (traffic reduction matters more when bandwidth is scarce).
+    assert points[0].etr >= points[-1].etr - 0.02
+    assert all(point.etr > 1.2 for point in points)
+
+
+def test_associativity_reduces_conflict_misses():
+    misses = {}
+    for assoc in (1, 2, 4):
+        config = MachineConfig.dash_default(cache_size=1024, associativity=assoc)
+        result = run_workload(
+            "mp3d", ProtocolPolicy.write_invalidate(), preset="tiny",
+            config=config, check_coherence=False,
+        )
+        misses[assoc] = result.counter("replacement_misses")
+    # Higher associativity never increases conflict misses on this
+    # workload (same capacity).
+    assert misses[2] <= misses[1]
+    assert misses[4] <= misses[2]
 
 
 def test_compare_protocols_metrics_consistent():

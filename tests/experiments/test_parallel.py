@@ -1,4 +1,4 @@
-"""Parallel experiment runner: determinism, error capture, bench harness.
+"""Parallel experiment runner: determinism and error capture.
 
 The core guarantee under test: for a fixed (workload, seed, config), a
 run produces identical observables every time — serially, repeated in
@@ -12,15 +12,6 @@ import math
 import pytest
 
 from repro.core.policy import ProtocolPolicy
-from repro.experiments.bench import (
-    BENCH_SCHEMA,
-    compare_bench_results,
-    figure5_suite,
-    load_bench,
-    render_bench,
-    run_bench_suite,
-    write_bench,
-)
 import repro.experiments.parallel as parallel
 from repro.experiments.parallel import (
     RunSpec,
@@ -168,30 +159,6 @@ def test_execution_time_ratio_nan_for_empty_runs():
         workload="x", wi=_empty_result(150), ad=_empty_result(100)
     )
     assert real.execution_time_ratio == pytest.approx(1.5)
-
-
-def test_bench_suite_snapshot_and_diff(tmp_path):
-    doc = run_bench_suite(preset="tiny")
-    assert doc["schema"] == BENCH_SCHEMA
-    assert len(doc["runs"]) == len(figure5_suite("tiny")) == 8
-    for run in doc["runs"]:
-        assert run["events_processed"] > 0
-        assert run["execution_time"] > 0
-        assert run["counters"]
-
-    target = write_bench(doc, tmp_path / "BENCH_test.json")
-    loaded = load_bench(target)
-    assert loaded == json.loads(json.dumps(doc))  # round-trips as JSON
-
-    assert "mp3d/AD" in render_bench(doc)
-    assert compare_bench_results(loaded, doc) == []
-
-
-def test_load_bench_rejects_unknown_schema(tmp_path):
-    bogus = tmp_path / "bogus.json"
-    bogus.write_text(json.dumps({"schema": "other/9"}))
-    with pytest.raises(ValueError, match="schema"):
-        load_bench(bogus)
 
 
 def test_freeze_value_round_trips_and_ignores_insertion_order():

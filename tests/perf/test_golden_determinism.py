@@ -2,18 +2,28 @@
 
 ``golden_tiny.json`` records every deterministic observable (execution
 time, event count, traffic, all protocol counters, per-kind message
-counts) of the MP3D and Cholesky tiny runs under the full protocol
-family.  The W-I and AD entries were captured before the event-core
+counts) of tiny runs: MP3D and Cholesky under the full protocol family,
+and Water and LU under W-I and AD, so that the tiny Figure-5 sweep (the
+four paper benchmarks under W-I and AD) is pinned whole.  The MP3D and
+Cholesky W-I and AD entries were captured before the event-core
 overhaul and have survived it and the protocol-framework refactor
 unchanged; the MESI/Dragon/Hybrid entries pin the new protocols from
 their first release.  Any optimization of the simulator's hot paths —
 queue layout, message pooling, counter storage — must reproduce these
 numbers exactly; a mismatch means simulated *behaviour* changed, not
-just speed.
+just speed.  ``report_default.txt`` (``test_report_golden.py``) pins
+the default-preset numbers the same way.
 
 Refreshing the goldens is a deliberate act (a protocol or timing-model
-change): regenerate each entry with the spec below and explain the delta
-in the commit message.
+change): regenerate an entry from the repo root with
+
+    PYTHONPATH=src python - <<'EOF'
+    import json
+    from tests.perf.test_golden_determinism import observe
+    print(json.dumps(observe("water/AD"), indent=2, sort_keys=True))
+    EOF
+
+and explain the delta in the commit message.
 """
 
 import json
@@ -39,15 +49,14 @@ def _golden():
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("label", sorted(_golden()))
-def test_golden_run_matches(label):
-    want = _golden()[label]
+def observe(label):
+    """Every golden observable of the tiny run ``<workload>/<policy>``."""
     workload, policy_name = label.split("/")
     spec = RunSpec.make(
         workload, POLICIES[policy_name], preset="tiny", check_coherence=True
     )
     result = execute_spec(spec).unwrap()
-    got = {
+    return {
         "execution_time": result.execution_time,
         "events_processed": result.events_processed,
         "network_bits": result.network_bits,
@@ -55,6 +64,12 @@ def test_golden_run_matches(label):
         "counters": result.counters.as_dict(),
         "count_by_kind": result.count_by_kind,
     }
+
+
+@pytest.mark.parametrize("label", sorted(_golden()))
+def test_golden_run_matches(label):
+    want = _golden()[label]
+    got = observe(label)
     for key, expected in want.items():
         assert got[key] == expected, (
             f"{label}: {key} diverged from golden "

@@ -1,10 +1,10 @@
 """CLI tests (fast paths only)."""
 
 import json
-from pathlib import Path
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 
 
@@ -50,7 +50,7 @@ def test_unknown_protocol_rejected():
 def test_parser_has_all_subcommands():
     parser = build_parser()
     text = parser.format_help()
-    for sub in ("run", "compare", "table1", "report", "bench", "list",
+    for sub in ("run", "compare", "table1", "report", "list",
                 "figure5", "serve", "cache"):
         assert sub in text
 
@@ -106,22 +106,24 @@ def test_compare_command_workers(capsys):
     assert "execution-time ratio" in capsys.readouterr().out
 
 
-def test_bench_command_quick(tmp_path, capsys):
-    target = tmp_path / "BENCH_smoke.json"
-    baseline = Path(__file__).resolve().parents[1] / "BENCH_2026-08-08.json"
-    code = main(["bench", "--quick", "--output", str(target),
-                 "--against", str(baseline)])
-    assert code == 0
-    assert "simulation results identical" in capsys.readouterr().out
-    doc = json.loads(target.read_text())
-    assert doc["schema"] == "repro-bench/1"
-    assert len(doc["runs"]) == 8
-    assert not doc.keys() & {
-        "speedup", "serial_wall_time_s", "parallel_wall_time_s",
-        "events_per_sec_serial",
-    }
-    for run in doc["runs"]:
-        assert not run.keys() & {"wall_time_s", "events_per_sec"}
+def test_report_command_prints_the_report_then_one_cache_footer(
+    monkeypatch, capsys
+):
+    stores = []
+
+    def fake_report(**kwargs):
+        stores.append(kwargs["store"])
+        return "REPORT"
+
+    monkeypatch.setattr(repro.cli, "full_report", fake_report)
+    # With --no-cache, stdout is the report alone (the committed golden).
+    assert main(["report", "--no-cache"]) == 0
+    assert capsys.readouterr().out == "REPORT\n"
+    assert main(["report"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("REPORT\n\nresult cache: 0 hits / 0 misses")
+    assert out.count("result cache") == 1
+    assert stores[0] is None and stores[1] is not None
 
 
 def test_verify_command(capsys):

@@ -53,7 +53,6 @@ def test_cli_and_daemon_do_not_import_the_simulator():
         "repro.coherence.directory",
         "repro.experiments.figure5",
         "repro.experiments.ablations",
-        "repro.experiments.bench",
         "repro.experiments.chaos",
         "repro.obs.tracer",
         "asyncio",

@@ -60,8 +60,10 @@ def test_ad_three_ops_reaches_migratory_uncached():
 
 def test_ad_three_caches_exploration_clean():
     result = explore(ProtocolModel(3, 2, ProtocolPolicy.adaptive_default()))
-    assert result.states_explored > 50_000
+    assert result.states_explored > 100_000
     assert result.final_states > 0
+    # All five directory states are reachable.
+    assert {shape[0] for shape in result.state_shapes} == {U, SR, DR, MD, MU}
 
 
 @pytest.mark.parametrize(

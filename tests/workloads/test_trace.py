@@ -82,3 +82,21 @@ def test_replay_of_benchmark_trace_is_coherent():
     assert any(
         op[0] == OP_MARK for trace in recorded.traces for op in trace
     )
+
+
+def test_trace_driven_estimate_differs_at_default_preset():
+    """Section 4.1 at the default preset: both methodologies see AD win,
+    but the W-I schedule frozen in the trace biases the estimate."""
+    wi_config = MachineConfig.dash_default(check_coherence=False)
+    ad_config = wi_config.with_(policy=ProtocolPolicy.adaptive_default())
+    recorded = record_run(
+        wi_config, make_workload("cholesky", 16, "default").programs()
+    )
+    trace_ad = recorded.replay(ad_config)
+    native_ad = Machine(ad_config).run(
+        make_workload("cholesky", 16, "default").programs()
+    )
+    wi_time = recorded.result.execution_time
+    assert wi_time / trace_ad.execution_time > 1.05
+    assert wi_time / native_ad.execution_time > 1.05
+    assert trace_ad.execution_time != native_ad.execution_time
