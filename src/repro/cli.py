@@ -226,8 +226,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         run_server(
             store, workers=workers, host=args.host, port=args.port,
-            cell_timeout=args.cell_timeout, job_timeout=args.job_timeout,
-            max_attempts=args.max_attempts, faults=faults,
+            cell_timeout=args.cell_timeout, max_attempts=args.max_attempts,
+            faults=faults,
         )
     except KeyboardInterrupt:
         pass  # interrupted before run_server took over SIGINT
@@ -467,20 +467,18 @@ def _cmd_bus(args: argparse.Namespace) -> int:
     config = SnoopyConfig(
         num_processors=args.processors,
         policy=policy,
-        protocol=args.base,
         check_coherence=not args.no_check,
     )
     machine = SnoopyMachine(config)
     workload = make_workload(args.workload, args.processors, args.preset)
     result = machine.run(workload.programs())
     print(f"workload:         {args.workload} on {args.processors}-way bus")
-    print(f"protocol:         {args.base} / {policy.name}")
+    print(f"protocol:         {policy.name}")
     print(f"execution time:   {result.execution_time} pclocks")
     print(f"bus transactions: {result.bus_transactions}")
     print(f"bus traffic:      {result.bus_bits} bits")
     print(f"bus utilization:  {result.bus_utilization:.1%}")
-    for counter in ("rxq_received", "nominations", "migrating_promotions",
-                    "updates_broadcast"):
+    for counter in ("rxq_received", "nominations", "migrating_promotions"):
         print(f"  {counter:<22}{result.counter(counter)}")
     return 0
 
@@ -674,9 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
     bus_p.add_argument("workload", choices=sorted(WORKLOADS))
     bus_p.add_argument("--protocol", default="AD",
                        help="W-I or AD (coherence policy)")
-    bus_p.add_argument("--base", default="invalidate",
-                       choices=("invalidate", "update"),
-                       help="base snoopy protocol")
     bus_p.add_argument("--processors", type=int, default=8)
     bus_p.add_argument("--preset", default="tiny")
     bus_p.add_argument("--no-check", action="store_true")
@@ -736,10 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "run_many(timeout=): an overrun kills the "
                               "worker and requeues the cell, which fails as "
                               "CellTimeout after --max-attempts attempts")
-    serve_p.add_argument("--job-timeout", type=float, default=None,
-                         metavar="SEC",
-                         help="per-job deadline; on expiry the job's "
-                              "unstarted cells are cancelled")
     serve_p.add_argument("--max-attempts", type=int, default=3,
                          help="attempts per cell, as run_many(max_attempts=): "
                               "a lost worker or deadline overrun costs one; "

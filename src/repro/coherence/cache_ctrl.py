@@ -581,12 +581,7 @@ class CacheController:
             else:
                 self.write(block * line_bytes, callback)
         for fwd in deferred:
-            # The MSHR owned this forward; handling may re-defer it onto a
-            # new MSHR (re-retaining it), otherwise recycle it.
-            fwd.retained = False
             self.handle(fwd)
-            if not fwd.retained:
-                fwd.release()
 
     # ------------------------------------------------------------------
     # External requests
@@ -649,7 +644,6 @@ class CacheController:
             return
         mshr = self.mshrs.get(block)
         if mshr is not None:
-            msg.retained = True
             mshr.deferred.append(msg)
             return
         index = cache.find(block)
@@ -728,7 +722,6 @@ class CacheController:
             return
         mshr = self.mshrs.get(block)
         if mshr is not None:
-            msg.retained = True
             mshr.deferred.append(msg)
             return
         index = cache.find(block)

@@ -402,7 +402,6 @@ class DirectoryController:
     def _on_rr(self, row: int, msg: CoherenceMessage) -> None:
         self._c_rr_received.inc()
         if self._busy[row]:
-            msg.retained = True
             self._pending_of(row).append(msg)
         else:
             self._process_read(row, msg)
@@ -410,7 +409,6 @@ class DirectoryController:
     def _on_rxq(self, row: int, msg: CoherenceMessage) -> None:
         self._c_rxq_received.inc()
         if self._busy[row]:
-            msg.retained = True
             self._pending_of(row).append(msg)
         else:
             self._process_read_exclusive(row, msg)
@@ -418,7 +416,6 @@ class DirectoryController:
     def _on_wu(self, row: int, msg: CoherenceMessage) -> None:
         self._c_wu_received.inc()
         if self._busy[row]:
-            msg.retained = True
             self._pending_of(row).append(msg)
         else:
             self._process_write_update(row, msg)
@@ -786,7 +783,6 @@ class DirectoryController:
         for_write: bool = False,
     ) -> None:
         self._busy[row] = 1
-        msg.retained = True
         self._inflight[row] = (msg, demote)
         done = self.memory.directory_access(self.sim.now)
         self._send_at(
@@ -804,7 +800,6 @@ class DirectoryController:
         self._busy[row] = 1
         self._awaiting[row] = 1
         self._inflight[row] = None
-        msg.retained = True
         self._pending_of(row).appendleft(msg)
 
     def _check_inflight(
@@ -824,12 +819,7 @@ class DirectoryController:
 
     def _complete(self, row: int) -> None:
         self._busy[row] = 0
-        inflight = self._inflight[row]
-        if inflight is not None:
-            done = inflight[0]
-            self._inflight[row] = None
-            done.retained = False
-            done.release()
+        self._inflight[row] = None
         self._drain(row)
 
     def _drain(self, row: int) -> None:
@@ -838,13 +828,7 @@ class DirectoryController:
             return
         busy = self._busy
         while pending and not busy[row]:
-            msg = pending.popleft()
-            # The queue owned this message; _process re-retains it if the
-            # transaction forwards (or re-queues), otherwise recycle it.
-            msg.retained = False
-            self._process(row, msg)
-            if not msg.retained:
-                msg.release()
+            self._process(row, pending.popleft())
 
     def _record_inval_count(
         self, count: int, block: Optional[int] = None, requester: Optional[int] = None

@@ -33,31 +33,19 @@ enum into a frozenset.  ``kind.index``/``kind.net_idx`` are the keys into
 the transport's kind-indexed accounting arrays and mesh table — per-event
 dispatch is index arithmetic, not dict lookups.
 
-:class:`CoherenceMessage` is a standalone ``__slots__`` class (it no
-longer inherits :class:`~repro.network.message.NetworkMessage`, whose
-``__init__`` chain cost a second Python call per message; it keeps the
-same attribute surface) with a free-list pool: the transport recycles a
-message once its handler has consumed it (see ``retained`` below), so
-steady-state simulation allocates almost no message objects.
-
-Pool debugging
---------------
-
-Set ``REPRO_POOL_DEBUG=1`` (read at import time) to count every
-construction and release and track live/free high-water marks.
-:func:`pool_stats` reports them and :func:`pool_check` raises
-:class:`PoolLeakError` on retain/release imbalance — the machine calls it
-at clean simulation end.  The counters cost one global-bool branch per
-message when disabled.
+:class:`CoherenceMessage` is a standalone ``__slots__`` class (it does
+not inherit :class:`~repro.network.message.NetworkMessage`, whose
+``__init__`` chain would cost a second Python call per message).  A
+message is plain data: queues and latches hold it as long as they need
+it, and reference counting frees it after the last one drops it.
 """
 
 from __future__ import annotations
 
 import enum
-import os
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.network.message import DATA_BITS, HEADER_BITS, _msg_ids
+from repro.network.message import DATA_BITS, HEADER_BITS
 
 __all__ = [
     "CoherenceMessage",
@@ -66,17 +54,12 @@ __all__ = [
     "KINDS_BY_INDEX",
     "MsgKind",
     "NUM_KINDS",
-    "POOL_DEBUG",
-    "PoolLeakError",
     "REPLY_NET",
     "REPLY_NET_IDX",
     "REPLY_NET_KINDS",
     "REQUEST_NET",
     "REQUEST_NET_IDX",
     "message_bits",
-    "pool_check",
-    "pool_outstanding",
-    "pool_stats",
 ]
 
 #: Mesh names (mirrored by repro.network.interface, which re-exports them;
@@ -203,34 +186,8 @@ def message_bits(kind: MsgKind) -> int:
     return kind.bits
 
 
-class PoolLeakError(RuntimeError):
-    """Raised by :func:`pool_check` when message retain/release counts
-    don't balance at the end of a simulation (``REPRO_POOL_DEBUG=1``)."""
-
-
-#: Whether pool accounting is active (env ``REPRO_POOL_DEBUG``, read once
-#: at import so the per-message cost is a single global-bool branch).
-POOL_DEBUG = os.environ.get("REPRO_POOL_DEBUG", "") not in ("", "0")
-
-# Debug counters (only maintained when POOL_DEBUG; all monotone except the
-# derived live count).
-_pool_acquired = 0
-_pool_released = 0
-_pool_live_high = 0
-_pool_free_high = 0
-
-
 class CoherenceMessage:
-    """A protocol message; ``src``/``dst`` are node ids.
-
-    Pooling contract: messages are created with the normal constructor
-    (which transparently reuses a free-listed instance when one exists)
-    and returned to the pool by :meth:`release`.  Code that stores a
-    message past the handler that received it — directory pending queues,
-    in-flight transaction latches, MSHR deferred lists — must set
-    ``retained = True`` so the transport's dispatch loop leaves it alive;
-    whoever later consumes the message clears the flag and releases it.
-    """
+    """A protocol message; ``src``/``dst`` are node ids."""
 
     __slots__ = (
         # NetworkMessage-compatible surface (flattened into this class so
@@ -238,7 +195,6 @@ class CoherenceMessage:
         "src",
         "dst",
         "bits",
-        "uid",
         "sent_at",
         "delivered_at",
         # Protocol payload.
@@ -250,27 +206,13 @@ class CoherenceMessage:
         "for_write",
         "miack_needed",
         "src_is_cache",
-        "retained",
         "trace",
     )
-
-    #: Free list of recycled instances (class-level, bounded).
-    _free: List["CoherenceMessage"] = []
-    _MAX_FREE = 1024
-
-    def __new__(cls, *args, **kwargs):
-        if cls is CoherenceMessage:
-            free = cls._free
-            if free:
-                return free.pop()
-        return object.__new__(cls)
 
     def __init__(
         self,
         src: int = 0,
         dst: int = 0,
-        bits: int = 0,  # ignored: derived from kind
-        uid: Optional[int] = None,
         sent_at: Optional[int] = None,
         delivered_at: Optional[int] = None,
         kind: MsgKind = MsgKind.RR,
@@ -291,16 +233,12 @@ class CoherenceMessage:
         src_is_cache: bool = True,
         #: Transaction trace id (0 = untraced).  Responses produced on
         #: behalf of a traced request copy the id forward so the tracer
-        #: can follow the transaction across controllers; the pool resets
-        #: it on every reuse, so a recycled message can never leak an old
-        #: transaction's id.
+        #: can follow the transaction across controllers.
         trace: int = 0,
     ) -> None:
         self.src = src
         self.dst = dst
         self.bits = kind.bits
-        #: Monotone id used only for deterministic tie-breaking and debugging.
-        self.uid = next(_msg_ids) if uid is None else uid
         #: Filled in by the mesh on delivery (for latency statistics).
         self.sent_at = sent_at
         self.delivered_at = delivered_at
@@ -312,31 +250,7 @@ class CoherenceMessage:
         self.for_write = for_write
         self.miack_needed = miack_needed
         self.src_is_cache = src_is_cache
-        self.retained = False
         self.trace = trace
-        if POOL_DEBUG:
-            global _pool_acquired, _pool_live_high
-            _pool_acquired += 1
-            live = _pool_acquired - _pool_released
-            if live > _pool_live_high:
-                _pool_live_high = live
-
-    def release(self) -> None:
-        """Return this instance to the free list (caller forfeits it)."""
-        if type(self) is not CoherenceMessage:
-            return
-        if POOL_DEBUG:
-            global _pool_released, _pool_free_high
-            _pool_released += 1
-        free = CoherenceMessage._free
-        if len(free) < self._MAX_FREE:
-            free.append(self)
-            if POOL_DEBUG and len(free) > _pool_free_high:
-                _pool_free_high = len(free)
-
-    def flits(self, link_bits: int) -> int:
-        """Number of flits on a ``link_bits``-wide link (header-rounded)."""
-        return -(-self.bits // link_bits)  # ceil division
 
     @property
     def carries_data(self) -> bool:
@@ -354,61 +268,4 @@ class CoherenceMessage:
         return (
             f"<{self.kind.value} blk={self.block} {self.src}->{self.dst}"
             f" req={self.requester} v={self.version}>"
-        )
-
-
-def pool_stats() -> Dict[str, object]:
-    """Current free-list / debug-counter state.
-
-    ``free_size`` is always meaningful; the acquire/release counters and
-    high-water marks are only maintained under ``REPRO_POOL_DEBUG=1``
-    (``None`` otherwise).
-    """
-    if POOL_DEBUG:
-        return {
-            "debug": True,
-            "free_size": len(CoherenceMessage._free),
-            "acquired": _pool_acquired,
-            "released": _pool_released,
-            "outstanding": _pool_acquired - _pool_released,
-            "live_high_water": _pool_live_high,
-            "free_high_water": _pool_free_high,
-        }
-    return {
-        "debug": False,
-        "free_size": len(CoherenceMessage._free),
-        "acquired": None,
-        "released": None,
-        "outstanding": None,
-        "live_high_water": None,
-        "free_high_water": None,
-    }
-
-
-def pool_outstanding() -> Optional[int]:
-    """Messages constructed but not yet released (None unless debugging)."""
-    if POOL_DEBUG:
-        return _pool_acquired - _pool_released
-    return None
-
-
-def pool_check(baseline_outstanding: int, context: str = "") -> None:
-    """Raise :class:`PoolLeakError` if outstanding messages grew past
-    ``baseline_outstanding`` (the count snapshotted before the run).
-
-    No-op unless ``REPRO_POOL_DEBUG=1``.  A *clean* simulation end must
-    release every message it constructed; a positive delta means some
-    handler retained a message and never released it (a negative delta
-    means a double release).
-    """
-    if not POOL_DEBUG:
-        return
-    delta = (_pool_acquired - _pool_released) - baseline_outstanding
-    if delta != 0:
-        direction = "leaked" if delta > 0 else "double-released"
-        raise PoolLeakError(
-            f"message pool imbalance{f' in {context}' if context else ''}: "
-            f"{abs(delta)} message(s) {direction} "
-            f"(acquired={_pool_acquired}, released={_pool_released}, "
-            f"baseline outstanding={baseline_outstanding})"
         )

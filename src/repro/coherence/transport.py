@@ -166,7 +166,6 @@ class Transport:
         self._inflight.pop(id(msg), None)
         tracer = self.tracer
         if tracer is not None and msg.trace:
-            # Before the handler: it may consume and recycle the message.
             tracer.on_dispatch(msg, self.sim.now)
         handlers = (
             self._directory_handlers if msg.kind.to_directory else self._cache_handlers
@@ -178,11 +177,6 @@ class Transport:
                 f"for node {msg.dst}"
             )
         handler(msg)
-        # Pooling: a handler that stores the message past this dispatch
-        # (directory pending/inflight, MSHR deferred) marks it retained;
-        # everything else is consumed and recycled here.
-        if not msg.retained:
-            msg.release()
 
     # ------------------------------------------------------------------
     # Statistics

@@ -119,15 +119,3 @@ def run_bandwidth_sweep(
         for width, (wi, ad) in zip(link_widths, pairs)
     ]
 
-
-def render_bandwidth_sweep(points: List[BandwidthPoint], workload: str = "mp3d") -> str:
-    lines = [
-        f"Ablation: link-width sweep ({workload}); AD's edge grows as links narrow",
-        f"{'link bits':>10}{'T(W-I)':>12}{'T(AD)':>12}{'ETR':>8}",
-    ]
-    for point in points:
-        lines.append(
-            f"{point.link_bits:>10}{point.wi_time:>12}{point.ad_time:>12}"
-            f"{point.etr:>8.2f}"
-        )
-    return "\n".join(lines)

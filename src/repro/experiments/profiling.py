@@ -22,7 +22,6 @@ Artifact schema (``repro-profile/1``)::
         {"subsystem": "engine", "tottime_s": 0.4, "ncalls": 120000,
          "share": 0.33}, ...
       ],
-      "pool": {"pool_size": 64, "live_high_water": 41, ...},
       "hotspots": [
         {"function": "...", "file": "...", "line": 123,
          "ncalls": 1000, "tottime_s": 0.5, "cumtime_s": 0.7}, ...
@@ -31,9 +30,7 @@ Artifact schema (``repro-profile/1``)::
 
 The ``subsystems`` table attributes *self* time per simulator layer
 (engine / transport / cache / directory / network / ...), so the shares
-sum to roughly the wall time.  ``pool`` reports the message-pool census;
-its retain/release balance fields are populated only under
-``REPRO_POOL_DEBUG=1``.
+sum to roughly the wall time.
 """
 
 from __future__ import annotations
@@ -158,10 +155,6 @@ def profile_run(
         for label in sorted(sub_time, key=lambda k: -sub_time[k])
     ]
 
-    # Message-pool census: size/high-water always; retain/release balance
-    # only when REPRO_POOL_DEBUG=1 maintained the counters.
-    from repro.coherence.messages import pool_stats
-
     events = result.events_processed
     # Record everything needed to reproduce the run: a profile artifact
     # read months later must answer "what exactly was measured?" itself.
@@ -189,7 +182,6 @@ def profile_run(
         "events_per_sec": int(events / wall) if wall > 0 else None,
         "execution_time": result.execution_time,
         "subsystems": subsystems,
-        "pool": pool_stats(),
         "hotspots": hotspots,
     }
 
@@ -215,21 +207,6 @@ def render_profile_doc(doc: dict) -> str:
             lines.append(
                 f"{row['subsystem']:<11} {row['tottime_s']:>9.4f}  "
                 f"{row['share']:>6.1%}  {row['ncalls']:>12,}"
-            )
-    pool = doc.get("pool")
-    if pool:
-        if pool.get("debug"):
-            lines.append(
-                f"message pool: {pool['acquired']:,} acquired / "
-                f"{pool['released']:,} released "
-                f"(outstanding {pool['outstanding']}), "
-                f"high water {pool['live_high_water']:,} live / "
-                f"{pool['free_high_water']:,} free"
-            )
-        else:
-            lines.append(
-                f"message pool: free-list size {pool['free_size']:,} "
-                "(set REPRO_POOL_DEBUG=1 for retain/release accounting)"
             )
     lines.append("")
     lines.append(f"{'ncalls':>10}  {'tottime':>9}  {'cumtime':>9}  function")

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Iterator, List, Optional
 from repro.coherence.cache_ctrl import CacheController
 from repro.coherence.checker import CoherenceChecker
 from repro.coherence.directory import DirectoryController
-from repro.coherence.messages import pool_check, pool_outstanding
 from repro.coherence.transport import Transport
 from repro.cpu.ops import Op
 from repro.cpu.processor import Processor
@@ -165,10 +164,6 @@ class Machine:
             raise ValueError(
                 f"need {self.config.num_nodes} programs, got {len(programs)}"
             )
-        # Leak guard (REPRO_POOL_DEBUG=1): every message retained past its
-        # dispatch must be released by the end of a clean run, so any
-        # retain/release imbalance accumulated by *this* run is a leak.
-        pool_baseline = pool_outstanding()
         try:
             for processor, program in zip(self.processors, programs):
                 processor.start(program)
@@ -183,11 +178,6 @@ class Machine:
                     "finished (protocol or synchronization deadlock)\n"
                     + dump.render(),
                     dump=dump,
-                )
-            if pool_baseline is not None:
-                pool_check(
-                    pool_baseline,
-                    context=f"clean end of run ({self.config.policy.name})",
                 )
             return self._result()
         finally:

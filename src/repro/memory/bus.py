@@ -43,12 +43,6 @@ class LocalBus:
         #: by raising this.
         self.slowdown = 1
 
-    def beats_for(self, bits: int) -> int:
-        """Number of bus beats for a payload of ``bits`` (at least one)."""
-        if bits <= 0:
-            return 1
-        return -(-bits // self.width_bits)
-
     def transact(self, earliest: int, bits: int = 0) -> int:
         """Reserve one bus transaction; return its completion time.
 

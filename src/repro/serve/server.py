@@ -73,10 +73,8 @@ lock (the log sink's, say) could deadlock the child.  A finished
 attempt's future wakes the loop by writing a byte to a socket pair, the
 only cross-thread step; :meth:`ExperimentServer.close` does the same.
 
-``job_timeout`` bounds a whole job: on expiry its still-unstarted cells
-are cancelled.  A :class:`~repro.serve.faults.ServeFaultPlan` makes the
-recovery paths chaos-testable with seeded worker kills and dropped
-stream frames.
+A :class:`~repro.serve.faults.ServeFaultPlan` makes the recovery paths
+chaos-testable with seeded worker kills and dropped stream frames.
 """
 
 from __future__ import annotations
@@ -113,6 +111,8 @@ MAX_LENGTH_DIGITS = 20
 
 #: Cell statuses that never change again.
 TERMINAL = ("done", "cached", "failed", "cancelled")
+#: Why a cell went ``cancelled``: ``DELETE /jobs/<id>`` is the one way.
+CANCEL_REASON = "cancelled by client"
 
 
 class BadRequest(ValueError):
@@ -191,7 +191,6 @@ class ExperimentServer:
         port: int = 8787,
         *,
         cell_timeout: Optional[float] = None,
-        job_timeout: Optional[float] = None,
         max_attempts: int = 3,
         faults: Optional[ServeFaultPlan] = None,
         registry: Optional[obs_metrics.MetricsRegistry] = None,
@@ -200,7 +199,6 @@ class ExperimentServer:
         self.workers = max(1, workers)
         self.host = host
         self.port = port
-        self.job_timeout = job_timeout
         self.faults = faults
         self.cells: Dict[str, Cell] = {}
         self.jobs: Dict[str, Job] = {}
@@ -453,9 +451,6 @@ class ExperimentServer:
                 self._waiters.setdefault(key, []).append(job)
         if not job.waiting:
             self._finish_job(job)
-        elif self.job_timeout is not None:
-            self._call_later(self.job_timeout, lambda: self.cancel_job(
-                job, reason=f"job exceeded the {self.job_timeout}s deadline"))
         return job
 
     def _started(self, cell: Cell) -> None:
@@ -534,7 +529,7 @@ class ExperimentServer:
                   total=len(job.keys), cancelled=job.cancelled)
         self._push(job)
 
-    def cancel_job(self, job: Job, reason: str = "cancelled by client") -> None:
+    def cancel_job(self, job: Job) -> None:
         """Abandon the job's not-yet-running cells (unless shared).
 
         Running cells complete normally — their simulation work is kept
@@ -547,7 +542,7 @@ class ExperimentServer:
         job.cancelled = True
         self.cancelled_jobs += 1
         log_event("serve", "job_cancelled", level="warning", job=job.id,
-                  cid=job.cid or None, reason=reason)
+                  cid=job.cid or None, reason=CANCEL_REASON)
         shared: Set[str] = set()
         for other in self.jobs.values():
             if other.id != job.id and not other.cancelled:
@@ -557,7 +552,7 @@ class ExperimentServer:
             if key in shared or cell.status not in ("queued", "backoff"):
                 continue
             cell.status = "cancelled"
-            cell.last_error = reason
+            cell.last_error = CANCEL_REASON
             self._m_cells_terminal.labels(status="cancelled").inc()
             self._report(cell)
 
@@ -600,7 +595,6 @@ class ExperimentServer:
             ),
             "resilience": {
                 "cell_timeout": self.pool.timeout,
-                "job_timeout": self.job_timeout,
                 "max_attempts": self.pool.max_attempts,
             },
         }
@@ -907,7 +901,6 @@ def run_server(
     port: int = 8787,
     *,
     cell_timeout: Optional[float] = None,
-    job_timeout: Optional[float] = None,
     max_attempts: int = 3,
     faults: Optional[ServeFaultPlan] = None,
 ) -> None:
@@ -922,7 +915,6 @@ def run_server(
         host=host,
         port=port,
         cell_timeout=cell_timeout,
-        job_timeout=job_timeout,
         max_attempts=max_attempts,
         faults=faults,
     )
@@ -932,8 +924,6 @@ def run_server(
         resilience = f"max_attempts={server.pool.max_attempts}"
         if cell_timeout is not None:
             resilience += f", cell_timeout={cell_timeout}s"
-        if job_timeout is not None:
-            resilience += f", job_timeout={job_timeout}s"
         if faults is not None:
             resilience += ", FAULT INJECTION ON"
         print(

@@ -6,5 +6,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".bus": ("BusOp", "BusTiming", "SnoopBus", "transaction_bits"),
     ".machine": ("SnoopyConfig", "SnoopyMachine", "SnoopyRunResult"),
     ".protocol": ("BlockInfo", "SnoopyCache", "SnoopySystemState"),
-    ".update": ("WriteUpdateCache",),
 })

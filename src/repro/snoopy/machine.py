@@ -36,9 +36,6 @@ class SnoopyConfig:
     bus_timing: BusTiming = field(default_factory=BusTiming)
     policy: ProtocolPolicy = field(default_factory=ProtocolPolicy.write_invalidate)
     consistency: ConsistencyModel = SEQUENTIAL_CONSISTENCY
-    #: "invalidate" (W-I base, optionally adaptive via ``policy``) or
-    #: "update" (Dragon-style write-update — the contrast baseline).
-    protocol: str = "invalidate"
     check_coherence: bool = True
     #: Progress watchdog window in pclocks (None = disabled); see
     #: :class:`~repro.machine.config.MachineConfig.watchdog_window`.
@@ -76,16 +73,8 @@ class SnoopyMachine:
         self.system = SnoopySystemState(
             self.sim, self.bus, cfg.policy, self.checker, self.counters
         )
-        if cfg.protocol == "invalidate":
-            cache_cls = SnoopyCache
-        elif cfg.protocol == "update":
-            from repro.snoopy.update import WriteUpdateCache
-
-            cache_cls = WriteUpdateCache
-        else:
-            raise ValueError(f"unknown snoopy protocol {cfg.protocol!r}")
         self.caches = [
-            cache_cls(
+            SnoopyCache(
                 n,
                 self.system,
                 CacheArray(cfg.cache_size, cfg.line_size, cfg.associativity),

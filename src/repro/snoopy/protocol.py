@@ -68,8 +68,7 @@ class SnoopySystemState:
             "write_upgrades", "migrating_promotions", "rr_received",
             "rxq_received", "nominations", "rxq_demotions", "nomig_reverts",
             "migratory_reads", "invalidations_sent", "writebacks",
-            "evictions_clean", "updates_broadcast", "copies_updated",
-            "write_updates",
+            "evictions_clean",
         ):
             setattr(self, "c_" + name, counters.handle(name))
         #: Gupta-Weber invalidation histogram, one handle per bucket (0-4).

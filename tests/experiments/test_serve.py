@@ -419,6 +419,23 @@ def test_serve_delete_cancels_queued_cells_and_resubmit_revives(tmp_path):
         assert set(status.values()) <= {"queued", "running"}
 
 
+def test_serve_delete_keeps_a_queued_cell_another_job_shares(tmp_path):
+    """Cancelling a job abandons only the queued cells no other live job
+    references: a shared one stays queued and runs for the other job."""
+    with running_server(ResultStore(tmp_path / "cache"), workers=1) as srv:
+        client = ServeClient(f"http://127.0.0.1:{srv.port}")
+        # One slot: the hang occupies it, so the shared cell waits queued.
+        shared = tiny_specs()[0]
+        job_a = client.submit_specs([_hang_spec(seed=9, seconds=0.75), shared])
+        job_b = client.submit_specs([shared])
+        cancelled = client.cancel(job_a["job"])
+        assert cancelled["cancelled"]
+        assert cancelled["cells"][1]["status"] == "queued"
+        assert "cancelled" not in cancelled["counts"]
+        [cell] = client.wait(job_b["job"], timeout=60)["cells"]
+        assert cell["status"] == "done"
+
+
 def test_serve_stream_resumes_across_dropped_frames(tmp_path):
     faults = ServeFaultPlan(seed=5, drop_frame_fraction=1.0, max_drops=2)
     with running_server(ResultStore(tmp_path / "cache"), faults=faults) as srv:

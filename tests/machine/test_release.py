@@ -63,15 +63,10 @@ def test_finished_run_leaves_no_cycles(protocol, option):
     assert _cyclic_garbage(scenario) == 0
 
 
-@pytest.mark.parametrize("protocol", ("invalidate", "update"))
-def test_snoopy_run_leaves_no_cycles(protocol):
+def test_snoopy_run_leaves_no_cycles():
     def scenario():
         machine = SnoopyMachine(
-            SnoopyConfig(
-                num_processors=4,
-                protocol=protocol,
-                policy=policy_for("AD" if protocol == "invalidate" else "W-I"),
-            )
+            SnoopyConfig(num_processors=4, policy=policy_for("AD"))
         )
         machine.run(make_workload("mp3d", 4, "tiny", seed=42).programs())
 

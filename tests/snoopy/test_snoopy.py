@@ -185,90 +185,6 @@ def test_wrong_program_count_rejected():
         m.run([idle()])
 
 
-# ----------------------------------------------------------------------
-# Write-update baseline (Dragon style)
-# ----------------------------------------------------------------------
-def update_machine(procs=4, **overrides):
-    return SnoopyMachine(
-        SnoopyConfig(num_processors=procs, protocol="update", **overrides)
-    )
-
-
-def test_update_write_patches_sharers_in_place():
-    m = update_machine()
-    result = seq(m, (0, Read(0)), (1, Read(0)), (2, Write(0)))
-    # Nobody is invalidated under write-update.
-    for node in (0, 1, 2):
-        line = m.caches[node].cache.lookup(0)
-        assert line is not None
-        assert line.version == 1
-    assert result.counter("updates_broadcast") == 1
-    assert result.counter("copies_updated") == 2
-
-
-def test_update_sole_writer_goes_dirty_and_writes_locally():
-    m = update_machine()
-    result = seq(m, (0, Write(0)), (0, Write(0)), (0, Write(0)))
-    assert m.caches[0].cache.lookup(0).state is CacheState.DIRTY
-    assert result.counter("updates_broadcast") == 1  # only the first write
-    assert result.counter("write_hits") == 2
-    assert m.checker.latest[0] == 3
-
-
-def test_update_reader_downgrades_dirty_writer():
-    m = update_machine()
-    seq(m, (0, Write(0)), (1, Read(0)), (0, Write(0)))
-    # After the read, node 0's writes broadcast again.
-    assert m.caches[1].cache.lookup(0).version == 2
-    assert m.checker.latest[0] == 2
-
-
-def test_update_coherent_under_locked_increments():
-    m = update_machine(procs=8)
-
-    def incrementer():
-        for _ in range(6):
-            yield Lock(0)
-            yield Read(4096)
-            yield Write(4096)
-            yield Unlock(0)
-
-    m.run([incrementer() for _ in range(8)])
-    assert m.checker.latest[4096 // 16] == 48
-
-
-def test_migratory_sharing_is_write_updates_worst_case():
-    """The motivation for the paper's choice of a write-invalidate base:
-    under migratory sharing, write-update broadcasts every critical-
-    section write to sharers who will never read their copies, while the
-    adaptive invalidate protocol does the whole episode with one bus
-    transaction."""
-    def incrementer():
-        for _ in range(12):
-            yield Lock(0)
-            yield Read(4096)
-            yield Write(4096)
-            yield Unlock(0)
-
-    results = {}
-    for name, cfg in (
-        ("update", SnoopyConfig(num_processors=8, protocol="update")),
-        ("wi", SnoopyConfig(num_processors=8)),
-        ("ad", SnoopyConfig(num_processors=8,
-                            policy=ProtocolPolicy.adaptive_default())),
-    ):
-        m = SnoopyMachine(cfg)
-        results[name] = m.run([incrementer() for _ in range(8)])
-    # Update keeps every processor's copy alive: every CS write is a
-    # broadcast, so it never stops paying the bus.
-    assert results["update"].counter("updates_broadcast") >= 90
-    # Adaptive invalidate is the cheapest of the three on bus occupancy.
-    def busy(r):
-        return r.bus_utilization * r.execution_time
-    assert busy(results["ad"]) < busy(results["wi"])
-    assert busy(results["ad"]) < busy(results["update"])
-
-
 def test_task_farm_bus_traffic_reduction():
     """Section 6: "the protocol is applicable to bus-based systems ... a
     primary concern is to reduce network traffic".  Eight processors
@@ -284,15 +200,13 @@ def test_task_farm_bus_traffic_reduction():
 
     results = {}
     for name, cfg in (
-        ("update", SnoopyConfig(num_processors=8, protocol="update",
-                                check_coherence=False)),
         ("wi", SnoopyConfig(num_processors=8, check_coherence=False)),
         ("ad", SnoopyConfig(num_processors=8,
                             policy=ProtocolPolicy.adaptive_default(),
                             check_coherence=False)),
     ):
         results[name] = SnoopyMachine(cfg).run([worker(p) for p in range(8)])
-    update, wi, ad = results["update"], results["wi"], results["ad"]
+    wi, ad = results["wi"], results["ad"]
 
     def busy(result):
         return result.bus_utilization * result.execution_time
@@ -302,9 +216,5 @@ def test_task_farm_bus_traffic_reduction():
     # ...reducing occupancy (the bus system's scarce resource) and time.
     assert busy(ad) < busy(wi) * 0.85
     assert ad.execution_time < wi.execution_time
-    # Write-update broadcasts every critical-section write: worst of the
-    # three on this pattern.
-    assert busy(ad) < busy(update)
-    assert update.counter("updates_broadcast") > ad.counter("rxq_received")
     # Detection stays exact: no spurious nominations beyond the records.
     assert ad.counter("nominations") <= 6 * 2

@@ -214,15 +214,6 @@ def test_bus_command(capsys):
     assert "nominations" in out
 
 
-def test_bus_update_protocol(capsys):
-    assert main(
-        ["bus", "migratory-counters", "--base", "update", "--protocol", "W-I",
-         "--no-check"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "updates_broadcast" in out
-
-
 def test_parse_size_units():
     from repro.cli import _parse_size
 
