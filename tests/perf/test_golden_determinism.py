@@ -9,7 +9,7 @@ Cholesky W-I and AD entries were captured before the event-core
 overhaul and have survived it and the protocol-framework refactor
 unchanged; the MESI/Dragon/Hybrid entries pin the new protocols from
 their first release.  Any optimization of the simulator's hot paths —
-queue layout, message pooling, counter storage — must reproduce these
+queue layout, message allocation, counter storage — must reproduce these
 numbers exactly; a mismatch means simulated *behaviour* changed, not
 just speed.  ``report_default.txt`` (``test_report_golden.py``) pins
 the default-preset numbers the same way.
