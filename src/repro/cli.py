@@ -431,12 +431,11 @@ def _cmd_sharing(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    """Exhaustively model-check the protocol."""
-    from repro.verify import ProtocolModel, explore
+    """Exhaustively model-check the cache and directory controllers."""
+    from repro.verify import Harness, explore
 
     policy = _policy_by_name(args.protocol)
-    model = ProtocolModel(num_caches=args.caches, ops=args.ops, policy=policy)
-    result = explore(model)
+    result = explore(Harness(num_caches=args.caches, ops=args.ops, policy=policy))
     print(f"protocol {policy.name}: {result.summary()}")
     print("all invariants held in every reachable state")
     return 0

@@ -116,6 +116,15 @@ class MSHR:
         self.trace = 0
 
 
+#: The MSHR fields a controller snapshot keeps (the block is its key; the
+#: issue time and trace id are not protocol state).
+_MSHR_STATE = (
+    "is_write", "is_upgrade", "is_prefetch", "data_received", "version",
+    "fill_state", "acks_expected", "acks_received", "invalidate_on_fill",
+    "miack_needed", "miack_received", "committed", "update_version",
+)
+
+
 class CacheController:
     """One node's cache + its coherence engine."""
 
@@ -884,6 +893,36 @@ class CacheController:
             "writebacks_in_flight": dict(self.wb_buffer),
             "miack_waiters": len(self._miack_waiters),
         }
+
+    def snapshot(self, block: int) -> tuple:
+        """This controller's protocol state for ``block`` as a hashable
+        value that :meth:`restore` takes back (statistics are not state,
+        nor are retirements waiting for another block's locked frame)."""
+        mshr = self.mshrs.get(block)
+        if mshr is not None:
+            mshr = (
+                tuple(getattr(mshr, name) for name in _MSHR_STATE),
+                tuple(op for op, _done in mshr.waiters),
+                tuple(msg.fields() for msg in mshr.deferred),
+            )
+        return self.cache.snapshot(block), mshr, self.wb_buffer.get(block, 0)
+
+    def restore(self, block: int, state: tuple, done: DoneCallback) -> None:
+        """Put ``block``'s state back as :meth:`snapshot` returned it;
+        ``done`` becomes each waiting operation's callback."""
+        line, mshr_state, writebacks = state
+        self.cache.restore(block, line)
+        self.mshrs.pop(block, None)
+        if mshr_state is not None:
+            fields, waiters, deferred = mshr_state
+            self.mshrs[block] = mshr = MSHR(block, False, False, self.sim.now)
+            for name, value in zip(_MSHR_STATE, fields):
+                setattr(mshr, name, value)
+            mshr.waiters = [(op, done) for op in waiters]
+            mshr.deferred = [CoherenceMessage(*msg) for msg in deferred]
+        self.wb_buffer.pop(block, None)
+        if writebacks:
+            self.wb_buffer[block] = writebacks
 
     def _on_wack(self, msg: CoherenceMessage) -> None:
         count = self.wb_buffer.get(msg.block, 0)

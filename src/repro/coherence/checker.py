@@ -121,3 +121,22 @@ class CoherenceChecker:
                 f"by node {holder}"
             )
         self._writer.pop(block, None)
+
+    def snapshot(self, block: int) -> tuple:
+        """The oracle's state for ``block``: latest version, writable
+        holder, and each node's last observed version."""
+        seen = tuple(sorted(
+            (node, version) for (node, b), version in self._seen.items()
+            if b == block
+        ))
+        return self.latest.get(block, 0), self._writer.get(block), seen
+
+    def restore(self, block: int, state: tuple) -> None:
+        """Put ``block``'s oracle state back as :meth:`snapshot` returned it."""
+        self.latest[block], writer, seen = state
+        self._writer.pop(block, None)
+        if writer is not None:
+            self._writer[block] = writer
+        for key in [key for key in self._seen if key[1] == block]:
+            del self._seen[key]
+        self._seen.update(((node, block), version) for node, version in seen)

@@ -390,6 +390,33 @@ class DirectoryController:
             )
         return out
 
+    def snapshot(self, block: int) -> tuple:
+        """``block``'s row as a hashable value that :meth:`restore` takes
+        back (the row is made on first use, like any access)."""
+        row = self._row(block)
+        inflight = self._inflight[row]
+        return (
+            self._states[row], self._owners[row], self._versions[row],
+            self._lw[row], self._upd_count[row], self._busy[row],
+            self._awaiting[row], tuple(sorted(self._sharers[row])),
+            inflight and (inflight[0].fields(), inflight[1]),
+            tuple(msg.fields() for msg in self._pending[row] or ()),
+        )
+
+    def restore(self, block: int, state: tuple) -> None:
+        """Put ``block``'s row back as :meth:`snapshot` returned it."""
+        row = self._row(block)
+        (
+            self._states[row], self._owners[row], self._versions[row],
+            self._lw[row], self._upd_count[row], self._busy[row],
+            self._awaiting[row], sharers, inflight, pending,
+        ) = state
+        self._sharers[row] = set(sharers) if sharers else _NO_SHARERS
+        self._inflight[row] = inflight and (CoherenceMessage(*inflight[0]), inflight[1])
+        self._pending[row] = (
+            deque(CoherenceMessage(*msg) for msg in pending) if pending else None
+        )
+
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------

@@ -43,7 +43,6 @@ it, and reference counting frees it after the last one drops it.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from repro.network.message import DATA_BITS, HEADER_BITS
 
@@ -213,8 +212,6 @@ class CoherenceMessage:
         self,
         src: int = 0,
         dst: int = 0,
-        sent_at: Optional[int] = None,
-        delivered_at: Optional[int] = None,
         kind: MsgKind = MsgKind.RR,
         #: Line-aligned block address the message concerns.
         block: int = 0,
@@ -240,8 +237,8 @@ class CoherenceMessage:
         self.dst = dst
         self.bits = kind.bits
         #: Filled in by the mesh on delivery (for latency statistics).
-        self.sent_at = sent_at
-        self.delivered_at = delivered_at
+        self.sent_at = None
+        self.delivered_at = None
         self.kind = kind
         self.block = block
         self.requester = requester
@@ -251,6 +248,15 @@ class CoherenceMessage:
         self.miack_needed = miack_needed
         self.src_is_cache = src_is_cache
         self.trace = trace
+
+    def fields(self) -> tuple:
+        """The constructor arguments of this message, in order:
+        ``CoherenceMessage(*msg.fields())`` builds an equal message."""
+        return (
+            self.src, self.dst, self.kind, self.block, self.requester,
+            self.version, self.n_invals, self.for_write, self.miack_needed,
+            self.src_is_cache, self.trace,
+        )
 
     @property
     def carries_data(self) -> bool:

@@ -342,3 +342,22 @@ class CacheArray:
 
     def count_valid(self) -> int:
         return sum(1 for code in self.states if code)
+
+    def snapshot(self, block: int) -> Optional[Tuple[int, int, int]]:
+        """``block``'s line as (state code, version, locked), or None."""
+        index = self.find(block)
+        if index < 0:
+            return None
+        return self.states[index], self.versions[index], self.locked[index]
+
+    def restore(self, block: int, line: Optional[Tuple[int, int, int]]) -> None:
+        """Put ``block``'s line back as :meth:`snapshot` returned it (a
+        new line takes its victim frame, which must be free)."""
+        index = self.find(block)
+        if line is None:
+            if index >= 0:
+                self.view(index).invalidate()
+            return
+        if index < 0:
+            index = self.install_index(block, line[0], line[1])
+        self.states[index], self.versions[index], self.locked[index] = line

@@ -1,8 +1,8 @@
-"""Exhaustive model checking of the coherence protocol."""
+"""Exhaustive model checking of the coherence controllers."""
 
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    ".checker": ("ExplorationResult", "StuckStateError", "explore"),
-    ".model": ("ProtocolModel", "ProtocolViolation", "State"),
+    ".checker": ("ExplorationResult", "ProtocolViolation", "StuckStateError", "explore"),
+    ".harness": ("Harness",),
 })

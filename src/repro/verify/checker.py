@@ -1,47 +1,42 @@
-"""Exhaustive state-space exploration of the protocol model.
+"""Exhaustive state-space exploration of the coherence controllers.
 
-Breadth-first search over every reachable state of
-:class:`~repro.verify.model.ProtocolModel`, checking in each state:
+Breadth-first search over every reachable state of a
+:class:`~repro.verify.harness.Harness` (the simulator's own cache and
+directory controllers over one block), checking in each state:
 
-* **single writer** — at most one cache holds the block Dirty/Migrating;
+* **single writer, multiple readers** — at most one cache holds the
+  block Dirty/Migrating, and never beside a Shared copy;
 * **value coherence** — a writable copy carries the latest committed
-  version (so the next write cannot lose an update; committing itself
-  re-checks);
-* **directory sanity** — a Dirty/Migratory-Dirty directory entry has an
-  owner; Uncached/Migratory-Uncached means no cache holds a writable
-  copy and home's version is the latest (unless messages are still in
-  flight);
-* **no stuck states** — every non-final state has at least one enabled
-  transition, and every final (quiescent) state is *clean*: channels
-  empty, no MSHRs, home not busy, and the latest version resides where
-  the directory says it should.
+  version (the controllers' ``CoherenceChecker`` checks each access too);
+* **directory sanity** — a Dirty/Migratory-Dirty entry that is not
+  mid-transaction has an owner;
+* **no stuck states** — every non-final state has an enabled step, and
+  every final (quiescent) state is drained and keeps the latest version
+  where the directory says it lives.
 
-Exploration is exhaustive for the bounded model (N caches, K ops each),
-which covers every message interleaving the channel semantics allow —
-including the races the timed test suite can only sample.
+A protocol error a controller raises during a step fails it too.  The
+search covers every message interleaving the channels allow for the
+bound (N caches, K operations each), including the races timed runs
+can only sample.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
-from repro.verify.model import (
-    D,
-    DR,
-    HOME,
-    I,
-    M,
-    MD,
-    MU,
-    ProtocolModel,
-    ProtocolViolation,
-    S,
-    SR,
-    State,
-    U,
-)
+from repro.coherence.checker import CoherenceViolation
+from repro.sim.engine import SimulationError
+from repro.verify.harness import BLOCK, Harness
+
+
+class ProtocolViolation(Exception):
+    """An invariant failed in some reachable state."""
+
+
+class StuckStateError(ProtocolViolation):
+    """A non-quiescent state has no enabled steps (deadlock)."""
 
 
 @dataclass
@@ -53,6 +48,8 @@ class ExplorationResult:
     #: Reachable (directory state, sorted cache line states) combinations —
     #: used to cross-check the timed simulator's reachable set.
     state_shapes: Set[Tuple[str, Tuple[str, ...]]] = field(default_factory=set)
+    #: The controllers' counters summed over every explored step.
+    counters: Dict[str, int] = field(default_factory=dict)
 
     def summary(self) -> str:
         return (
@@ -62,70 +59,79 @@ class ExplorationResult:
         )
 
 
-class StuckStateError(ProtocolViolation):
-    """A non-quiescent state has no enabled transitions (deadlock)."""
+def _lines(harness: Harness) -> list:
+    return [cache.cache.lookup(BLOCK) for cache in harness.caches]
 
 
-def _check_state(state: State) -> None:
-    owners = [n for n, c in enumerate(state.caches) if c.line in (D, M)]
-    if len(owners) > 1:
-        raise ProtocolViolation(f"multiple writable copies: caches {owners}")
-    for node in owners:
-        cache = state.caches[node]
-        if cache.version != state.latest:
-            raise ProtocolViolation(
-                f"cache {node} owns the block at version {cache.version}, "
-                f"latest is {state.latest}"
-            )
-    home = state.home
-    if home.dir in (DR, MD) and home.owner == -2 and not home.busy:
-        raise ProtocolViolation(f"{home.dir} with no owner")
-
-
-def _is_quiescent(state: State) -> bool:
-    if state.channels or state.home.busy or state.home.pending:
-        return False
-    return all(
-        c.mshr is None and c.ops_left == 0 and c.wb == 0 and not c.deferred
-        for c in state.caches
+def _shape(harness: Harness) -> Tuple[str, Tuple[str, ...]]:
+    return (
+        harness.directory.entries[BLOCK].state.value,
+        tuple(sorted(line.state.value if line else "I" for line in _lines(harness))),
     )
 
 
-def _check_quiescent(state: State) -> None:
+def _check_state(harness: Harness) -> None:
+    lines = _lines(harness)
+    states = [line.state.value if line else "I" for line in lines]
+    owners = [n for n, state in enumerate(states) if state in ("D", "M")]
+    if len(owners) > 1:
+        raise ProtocolViolation(f"multiple writable copies: caches {owners}")
+    latest = harness.checker.latest.get(BLOCK, 0)
+    for node in owners:
+        if "S" in states:
+            raise ProtocolViolation(
+                f"cache {node} holds the block writable beside shared copies"
+            )
+        if lines[node].version != latest:
+            raise ProtocolViolation(
+                f"cache {node} owns the block at version {lines[node].version}, "
+                f"latest is {latest}"
+            )
+    entry = harness.directory.entries[BLOCK]
+    if entry.state.value in ("DR", "MD") and entry.owner is None and not entry.busy:
+        raise ProtocolViolation(f"{entry.state.value} with no owner")
+
+
+def _is_quiescent(harness: Harness) -> bool:
+    return not (
+        harness.transport.queues or any(harness.clock.delayed)
+        or any(harness.ops_left) or harness.directory.introspect()
+        or any(cache.mshrs or cache.wb_buffer for cache in harness.caches)
+    )
+
+
+def _check_quiescent(harness: Harness) -> None:
     """A drained machine must store the latest version where the
     directory claims it lives."""
-    home = state.home
-    if home.dir in (U, SR, MU):
-        if home.version != state.latest:
+    entry = harness.directory.entries[BLOCK]
+    state = entry.state.value
+    latest = harness.checker.latest.get(BLOCK, 0)
+    lines = _lines(harness)
+    if state in ("U", "SR", "MU"):
+        if entry.version != latest:
             raise ProtocolViolation(
-                f"quiescent {home.dir}: home holds version {home.version}, "
-                f"latest is {state.latest}"
+                f"quiescent {state}: home holds version {entry.version}, "
+                f"latest is {latest}"
             )
-        for node in home.sharers if home.dir == SR else ():
-            cache = state.caches[node]
-            if cache.line == S and cache.version != state.latest:
+        for node in sorted(entry.sharers) if state == "SR" else ():
+            line = lines[node]
+            if line and line.state.value == "S" and line.version != latest:
                 raise ProtocolViolation(
-                    f"quiescent sharer {node} at stale version {cache.version}"
+                    f"quiescent sharer {node} at stale version {line.version}"
                 )
     else:
-        owner_cache = state.caches[home.owner]
-        if owner_cache.line not in (D, M):
+        line = lines[entry.owner]
+        held = (line.state.value, line.version) if line else ("I", 0)
+        if held[0] not in ("D", "M") or held[1] != latest:
             raise ProtocolViolation(
-                f"quiescent {home.dir}: owner {home.owner} has {owner_cache.line}"
-            )
-        if owner_cache.version != state.latest:
-            raise ProtocolViolation(
-                f"quiescent owner at version {owner_cache.version}, "
-                f"latest {state.latest}"
+                f"quiescent {state}: owner {entry.owner} holds {held}, latest {latest}"
             )
 
 
-def explore(
-    model: ProtocolModel, max_states: int = 2_000_000
-) -> ExplorationResult:
+def explore(harness: Harness, max_states: int = 2_000_000) -> ExplorationResult:
     """BFS over the full reachable state space; raises on any violation."""
-    initial = model.initial()
-    seen: Set[State] = {initial}
+    initial = harness.snapshot()
+    seen = {initial}
     frontier: deque = deque([(initial, 0)])
     transitions = 0
     final_states = 0
@@ -135,21 +141,30 @@ def explore(
     while frontier:
         state, depth = frontier.popleft()
         max_depth = max(max_depth, depth)
-        _check_state(state)
-        shapes.add(
-            (state.home.dir, tuple(sorted(c.line for c in state.caches)))
-        )
-        successors = list(model.successors(state))
-        if not successors:
-            if not _is_quiescent(state):
+        harness.restore(state)
+        _check_state(harness)
+        shapes.add(_shape(harness))
+        steps = harness.steps()
+        if not steps:
+            if not _is_quiescent(harness):
                 raise StuckStateError(
-                    f"stuck non-quiescent state at depth {depth}: {state}"
+                    f"stuck non-quiescent state at depth {depth}: {harness!r}"
                 )
-            _check_quiescent(state)
+            _check_quiescent(harness)
             final_states += 1
             continue
-        for _label, nxt in successors:
+        for index, step in enumerate(steps):
+            if index:
+                harness.restore(state)
+            try:
+                harness.take(step)
+            except (SimulationError, CoherenceViolation) as exc:
+                harness.restore(state)
+                raise ProtocolViolation(
+                    f"{harness.describe(step)} at depth {depth}: {exc}"
+                ) from exc
             transitions += 1
+            nxt = harness.snapshot()
             if nxt not in seen:
                 if len(seen) >= max_states:
                     raise ProtocolViolation(
@@ -164,4 +179,5 @@ def explore(
         final_states=final_states,
         max_depth=max_depth,
         state_shapes=shapes,
+        counters=harness.counters.as_dict(),
     )
