@@ -184,8 +184,6 @@ class CacheController:
         self.mshrs: Dict[int, MSHR] = {}
         #: Dirty data in flight to home: block -> outstanding writeback count.
         self.wb_buffer: Dict[int, int] = {}
-        #: Versions of in-flight writebacks (for NAK-free sanity checks).
-        self._wb_versions: Dict[int, int] = {}
         #: Retirements waiting for a replace_locked frame to unlock.
         self._miack_waiters: List[MSHR] = []
         #: Version observed by the most recent completed processor read
@@ -377,7 +375,6 @@ class CacheController:
             self._c_writebacks.inc()
             self.wb_buffer[victim_block] = self.wb_buffer.get(victim_block, 0) + 1
             version = cache.versions[index]
-            self._wb_versions[victim_block] = version
             self.checker.release_writable(self.node, victim_block)
             self.transport.send(
                 CoherenceMessage(
@@ -823,7 +820,6 @@ class CacheController:
         """
         self._c_writebacks.inc()
         self.wb_buffer[block] = self.wb_buffer.get(block, 0) + 1
-        self._wb_versions[block] = line.version
         self.checker.release_writable(self.node, block)
         self.transport.send(
             CoherenceMessage(
@@ -933,6 +929,5 @@ class CacheController:
             )
         if count == 1:
             del self.wb_buffer[msg.block]
-            self._wb_versions.pop(msg.block, None)
         else:
             self.wb_buffer[msg.block] = count - 1

@@ -36,9 +36,9 @@ prints it, and the serve daemon that owns the store renders it both in
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import re
 import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -58,7 +58,20 @@ from repro.machine.result import RunResult
 from repro.stats.breakdown import StallBreakdown
 from repro.stats.counters import Counters
 
+try:
+    # hashlib maps OpenSSL's libcrypto (~3.7 MB resident) on import; the
+    # interpreter's built-in SHA-256 gives the same digest without it.
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.9-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 STORE_SCHEMA = "repro-store/1"
+
+#: What :func:`spec_key` returns: a hex SHA-256 digest.
+_KEY_FORM = re.compile(r"[0-9a-f]{64}")
 
 #: Environment override for the cache root used by the CLI / serve
 #: defaults (explicit ``--cache-dir`` still wins).
@@ -86,7 +99,7 @@ def code_version() -> str:
     global _source_digest
     if _source_digest is None:
         package_root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
+        digest = _sha256()
         for path in sorted(package_root.rglob("*.py")):
             digest.update(str(path.relative_to(package_root)).encode())
             digest.update(b"\0")
@@ -242,7 +255,7 @@ def spec_key(spec: RunSpec) -> str:
     canonical = json.dumps(
         cell_identity(spec), sort_keys=True, separators=(",", ":"), default=str
     )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _sha256(canonical.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +374,14 @@ class ResultStore:
         return key
 
     def load_entry(self, key: str) -> Optional[Dict[str, Any]]:
-        """The raw stored entry for a key (serve's /results endpoint)."""
+        """The raw stored entry for a key (serve's /results endpoint).
+
+        ``key`` may come from a URL, so anything but the 64 lowercase hex
+        digits of a :func:`spec_key` is no entry: ``..planted`` would
+        otherwise name a file outside ``objects/``.
+        """
+        if not _KEY_FORM.fullmatch(key):
+            return None
         return self._load_entry(self.entry_path(key))
 
     def _load_entry(self, path: Path) -> Optional[Dict[str, Any]]:

@@ -36,7 +36,8 @@ API
                                without missing or repeating events (an
                                ``after`` at or past the ``job-done`` seq
                                gets an empty stream)
-``GET    /results/<key>``      the stored entry (spec, fingerprint, result)
+``GET    /results/<key>``      the stored entry (spec, fingerprint, result);
+                               404 unless ``key`` is a ``spec_key``
 ``GET    /stats``              cache stats + scheduler/resilience counters
 ``GET    /metrics``            Prometheus text exposition (version 0.0.4)
 
@@ -125,7 +126,9 @@ class Cell(parallel.Cell):
 
     Beyond the pool's statuses a cell can be ``cached`` (served from the
     store) or ``cancelled``; ``key`` is its content address and ``cid``
-    the correlation id of the job that created it.
+    the correlation id of the job that created it.  A terminal cell holds
+    no result: ``/results/<key>`` reads it from the store, so ``outcome``
+    is kept only by a failed cell, for its error.
     """
 
     #: How many submitted specs (across all jobs) resolved to this cell.
@@ -427,10 +430,10 @@ class ExperimentServer:
                 cell = self.cells[key] = Cell(
                     spec, key=key, cid=job.cid, refs=cell.refs if cell else 0
                 )
-                cached = self.store.fetch(spec)
-                if cached is not None:
+                # fetch() verified the entry's fingerprint; the result it
+                # rebuilt is dropped here, as /results/<key> reads the store.
+                if self.store.fetch(spec) is not None:
                     cell.status = "cached"
-                    cell.outcome = cached
                     self._m_cells_terminal.labels(status="cached").inc()
                 else:
                     self.scheduler.queue.append(cell)
@@ -486,6 +489,7 @@ class ExperimentServer:
         assert outcome is not None
         if outcome.ok:
             self.store.put(outcome)
+            cell.outcome = None  # the store holds the result from here on
         self._m_cells_terminal.labels(status=cell.status).inc()
         log_event("serve", "cell_done" if outcome.ok else "cell_failed",
                   level="info" if outcome.ok else "error",

@@ -13,12 +13,13 @@ import tests.experiments.chaos_workloads  # noqa: F401 - registers test workload
 
 from repro.core.policy import ProtocolPolicy
 from repro.experiments.parallel import (
+    RunOutcome,
     RunSpec,
     result_fingerprint,
     run_many,
     shutdown_pool,
 )
-from repro.experiments.store import ResultStore
+from repro.experiments.store import ResultStore, result_from_json
 from repro.obs.metrics import REGISTRY, MetricsRegistry, parse_exposition
 from repro.serve import ServeClient
 from tests.experiments.test_serve import running_server
@@ -45,7 +46,11 @@ def _local(specs, tmp_path, **resilience):
 
 
 def _served(specs, tmp_path, timeout=None, **resilience):
-    """The outcomes, and the daemon's ``repro_serve_requeues_total``."""
+    """The outcomes, and the daemon's ``repro_serve_requeues_total``.
+
+    A finished cell's result is read back from ``/results/<key>``, since
+    the daemon holds none; a failed cell keeps its outcome for the error.
+    """
     with running_server(
         ResultStore(tmp_path / "served"), workers=2,
         cell_timeout=timeout, registry=MetricsRegistry(), **resilience,
@@ -53,10 +58,15 @@ def _served(specs, tmp_path, timeout=None, **resilience):
         client = ServeClient(f"http://127.0.0.1:{srv.port}")
         status = client.wait(client.submit_specs(specs)["job"], timeout=120)
         families = parse_exposition(client.metrics())
-        return (
-            [srv.cells[cell["key"]].outcome for cell in status["cells"]],
-            families["repro_serve_requeues_total"].value(),
-        )
+        outcomes = []
+        for spec, cell in zip(specs, status["cells"]):
+            if cell["status"] == "failed":
+                outcomes.append(srv.cells[cell["key"]].outcome)
+            else:
+                entry = client.result(cell["key"])
+                outcomes.append(RunOutcome(
+                    spec, result=result_from_json(entry["result"])))
+        return outcomes, families["repro_serve_requeues_total"].value()
 
 
 def _spec(workload, policy=None, seed=1, **overrides):

@@ -25,6 +25,7 @@ from repro.experiments.parallel import RunSpec, execute_spec, result_fingerprint
 from repro.experiments.store import (
     CODE_VERSION_ENV,
     ResultStore,
+    result_from_json,
     spec_key,
     spec_to_json,
 )
@@ -166,6 +167,35 @@ def test_serve_failed_cell_reported_not_fatal(server, client):
     assert client.healthz()["ok"]  # daemon survived the failure
 
 
+def test_serve_holds_no_result_once_a_cell_ends(tmp_path):
+    """Terminal cells keep status, error and attempts; results stay in
+    the store, which ``/results/<key>`` reads."""
+    cold, warm = tiny_specs()
+    store = ResultStore(tmp_path / "cache")
+    store.put(execute_spec(warm))
+    with running_server(store) as srv:
+        client = ServeClient(f"http://127.0.0.1:{srv.port}")
+        jobs = [
+            client.submit_specs([cold])["job"],
+            client.submit_specs([warm])["job"],
+            client.submit([{"workload": "no-such-workload", "policy": "AD",
+                            "preset": "tiny"}])["job"],
+        ]
+        cells = [client.wait(job, timeout=120)["cells"][0] for job in jobs]
+        assert [cell["status"] for cell in cells] == ["done", "cached", "failed"]
+        assert all(
+            cell.outcome is None or cell.outcome.result is None
+            for cell in srv.cells.values()
+        )
+        assert "no-such-workload" in cells[2]["error"]
+        assert cells[2]["attempts"] == 1
+        for spec in (cold, warm):
+            entry = client.result(spec_key(spec))
+            assert entry["fingerprint"] == result_fingerprint(
+                result_from_json(entry["result"])
+            ) == result_fingerprint(execute_spec(spec).unwrap())
+
+
 def test_serve_rejects_bad_requests(server, client):
     with pytest.raises(ServeError) as excinfo:
         client.submit([])
@@ -202,6 +232,14 @@ def test_serve_rejects_bad_requests(server, client):
             client._request_raw(method, "/artifacts/../planted.txt", body)
         assert excinfo.value.status == 404, method
     assert not (server.store.root / "planted.txt").exists()
+    # A result key is a spec_key, so a crafted one names no file outside
+    # objects/, not even one shaped like a stored entry.
+    client.wait("job-1", timeout=120)  # objects/ exists from here on
+    entry = client.result(spec_key(tiny_specs()[0]))
+    (server.store.root / "..planted.json").write_text(json.dumps(entry))
+    with pytest.raises(ServeError) as excinfo:
+        client.result("..planted")
+    assert excinfo.value.status == 404
 
 
 def _raw_request(port, payload, half_close=False, timeout=10):

@@ -84,6 +84,14 @@ def test_seed_config_and_code_version_perturb_key(monkeypatch):
     assert spec_key(base) != key_v1  # a code change invalidates the cache
 
 
+def test_spec_key_is_pinned():
+    """A store written by an earlier release still hits: the key is the
+    SHA-256 of the canonical identity, whichever module computes it."""
+    assert spec_key(mig_spec()) == (
+        "119e2a8454f2b40a1f9a0f0578de5065768fe38e5cebbe7ccdf50a2884964fbd"
+    )
+
+
 def test_check_coherence_part_of_effective_config_key():
     # The checker shapes nothing observable, but it IS part of the machine
     # the spec builds — keep the key honest rather than clever.

@@ -57,6 +57,7 @@ def test_cli_and_daemon_do_not_import_the_simulator():
         "repro.obs.tracer",
         "asyncio",
         "ssl",
+        "_hashlib",
     }
 
 
@@ -104,9 +105,11 @@ print(json.dumps(sorted(sys.modules)))
 
 def test_warm_daemon_loads_no_asyncio_ssl_or_pool(tmp_path):
     """A daemon that serves every cell from its store never builds a pool,
-    so it never loads the pool modules; and it never loads asyncio or
-    ``ssl`` at all.  The script speaks raw HTTP over ``socket``, because
-    ``ServeClient`` imports ``urllib.request`` and with it ``ssl``."""
+    so it never loads the pool modules; and it never loads asyncio,
+    ``ssl``, or the ``_hashlib`` that maps OpenSSL's libcrypto, though it
+    has computed keys.  The script speaks raw HTTP over ``socket``,
+    because ``ServeClient`` imports ``urllib.request`` and with it
+    ``ssl``."""
     doc = _fresh(f"""
 import json, socket, sys, threading, time
 from repro.core.policy import ProtocolPolicy
@@ -156,7 +159,7 @@ print(json.dumps({{
 """)
     assert doc["status"] == "cached" and doc["fingerprint"] and doc["stopped"]
     assert not set(doc["modules"]) & {
-        "asyncio", "ssl", "concurrent.futures", "multiprocessing",
+        "asyncio", "ssl", "concurrent.futures", "multiprocessing", "_hashlib",
     }
 
 
