@@ -213,16 +213,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store = ResultStore(args.cache_dir or default_cache_dir())
     workers = args.workers if args.workers else default_workers()
     faults = None
-    if args.fault_kills or args.fault_drop_frames:
-        # Chaos mode: deterministic worker kills / dropped stream frames
-        # to exercise the daemon's own recovery paths (CI smoke uses it).
-        faults = ServeFaultPlan(
-            seed=args.fault_seed,
-            kill_fraction=1.0 if args.fault_kills else 0.0,
-            max_kills=args.fault_kills,
-            drop_frame_fraction=1.0 if args.fault_drop_frames else 0.0,
-            max_drops=args.fault_drop_frames,
-        )
+    if args.fault_kills:
+        # Chaos mode: deterministic worker kills to exercise the daemon's
+        # own recovery path (CI's serve-chaos job uses it).
+        faults = ServeFaultPlan(seed=args.fault_seed, kill_fraction=1.0,
+                                max_kills=args.fault_kills)
     try:
         run_server(
             store, workers=workers, host=args.host, port=args.port,
@@ -738,10 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--fault-kills", type=int, default=0, metavar="N",
                          help="chaos: kill up to N workers mid-cell "
                               "(seeded; exercises requeue + pool rebuild)")
-    serve_p.add_argument("--fault-drop-frames", type=int, default=0,
-                         metavar="N",
-                         help="chaos: drop up to N stream frames "
-                              "(exercises client stream resumption)")
     serve_p.add_argument("--fault-seed", type=int, default=0,
                          help="seed for the fault plan's deterministic draws")
     serve_p.add_argument("--log", default=None, metavar="DEST",

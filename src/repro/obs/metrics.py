@@ -7,9 +7,10 @@ and the serve client.  It is deliberately tiny and dependency-free:
   each supporting optional label dimensions via ``.labels(...)``,
 * a :class:`MetricsRegistry` with idempotent get-or-create constructors so
   modules can declare instruments lazily without import-order coupling,
-* Prometheus text exposition (`exposition()`) in the 0.0.4 text format
-  (``# HELP`` / ``# TYPE`` headers, ``name{label="v"} value`` samples,
-  cumulative histogram buckets), served by ``GET /metrics``,
+* Prometheus text exposition in the 0.0.4 text format (``# HELP`` /
+  ``# TYPE`` headers, ``name{label="v"} value`` samples, cumulative
+  histogram buckets) by :meth:`MetricsRegistry.exposition`, served by
+  ``GET /metrics``,
 * a matching :func:`parse_exposition` parser, used by the tests, CI and
   the ``bench/`` harness to read scrapes.
 
@@ -37,9 +38,7 @@ __all__ = [
     "REGISTRY",
     "DEFAULT_BUCKETS",
     "counter",
-    "gauge",
     "histogram",
-    "exposition",
     "parse_exposition",
     "sample_count",
 ]
@@ -197,13 +196,10 @@ class _Scalar(_Metric):
     def _make_child(self) -> "_Scalar":
         return type(self)(self.name, self.help)
 
-    def _check_unlabeled(self) -> None:
-        if self.labelnames:
-            raise ValueError("%s has labels; call .labels(...) first" % self.name)
-
     def set_function(self, fn: Callable[[], float]) -> None:
         """Evaluate ``fn`` at scrape time (queue depths, counts kept elsewhere)."""
-        self._check_unlabeled()
+        if self.labelnames:
+            raise ValueError("%s has labels; call .labels(...) first" % self.name)
         self._fn = fn
 
     @property
@@ -240,21 +236,9 @@ class Counter(_Scalar):
 
 
 class Gauge(_Scalar):
-    """Instantaneous value; optionally computed by a callback at scrape time."""
+    """Instantaneous value, computed by a callback at scrape time."""
 
     metric_type = "gauge"
-
-    def set(self, value: float) -> None:
-        self._check_unlabeled()
-        self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._check_unlabeled()
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
 
 class Histogram(_Metric):
@@ -296,27 +280,6 @@ class Histogram(_Metric):
                     return
             self._counts[-1] += 1
 
-    def time(self) -> "_HistogramTimer":
-        return _HistogramTimer(self)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    def bucket_counts(self) -> Dict[float, int]:
-        """Cumulative counts keyed by upper bound (``inf`` for the catch-all)."""
-        out: Dict[float, int] = {}
-        running = 0
-        for bound, n in zip(self.buckets, self._counts):
-            running += n
-            out[bound] = running
-        out[math.inf] = running + self._counts[-1]
-        return out
-
     def _render_samples(self, name, labelnames, labelvalues):
         lines = []
         running = 0
@@ -334,39 +297,12 @@ class Histogram(_Metric):
         return lines
 
 
-class _HistogramTimer:
-    """``with histogram.time(): ...`` — observes elapsed wall seconds."""
-
-    def __init__(self, histogram: Histogram):
-        self._histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self) -> "_HistogramTimer":
-        import time
-
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        import time
-
-        self._histogram.observe(time.perf_counter() - self._start)
-
-
 class MetricsRegistry:
     """Named collection of metrics with idempotent get-or-create helpers."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[str, _Metric] = {}
-
-    def register(self, metric: _Metric) -> _Metric:
-        with self._lock:
-            existing = self._metrics.get(metric.name)
-            if existing is not None:
-                raise ValueError("metric %r already registered" % metric.name)
-            self._metrics[metric.name] = metric
-        return metric
 
     def _get_or_create(self, cls, name, help, labelnames, **kwargs) -> _Metric:
         with self._lock:
@@ -403,10 +339,6 @@ class MetricsRegistry:
         with self._lock:
             return [self._metrics[name] for name in sorted(self._metrics)]
 
-    def clear(self) -> None:
-        with self._lock:
-            self._metrics.clear()
-
     def exposition(self) -> str:
         """Render every registered metric in Prometheus text format 0.0.4."""
         lines: List[str] = []
@@ -423,10 +355,6 @@ def counter(name: str, help: str = "", labelnames: Sequence[str] = ()) -> Counte
     return REGISTRY.counter(name, help, labelnames)
 
 
-def gauge(name: str, help: str = "", labelnames: Sequence[str] = ()) -> Gauge:
-    return REGISTRY.gauge(name, help, labelnames)
-
-
 def histogram(
     name: str,
     help: str = "",
@@ -434,10 +362,6 @@ def histogram(
     buckets: Optional[Sequence[float]] = None,
 ) -> Histogram:
     return REGISTRY.histogram(name, help, labelnames, buckets=buckets)
-
-
-def exposition() -> str:
-    return REGISTRY.exposition()
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,17 @@ of the content-addressed :class:`~repro.experiments.store.ResultStore`:
 clients POST batches of sweep cells over HTTP, identical cells are
 deduplicated across concurrent clients, warm cells answer straight from
 the store, cold cells are scheduled onto the process pool ``run_many``
-uses (:class:`~repro.experiments.parallel.CellPool`), and progress streams
-back as newline-delimited JSON.  Results persist in the store for every
+uses (:class:`~repro.experiments.parallel.CellPool`), and clients poll
+``GET /jobs/<id>`` for progress.  Results persist in the store for every
 later sweep.  ``/stats`` and ``/metrics`` render one set of counts, kept
 by the daemon, its pool, its store and its fault plan.
 
 The service is fault-tolerant with the same failure model as
 ``run_many``: crashed or stuck workers are detected, the pool is
 rebuilt, and the affected cells are requeued with bounded attempts and
-deterministic backoff; clients retry, reconnect, and resume progress
-streams from the last-seen event.  A seeded
-:class:`~repro.serve.faults.ServeFaultPlan` (worker kills, dropped
-stream frames) makes the recovery paths chaos-testable.
+deterministic backoff; clients retry every request with backoff.  A
+seeded :class:`~repro.serve.faults.ServeFaultPlan` (worker kills) makes
+the recovery path chaos-testable.
 """
 
 from repro._lazy import lazy_exports

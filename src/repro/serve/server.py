@@ -22,20 +22,11 @@ API
                                cells) attach to the existing cell.  A
                                batch with a malformed spec is rejected
                                whole (400) before anything is registered
-``GET    /jobs``               one summary row per live job (for dashboards)
-``GET    /jobs/<id>``          job status: per-cell state + counts
+``GET    /jobs/<id>``          job status: per-cell state + counts; poll
+                               it until ``complete`` (``ServeClient.wait``)
 ``DELETE /jobs/<id>``          cancel: queued/backoff cells not shared
                                with another live job are abandoned;
                                running cells finish (their work is kept)
-``GET    /jobs/<id>/stream``   newline-delimited JSON progress events,
-                               one per cell completion, then a
-                               ``job-done`` line.  Every event carries a
-                               monotonically increasing ``seq``;
-                               ``?after=<seq>`` replays from there, so a
-                               client that lost its connection resumes
-                               without missing or repeating events (an
-                               ``after`` at or past the ``job-done`` seq
-                               gets an empty stream)
 ``GET    /results/<key>``      the stored entry (spec, fingerprint, result);
                                404 unless ``key`` is a ``spec_key``
 ``GET    /stats``              cache stats + scheduler/resilience counters
@@ -74,8 +65,8 @@ lock (the log sink's, say) could deadlock the child.  A finished
 attempt's future wakes the loop by writing a byte to a socket pair, the
 only cross-thread step; :meth:`ExperimentServer.close` does the same.
 
-A :class:`~repro.serve.faults.ServeFaultPlan` makes the recovery paths
-chaos-testable with seeded worker kills and dropped stream frames.
+A :class:`~repro.serve.faults.ServeFaultPlan` makes the recovery path
+chaos-testable with seeded worker kills.
 """
 
 from __future__ import annotations
@@ -88,7 +79,6 @@ import selectors
 import signal
 import socket
 import time
-import urllib.parse
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -151,36 +141,36 @@ class Cell(parallel.Cell):
 
 @dataclass
 class Job:
-    """One submitted batch: an ordered list of cell keys + its event log."""
+    """One submitted batch: its cells, one per spec, in order.
+
+    A job keeps the very cells it was given, so its status is final once
+    they are: a later job that revives a cancelled cell gets a new
+    :class:`Cell` and leaves this one as it was.
+    """
 
     id: str
-    keys: List[str] = field(default_factory=list)
+    cells: List[Cell] = field(default_factory=list)
     cancelled: bool = False
     finished: bool = False
     #: Correlation id supplied by the submitting client ("" if none).
     cid: str = ""
-    #: Append-only NDJSON event log; index == event["seq"], so any
-    #: stream connection can replay from ``?after=<seq>``.
-    events: List[Dict[str, Any]] = field(default_factory=list)
-    #: Unique cells with no event yet, and the open stream connections.
+    #: Unique cells not yet terminal.
     waiting: int = 0
-    streams: List["_Connection"] = field(default_factory=list)
 
 
 @dataclass(eq=False)
 class _Connection:
-    """One client socket: the request bytes in, the response bytes out."""
+    """One client socket: the request bytes in, the response bytes out.
+
+    The response is sent whole, then the connection closes.
+    """
 
     sock: socket.socket
     received: bytearray = field(default_factory=bytearray)
     outgoing: bytearray = field(default_factory=bytearray)
-    closing: bool = False  # close once ``outgoing`` is sent
     #: The parsed request's route label and start ("" until parsed).
     route: str = ""
     started: float = 0.0
-    #: A stream's job, and the index of its next event to send.
-    job: Optional[Job] = None
-    next_event: int = 0
 
 
 class ExperimentServer:
@@ -253,7 +243,7 @@ class ExperimentServer:
                      0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0),
         )
         self._m_jobs_finished = reg.counter(
-            "repro_serve_jobs_finished_total", "Jobs whose event log reached job-done.")
+            "repro_serve_jobs_finished_total", "Jobs whose cells all reached a terminal state.")
         self._m_cells_terminal = reg.counter(
             "repro_serve_cells_total",
             "Cells that reached a terminal state, by status.",
@@ -269,7 +259,7 @@ class ExperimentServer:
             ("repro_serve_jobs_submitted_total", "Jobs accepted via POST /jobs.",
              lambda: len(self.jobs)),
             ("repro_serve_jobs_cancelled_total",
-             "Jobs cancelled by DELETE or the job deadline.",
+             "Jobs cancelled by DELETE /jobs/<id>.",
              lambda: self.cancelled_jobs),
             ("repro_serve_specs_submitted_total", "Specs received across all jobs.",
              lambda: self.submitted),
@@ -279,9 +269,6 @@ class ExperimentServer:
             ("repro_serve_fault_kills_total",
              "Worker kills injected by the ServeFaultPlan.",
              lambda: self.faults.kills if self.faults else 0),
-            ("repro_serve_dropped_frames_total",
-             "Stream frames dropped by the ServeFaultPlan.",
-             lambda: self.faults.drops if self.faults else 0),
         ):
             reg.counter(name, doc).set_function(read)
         for count, name, doc in (
@@ -322,12 +309,8 @@ class ExperimentServer:
             "Cells waiting for a worker (queued or in backoff).",
         ).set_function(lambda: count_cells("queued", "backoff"))
         reg.gauge(
-            "repro_serve_jobs_open", "Jobs whose event log has not reached job-done.",
+            "repro_serve_jobs_open", "Jobs with a cell not yet terminal.",
         ).set_function(lambda: sum(1 for j in self.jobs.values() if not j.finished))
-        reg.gauge(
-            "repro_serve_event_log_depth",
-            "Total buffered stream events across all job logs.",
-        ).set_function(lambda: sum(len(j.events) for j in self.jobs.values()))
         reg.gauge(
             "repro_serve_executor_generation",
             "Process-pool generation (increments on every rebuild).",
@@ -442,16 +425,14 @@ class ExperimentServer:
                 # queued, or running on behalf of another submission.
                 self.deduped += 1
             cell.refs += 1
-            job.keys.append(key)
+            job.cells.append(cell)
         self.jobs[job.id] = job
         log_event("serve", "job_submitted", job=job.id, cid=job.cid or None,
-                  specs=len(job.keys))
-        for key in dict.fromkeys(job.keys):
-            if self.cells[key].status in TERMINAL:
-                self._append_event(job, self.cells[key])
-            else:
+                  specs=len(job.cells))
+        for cell in dict.fromkeys(job.cells):
+            if cell.status not in TERMINAL:
                 job.waiting += 1
-                self._waiters.setdefault(key, []).append(job)
+                self._waiters.setdefault(cell.key, []).append(job)
         if not job.waiting:
             self._finish_job(job)
         return job
@@ -501,37 +482,17 @@ class ExperimentServer:
     # -- job tracking --------------------------------------------------
 
     def _report(self, cell: Cell) -> None:
-        """``cell`` went terminal: log it in every job waiting on it."""
+        """``cell`` went terminal: count it off every job waiting on it."""
         for job in self._waiters.pop(cell.key, ()):
-            self._append_event(job, cell)
             job.waiting -= 1
             if not job.waiting:
                 self._finish_job(job)
 
-    def _append_event(self, job: Job, cell: Cell) -> None:
-        event = dict(cell.to_json())
-        event.update({
-            "event": "cell",
-            "seq": len(job.events),
-            "finished": len(job.events) + 1,
-            "total": len(job.keys),
-        })
-        job.events.append(event)
-        self._push(job)
-
     def _finish_job(self, job: Job) -> None:
         job.finished = True
-        job.events.append({
-            "event": "job-done",
-            "job": job.id,
-            "total": len(job.keys),
-            "seq": len(job.events),
-            "cancelled": job.cancelled,
-        })
         self._m_jobs_finished.inc()
         log_event("serve", "job_finished", job=job.id, cid=job.cid or None,
-                  total=len(job.keys), cancelled=job.cancelled)
-        self._push(job)
+                  total=len(job.cells), cancelled=job.cancelled)
 
     def cancel_job(self, job: Job) -> None:
         """Abandon the job's not-yet-running cells (unless shared).
@@ -547,13 +508,12 @@ class ExperimentServer:
         self.cancelled_jobs += 1
         log_event("serve", "job_cancelled", level="warning", job=job.id,
                   cid=job.cid or None, reason=CANCEL_REASON)
-        shared: Set[str] = set()
+        shared: Set[Cell] = set()
         for other in self.jobs.values():
             if other.id != job.id and not other.cancelled:
-                shared.update(other.keys)
-        for key in dict.fromkeys(job.keys):
-            cell = self.cells[key]
-            if key in shared or cell.status not in ("queued", "backoff"):
+                shared.update(other.cells)
+        for cell in dict.fromkeys(job.cells):
+            if cell in shared or cell.status not in ("queued", "backoff"):
                 continue
             cell.status = "cancelled"
             cell.last_error = CANCEL_REASON
@@ -563,7 +523,7 @@ class ExperimentServer:
     # -- status documents ----------------------------------------------
 
     def job_status(self, job: Job) -> Dict[str, Any]:
-        cells = [self.cells[key].to_json() for key in job.keys]
+        cells = [cell.to_json() for cell in job.cells]
         counts: Dict[str, int] = {}
         for cell in cells:
             counts[cell["status"]] = counts.get(cell["status"], 0) + 1
@@ -630,10 +590,6 @@ class ExperimentServer:
             return
         except OSError:  # the client dropped the connection: EOF
             chunk = b""
-        if conn.route:  # a stream between events: only its EOF matters
-            if not chunk:
-                self._close(conn)
-            return
         conn.received += chunk
         try:
             request = parse_request(conn.received, eof=not chunk)
@@ -659,9 +615,7 @@ class ExperimentServer:
 
     def _route(self, conn: _Connection, method: str, path: str,
                body: bytes) -> None:
-        raw_path, _, query_string = path.partition("?")
-        parts = [part for part in raw_path.split("/") if part]
-        query = urllib.parse.parse_qs(query_string)
+        parts = [part for part in path.partition("?")[0].split("/") if part]
         if method == "GET" and parts == ["healthz"]:
             self._reply(
                 conn, 200,
@@ -675,14 +629,6 @@ class ExperimentServer:
                 conn, 200, self.registry.exposition().encode(),
                 content_type="text/plain; version=0.0.4; charset=utf-8",
             )
-        elif method == "GET" and parts == ["jobs"]:
-            jobs = []
-            for job in self.jobs.values():
-                status = self.job_status(job)
-                status.pop("cells", None)
-                status["cid"] = job.cid
-                jobs.append(status)
-            self._reply(conn, 200, {"schema": SERVE_SCHEMA, "jobs": jobs})
         elif method == "POST" and parts == ["jobs"]:
             try:
                 doc = json.loads(body or b"{}")
@@ -700,31 +646,6 @@ class ExperimentServer:
             if method == "DELETE":
                 self.cancel_job(job)
             self._reply(conn, 200, self.job_status(job))
-        elif (
-            method == "GET"
-            and len(parts) == 3
-            and parts[0] == "jobs"
-            and parts[2] == "stream"
-        ):
-            job = self.jobs.get(parts[1])
-            if job is None:
-                self._reply(conn, 404, {"error": f"no job {parts[1]!r}"})
-                return
-            try:
-                after = int(query.get("after", ["-1"])[0])
-            except ValueError:
-                raise BadRequest(
-                    f"after must be an integer, got {query['after'][0]!r}"
-                ) from None
-            conn.outgoing += (
-                b"HTTP/1.1 200 OK\r\n"
-                b"Content-Type: application/x-ndjson\r\n"
-                b"Cache-Control: no-store\r\n"
-                b"Connection: close\r\n\r\n"
-            )
-            conn.job, conn.next_event = job, max(0, after + 1)
-            job.streams.append(conn)
-            self._stream(conn)
         elif method == "GET" and len(parts) == 2 and parts[0] == "results":
             entry = self.store.load_entry(parts[1])
             if entry is None:
@@ -738,34 +659,6 @@ class ExperimentServer:
                 conn, 404, {"error": f"no route {method} /{'/'.join(parts)}"}
             )
 
-    def _push(self, job: Job) -> None:
-        for conn in list(job.streams):
-            self._stream(conn)
-
-    def _stream(self, conn: _Connection) -> None:
-        """NDJSON progress replayed from ``after``: the job's event log.
-
-        Events are served from the job's append-only log, so any number
-        of connections — including one resuming after a drop — see the
-        same sequence.  The ``ServeFaultPlan`` drop-frame hook closes the
-        connection *instead of* sending a frame, exercising exactly the
-        client's resume path.
-        """
-        job = conn.job
-        assert job is not None
-        while conn.next_event < len(job.events) and not conn.closing:
-            event = job.events[conn.next_event]
-            conn.next_event += 1
-            if self.faults is not None and self.faults.should_drop_frame(
-                job.id, event["seq"]
-            ):
-                conn.closing = True  # dropped: the client reconnects with ?after=
-            else:
-                conn.outgoing += (json.dumps(event, sort_keys=True) + "\n").encode()
-        if job.finished and conn.next_event >= len(job.events):
-            conn.closing = True  # job-done sent, or ``after`` was past it
-        self._flush(conn)
-
     def _reply(self, conn: _Connection, status: int, doc: Any,
                content_type: str = "application/json") -> None:
         """Send ``doc`` (as JSON, or bytes as they are), then close."""
@@ -777,34 +670,27 @@ class ExperimentServer:
             f"Content-Length: {len(payload)}\r\n"
             f"Connection: close\r\n\r\n"
         ).encode() + payload
-        conn.closing = True
         self._flush(conn)
 
     def _flush(self, conn: _Connection) -> None:
-        """Send what the socket takes; close once all is sent and due."""
-        if conn.outgoing:
-            try:
-                del conn.outgoing[:conn.sock.send(conn.outgoing)]
-            except BlockingIOError:
-                pass
-            except OSError:  # the client went away mid-response
-                conn.outgoing.clear()
-                conn.closing = True
-        if conn.closing and not conn.outgoing:
+        """Send what the socket takes; close once all is sent."""
+        try:
+            del conn.outgoing[:conn.sock.send(conn.outgoing)]
+        except BlockingIOError:
+            pass
+        except OSError:  # the client went away mid-response
+            conn.outgoing.clear()
+        if conn.outgoing:  # wait until writable
+            self._selector.modify(conn.sock, selectors.EVENT_WRITE,
+                                  lambda: self._ready(conn))
+        else:
             self._close(conn)
-        else:  # wait until writable, or (a stream between events) for EOF
-            self._selector.modify(
-                conn.sock,
-                selectors.EVENT_WRITE if conn.outgoing else selectors.EVENT_READ,
-                lambda: self._ready(conn))
 
     def _close(self, conn: _Connection) -> None:
         if conn.sock.fileno() < 0:
             return  # already closed
         self._selector.unregister(conn.sock)
         conn.sock.close()
-        if conn.job is not None:
-            conn.job.streams.remove(conn)
         if conn.route:
             self._m_http_seconds.labels(route=conn.route).observe(
                 time.monotonic() - conn.started
@@ -875,24 +761,18 @@ _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
 def _route_label(method: str, path: str) -> str:
     """Collapse a concrete path to its route pattern for metric labels.
 
-    ``/jobs/job-3/stream`` -> ``/jobs/{id}/stream``; unknown shapes map to
-    ``/other`` so label cardinality stays bounded no matter what clients
-    throw at the socket.
+    ``/jobs/job-3`` -> ``/jobs/{id}``; unknown shapes map to ``/other``
+    so label cardinality stays bounded no matter what clients throw at
+    the socket.
     """
-    raw_path = path.partition("?")[0]
-    parts = [part for part in raw_path.split("/") if part]
+    parts = [part for part in path.partition("?")[0].split("/") if part]
     if not parts:
         return "/"
     head = parts[0]
-    if head in ("healthz", "stats", "metrics") and len(parts) == 1:
+    if head in ("healthz", "stats", "metrics", "jobs") and len(parts) == 1:
         return f"/{head}"
-    if head == "jobs":
-        if len(parts) == 1:
-            return "/jobs"
-        if len(parts) == 2:
-            return "/jobs/{id}"
-        if len(parts) == 3 and parts[2] == "stream":
-            return "/jobs/{id}/stream"
+    if head == "jobs" and len(parts) == 2:
+        return "/jobs/{id}"
     if head == "results" and len(parts) == 2:
         return "/results/{key}"
     return "/other"

@@ -4,7 +4,7 @@ The server runs its loop in a background thread bound to an ephemeral
 port; the stdlib ``ServeClient`` talks to it exactly as a
 remote submitter would.  Under test: batch submission, cross-submission
 dedupe by content address, cache-backed instant resolution on resubmit,
-NDJSON progress streaming, and result fingerprints matching a local run.
+job status by polling, and result fingerprints matching a local run.
 """
 
 import contextlib
@@ -103,15 +103,11 @@ def test_serve_end_to_end(server, client):
         execute_spec(specs[0]).unwrap()
     )
 
-    # The stream replays one event per unique finished cell, then job-done.
-    events = list(client.stream(job["job"]))
-    assert [e["event"] for e in events[:-1]] == ["cell"] * 2
-    assert all(e["status"] == "done" for e in events[:-1])
-    assert [e["seq"] for e in events] == [0, 1, 2]
-    assert events[-1] == {
-        "event": "job-done", "job": job["job"], "total": 3,
-        "seq": 2, "cancelled": False,
-    }
+    # The final status holds every cell's terminal state, and it is
+    # final: polling again returns the same document.
+    assert status["counts"] == {"done": 3}
+    assert status["cancelled"] is False
+    assert client.job(job["job"]) == status
 
     # Resubmission to the same server attaches to the completed in-memory
     # cells — instantly complete, nothing re-simulated.
@@ -219,6 +215,13 @@ def test_serve_rejects_bad_requests(server, client):
     assert excinfo.value.status == 400
     assert client.stats()["cells"] == 0
     assert client.submit([valid])["job"] == "job-1"
+    # A job is followed by polling GET /jobs/<id>: there is no job
+    # listing and no progress stream.
+    for path in ("/jobs", "/jobs/job-1/stream", "/jobs/job-1/stream?after=0"):
+        with pytest.raises(ServeError) as excinfo:
+            client._request_raw("GET", path)
+        assert excinfo.value.status == 404, path
+        assert excinfo.value.body["error"].startswith("no route GET /jobs"), path
     with pytest.raises(ServeError) as excinfo:
         client.job("job-999")
     assert excinfo.value.status == 404
@@ -301,24 +304,6 @@ def test_serve_reassembles_a_request_sent_in_chunks(server):
     assert json.loads(doc)["job"] == "job-1"
 
 
-def test_serve_stream_after_last_event_of_finished_job_closes(server, client):
-    # The job's cells have already run, so no worker is forked while the
-    # stream connection is open (a forked worker would inherit the socket
-    # and hold its EOF back).
-    job = client.submit_specs(tiny_specs())
-    client.wait(job["job"], timeout=120)
-    done_seq = list(client.stream(job["job"]))[-1]["seq"]
-    for after in (done_seq, 999):
-        request = (
-            f"GET /jobs/{job['job']}/stream?after={after} HTTP/1.1\r\n"
-            f"Host: x\r\n\r\n"
-        ).encode()
-        reply = _raw_request(server.port, request, timeout=5)
-        head, _, body = reply.partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.1 200 OK\r\n"), after
-        assert body == b"", after
-
-
 # ---------------------------------------------------------------------------
 # Resilience: crash requeue, deadlines, cancellation, chaos, client retries
 
@@ -396,7 +381,6 @@ def test_serve_worker_kill_requeues_and_matches_undisturbed_run(tmp_path):
             ("repro_serve_specs_submitted_total", stats["specs_submitted"]),
             ("repro_serve_specs_deduped_total", stats["specs_deduped"]),
             ("repro_serve_fault_kills_total", stats["faults"]["kills"]),
-            ("repro_serve_dropped_frames_total", stats["faults"]["drops"]),
         ]
         assert [(name, families[name].value()) for name, _ in pairs] == pairs
         assert stats["cache"]["stores"] == 3
@@ -474,18 +458,28 @@ def test_serve_delete_keeps_a_queued_cell_another_job_shares(tmp_path):
         assert cell["status"] == "done"
 
 
-def test_serve_stream_resumes_across_dropped_frames(tmp_path):
-    faults = ServeFaultPlan(seed=5, drop_frame_fraction=1.0, max_drops=2)
-    with running_server(ResultStore(tmp_path / "cache"), faults=faults) as srv:
+def test_finished_job_status_is_final_after_a_revival(tmp_path):
+    """Reviving a cancelled job's cell for a later job leaves the
+    cancelled job's status as it was: complete, with its cell cancelled,
+    so waiting on it does not wait for the revived cell's run."""
+    with running_server(ResultStore(tmp_path / "cache"), workers=1) as srv:
         client = ServeClient(f"http://127.0.0.1:{srv.port}")
-        specs = tiny_specs()
-        job = client.submit_specs(specs)
-        client.wait(job["job"], timeout=120)
-        events = list(client.stream(job["job"]))
-        # Exactly once, in order, despite two dropped connections.
-        assert [e["seq"] for e in events] == [0, 1, 2]
-        assert events[-1]["event"] == "job-done"
-        assert client.stats()["faults"]["drops"] == 2
+        # One slot: the hang occupies it, so the tiny cell waits queued.
+        hang = client.submit_specs([_hang_spec(seed=1, seconds=1.5)])["job"]
+        deadline = time.monotonic() + 10
+        while client.job(hang)["cells"][0]["status"] != "running":
+            assert time.monotonic() < deadline, "the hang never started"
+            time.sleep(0.02)
+        tiny = tiny_specs()[0]
+        job_a = client.submit_specs([tiny])["job"]
+        cancelled = client.cancel(job_a)
+        assert cancelled["complete"] and cancelled["counts"] == {"cancelled": 1}
+        job_b = client.submit_specs([tiny])["job"]
+        assert client.job(job_a) == cancelled
+        assert client.wait(job_a, timeout=0.5) == cancelled
+        assert not client.job(job_b)["complete"]
+        assert client.wait(job_b, timeout=60)["counts"] == {"done": 1}
+        assert client.job(job_a) == cancelled
 
 
 def test_error_body_prefers_payload_over_status_line():
@@ -607,10 +601,11 @@ def test_correlation_id_threads_client_to_job(tmp_path):
     with running_server(store, registry=registry) as srv:
         client = ServeClient(f"http://127.0.0.1:{srv.port}", cid="sweep-e2e42")
         job = client.submit_specs([tiny_specs()[0]])
-        client.wait(job["job"], timeout=120)
-        rows = client._request("GET", "/jobs")["jobs"]
-        assert [r["cid"] for r in rows] == ["sweep-e2e42"]
-        assert rows[0]["complete"] and rows[0]["total"] == 1
+        status = client.wait(job["job"], timeout=120)
+        assert status["complete"] and status["total"] == 1
+        served = srv.jobs[job["job"]]
+        assert served.cid == "sweep-e2e42"
+        assert [cell.cid for cell in served.cells] == ["sweep-e2e42"]
 
 
 # ---------------------------------------------------------------------------

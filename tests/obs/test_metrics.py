@@ -13,9 +13,6 @@ import pytest
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import (
     MAX_LABEL_SETS,
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     parse_exposition,
     sample_count,
@@ -57,12 +54,9 @@ def test_labeled_counter_children_are_cached(registry):
         c.labels(method="GET", path="/stats")
 
 
-def test_gauge_set_inc_dec_and_callback(registry):
+def test_gauge_reads_its_callback_at_scrape_time(registry):
     g = registry.gauge("depth", "Queue depth.")
-    g.set(4)
-    g.inc()
-    g.dec(2)
-    assert g.value == 3
+    assert g.value == 0
     backing = {"n": 7}
     g.set_function(lambda: backing["n"])
     assert g.value == 7
@@ -97,17 +91,14 @@ def test_histogram_buckets_are_cumulative(registry):
     h = registry.histogram("lat", "Latency.", buckets=(0.1, 1.0, 10.0))
     for v in (0.05, 5.0, 100.0):
         h.observe(v)
-    assert h.count == 3
-    assert h.sum == pytest.approx(105.05)
-    assert h.bucket_counts() == {0.1: 1, 1.0: 1, 10.0: 2, math.inf: 3}
-
-
-def test_histogram_timer_observes_elapsed(registry):
-    h = registry.histogram("t", "Timer.", buckets=(60.0,))
-    with h.time():
-        pass
-    assert h.count == 1
-    assert 0 <= h.sum < 60
+    lat = parse_exposition(registry.exposition())["lat"]
+    buckets = {
+        labels["le"]: value
+        for name, labels, value in lat.samples if name == "lat_bucket"
+    }
+    assert buckets == {"0.1": 1, "1": 1, "10": 2, "+Inf": 3}
+    assert lat.value(sample_name="lat_count") == 3
+    assert lat.value(sample_name="lat_sum") == pytest.approx(105.05)
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +164,7 @@ def test_exposition_round_trip(registry):
     registry.counter("req_total", "Requests served.", labelnames=("route",))
     registry.get("req_total").labels("/jobs").inc(4)
     registry.get("req_total").labels('/with"quote\\and\nnewline').inc()
-    registry.gauge("temp", "Current value.").set(2.5)
+    registry.gauge("temp", "Current value.").set_function(lambda: 2.5)
     h = registry.histogram("secs", "Durations.", buckets=(0.1, 1.0))
     h.observe(0.05)
     h.observe(0.5)
@@ -215,15 +206,15 @@ def test_module_level_helpers_use_global_registry():
     name = "repro_test_global_counter_total"
     try:
         obs_metrics.counter(name, "Test series.").inc()
-        families = parse_exposition(obs_metrics.exposition())
+        families = parse_exposition(obs_metrics.REGISTRY.exposition())
         assert families[name].value() >= 1
     finally:
         obs_metrics.REGISTRY._metrics.pop(name, None)
 
 
 def test_value_formatting_handles_special_floats(registry):
-    registry.gauge("inf_g").set(math.inf)
-    registry.gauge("ninf_g").set(-math.inf)
+    registry.gauge("inf_g").set_function(lambda: math.inf)
+    registry.gauge("ninf_g").set_function(lambda: -math.inf)
     families = parse_exposition(registry.exposition())
     assert families["inf_g"].value() == math.inf
     assert families["ninf_g"].value() == -math.inf

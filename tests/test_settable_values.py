@@ -20,12 +20,12 @@ from repro.serve.server import ExperimentServer
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Option actions of the parser and of every subparser, ``--help`` excluded.
-CLI_OPTIONS = 76
+CLI_OPTIONS = 75
 #: Distinct ``REPRO_*`` names anywhere under ``src/``.
 ENV_VARIABLES = 4
 #: Defaulted parameters of ``run_many``, ``ExperimentServer`` and
 #: ``ServeClient``, plus the ``init`` fields of ``ServeFaultPlan``.
-KEYWORD_KNOBS = 22
+KEYWORD_KNOBS = 20
 
 
 def _options(parser):
