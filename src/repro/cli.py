@@ -216,8 +216,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.fault_kills:
         # Chaos mode: deterministic worker kills to exercise the daemon's
         # own recovery path (CI's serve-chaos job uses it).
-        faults = ServeFaultPlan(seed=args.fault_seed, kill_fraction=1.0,
-                                max_kills=args.fault_kills)
+        faults = ServeFaultPlan(max_kills=args.fault_kills)
     try:
         run_server(
             store, workers=workers, host=args.host, port=args.port,
@@ -731,10 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "the last fails the cell as WorkerCrash or "
                               "CellTimeout (default 3)")
     serve_p.add_argument("--fault-kills", type=int, default=0, metavar="N",
-                         help="chaos: kill up to N workers mid-cell "
-                              "(seeded; exercises requeue + pool rebuild)")
-    serve_p.add_argument("--fault-seed", type=int, default=0,
-                         help="seed for the fault plan's deterministic draws")
+                         help="chaos: kill the workers running the first N "
+                              "cells (exercises requeue + pool rebuild)")
     serve_p.add_argument("--log", default=None, metavar="DEST",
                          help="structured JSON event log: 'stderr' (or '-') "
                               "or a file path to append to (also settable "

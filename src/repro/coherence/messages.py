@@ -194,8 +194,6 @@ class CoherenceMessage:
         "src",
         "dst",
         "bits",
-        "sent_at",
-        "delivered_at",
         # Protocol payload.
         "kind",
         "block",
@@ -236,9 +234,6 @@ class CoherenceMessage:
         self.src = src
         self.dst = dst
         self.bits = kind.bits
-        #: Filled in by the mesh on delivery (for latency statistics).
-        self.sent_at = None
-        self.delivered_at = None
         self.kind = kind
         self.block = block
         self.requester = requester

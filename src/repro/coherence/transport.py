@@ -11,18 +11,23 @@ controller (or another cache controller).  Timing composition:
 * distinct nodes are connected by the request/reply meshes; a node talking
   to itself skips the mesh entirely.
 
-The transport also owns the per-kind traffic accounting used by Table 3.
+The transport also owns the per-kind traffic accounting used by Table 3,
+and counts the messages in flight between :meth:`Transport.send` and
+their handler dispatch.  It keeps no other record of a message: the
+pending event that will move it next holds it (a diagnostic dump reads
+them through :meth:`~repro.sim.engine.Simulator.queued`).
 
 Hot-path layout: handlers live in node-indexed lists (``handlers[dst]``
 is a list index, not a dict hash), the mesh for a message is picked by
 ``kind.net_idx`` from a two-slot tuple (bypassing the fabric's
-name-string dispatch), and every deferred hop is scheduled as
+name-string dispatch), the mesh delivers a directory message straight
+to :meth:`Transport._dispatch`, and every deferred hop is scheduled as
 ``schedule_at(t, method, msg)`` so no closure is allocated per message.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.coherence.messages import (
     KINDS_BY_INDEX,
@@ -78,9 +83,8 @@ class Transport:
         #: this is the paper's "network traffic" metric.
         self.network_bits = 0
         self.network_messages = 0
-        #: In-flight census: id(msg) -> (msg, injection time).  A message
-        #: is in flight from ``send`` until its handler dispatch.
-        self._inflight: Dict[int, Tuple[CoherenceMessage, int]] = {}
+        #: Messages between ``send`` and their handler dispatch.
+        self.in_flight = 0
         #: Optional :class:`~repro.obs.tracer.TransactionTracer` notified
         #: at every injection and dispatch of a traced message.  ``None``
         #: keeps the hot path to one attribute test per hook site.
@@ -103,7 +107,7 @@ class Transport:
     # ------------------------------------------------------------------
     def send(self, msg: CoherenceMessage) -> None:
         """Inject ``msg`` at the current time (via the fault plan, if any)."""
-        self._inflight[id(msg)] = (msg, self.sim.now)
+        self.in_flight += 1
         if self._faults is not None:
             self._faults.on_send(msg)
             return
@@ -135,35 +139,30 @@ class Transport:
         self.network_bits += bits
         self.network_messages += 1
 
+        # A directory sits on the network interface, so the mesh hands it
+        # the message directly; a cache is one more bus hop away.
+        deliver = self._dispatch if kind.to_directory else self._deliver
+        mesh = self._meshes[kind.net_idx]
         if msg.src_is_cache:
             # Cache -> network interface over the local bus.
             bus = self.buses[msg.src]
             done = bus.transact(sim.now, bits if carries_data else 0)
-            sim.schedule_at(done, self._inject, msg)
+            sim.schedule_at(done, mesh.send, msg, deliver)
         else:
-            self._meshes[kind.net_idx].send(msg, self._deliver)
-
-    def _inject(self, msg: CoherenceMessage) -> None:
-        """Hand ``msg`` to its mesh once the local bus hop completes."""
-        self._meshes[msg.kind.net_idx].send(msg, self._deliver)
+            mesh.send(msg, deliver)
 
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
     def _deliver(self, msg: CoherenceMessage) -> None:
-        """Mesh delivery at the destination's network interface."""
-        kind = msg.kind
-        if kind.to_directory:
-            self._dispatch(msg)
-        else:
-            # Network interface -> cache over the local bus.
-            sim = self.sim
-            bus = self.buses[msg.dst]
-            done = bus.transact(sim.now, msg.bits if kind.carries_data else 0)
-            sim.schedule_at(done, self._dispatch, msg)
+        """Network interface -> cache over the local bus."""
+        sim = self.sim
+        bus = self.buses[msg.dst]
+        done = bus.transact(sim.now, msg.bits if msg.kind.carries_data else 0)
+        sim.schedule_at(done, self._dispatch, msg)
 
     def _dispatch(self, msg: CoherenceMessage) -> None:
-        self._inflight.pop(id(msg), None)
+        self.in_flight -= 1
         tracer = self.tracer
         if tracer is not None and msg.trace:
             tracer.on_dispatch(msg, self.sim.now)
@@ -209,31 +208,10 @@ class Transport:
     def reset_stats(self) -> None:
         """Zero the traffic accounting (end-of-warmup stats mark).
 
-        The in-flight census is *not* cleared: it tracks liveness, not
+        ``in_flight`` is *not* cleared: it tracks liveness, not
         measurement.
         """
         self._bits_by_kind = [0] * NUM_KINDS
         self._count_by_kind = [0] * NUM_KINDS
         self.network_bits = 0
         self.network_messages = 0
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def introspect(self) -> List[dict]:
-        """The in-flight message census, oldest first (for diagnostics)."""
-        now = self.sim.now
-        census = [
-            {
-                "kind": msg.kind.value,
-                "src": msg.src,
-                "dst": msg.dst,
-                "block": msg.block,
-                "requester": msg.requester,
-                "sent_at": sent_at,
-                "age": now - sent_at,
-            }
-            for msg, sent_at in self._inflight.values()
-        ]
-        census.sort(key=lambda m: (m["sent_at"], m["src"], m["dst"], m["kind"]))
-        return census

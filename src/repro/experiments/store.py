@@ -217,6 +217,30 @@ def result_from_json(doc: Dict[str, Any]) -> RunResult:
     )
 
 
+def verified_outcome(
+    spec: RunSpec, entry: Optional[Dict[str, Any]]
+) -> Optional[RunOutcome]:
+    """``entry``'s result as a cached outcome of ``spec``, or None.
+
+    None when there is no entry or its rebuilt result does not reproduce
+    its stored fingerprint (a truncated or hand-edited entry).
+    """
+    if entry is None:
+        return None
+    try:
+        result = result_from_json(entry["result"])
+        if result_fingerprint(result) != entry["fingerprint"]:
+            return None
+    except Exception:
+        return None
+    return RunOutcome(
+        spec=spec,
+        result=result,
+        wall_time=entry.get("wall_time_s", 0.0),
+        cached=True,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Cache keys
 
@@ -325,15 +349,8 @@ class ResultStore:
         key = spec_key(spec)
         path = self.entry_path(key)
         if path.exists():
-            entry = self._load_entry(path)
-            verified = False
-            if entry is not None:
-                try:
-                    result = result_from_json(entry["result"])
-                    verified = result_fingerprint(result) == entry["fingerprint"]
-                except Exception:
-                    verified = False
-            if verified:
+            outcome = verified_outcome(spec, self._load_entry(path))
+            if outcome is not None:
                 self.stats.hits += 1
                 try:
                     # Recency bump: prune() evicts least-recently-fetched
@@ -341,12 +358,7 @@ class ResultStore:
                     os.utime(path)
                 except OSError:  # pragma: no cover - read-only store
                     pass
-                return RunOutcome(
-                    spec=spec,
-                    result=result,
-                    wall_time=entry.get("wall_time_s", 0.0),
-                    cached=True,
-                )
+                return outcome
             self.stats.corrupt += 1
             path.unlink(missing_ok=True)
         self.stats.misses += 1

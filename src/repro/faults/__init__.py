@@ -13,8 +13,8 @@ This package is the robustness substrate of the reproduction:
   under any plan.
 * :class:`DiagnosticDump` — a structured snapshot of everything a wedged
   simulation can tell us: pending MSHRs, busy directory entries and
-  their queues, the in-flight message census, and per-processor stall
-  reasons; rendered as text and JSON.
+  their queues, the messages the event queue holds, and per-processor
+  stall reasons; rendered as text and JSON.
 
 See EXPERIMENTS.md ("Chaos runs") for the experiment harness built on
 top (``repro-sim chaos``).

@@ -8,7 +8,11 @@ human (or a triage script) about *why* it is wedged:
 * every pending MSHR per cache controller, with its age and ack state;
 * every directory entry in a transient state (busy, awaiting a
   writeback, or holding queued requests) with its ``pending`` queue;
-* the in-flight message census from the transport.
+* every coherence message a pending event holds, read from the event
+  queue in firing order: when that event fires (``due``) and which
+  callback it runs (``via``).  A message via ``Transport.send`` is a
+  reply still waiting out its service delay; the others are the
+  transport's ``in_flight`` messages.
 
 It renders as indented text (attached to ``DeadlockError`` /
 ``LivelockError`` messages) and as a JSON-serializable dict (carried
@@ -126,7 +130,7 @@ class DiagnosticDump:
         for m in self.messages:
             lines.append(
                 f"  {m['kind']} blk={m.get('block')} {m['src']}->{m['dst']}"
-                f" sent_at={m.get('sent_at')} age={m.get('age')}"
+                f" due={m.get('due')} via={m.get('via')}"
             )
         for name, value in sorted(self.extra.items()):
             lines.append(f"{name}: {value}")
@@ -166,6 +170,34 @@ def _stall_reason(proc: Dict[str, Any], cache_diag: Optional[Dict[str, Any]],
 # ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
+def _queued_messages(machine) -> List[Dict[str, Any]]:
+    """Every coherence message a pending event holds, in firing order.
+
+    A fault plan's reorder flush keeps its message after a swap released
+    it early, so a flush of a message the plan no longer holds is skipped.
+    """
+    from repro.coherence.messages import CoherenceMessage
+
+    entries = []
+    for due, callback, args in machine.sim.queued():
+        for msg in args:
+            if not isinstance(msg, CoherenceMessage):
+                continue
+            via = callback.__qualname__
+            if via == "FaultPlan._flush" and not machine.fault_plan.holds(msg):
+                continue
+            entries.append({
+                "kind": msg.kind.value,
+                "src": msg.src,
+                "dst": msg.dst,
+                "block": msg.block,
+                "requester": msg.requester,
+                "due": due,
+                "via": via,
+            })
+    return entries
+
+
 def dump_machine(machine, reason: str) -> DiagnosticDump:
     """Snapshot a directory (CC-NUMA) :class:`~repro.machine.system.Machine`."""
     sync_diag = machine.sync.introspect()
@@ -186,7 +218,7 @@ def dump_machine(machine, reason: str) -> DiagnosticDump:
     }
     if writebacks:
         extra["writebacks_in_flight"] = writebacks
-    if getattr(machine, "fault_plan", None) is not None:
+    if machine.fault_plan is not None:
         extra["fault_plan"] = machine.fault_plan.introspect()
     return DiagnosticDump(
         reason=reason,
@@ -195,7 +227,7 @@ def dump_machine(machine, reason: str) -> DiagnosticDump:
         processors=processors,
         mshrs=mshrs,
         transients=transients,
-        messages=machine.transport.introspect(),
+        messages=_queued_messages(machine),
         extra=extra,
     )
 

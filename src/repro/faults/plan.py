@@ -206,9 +206,13 @@ class FaultPlan:
             return
         self._dispatch(msg)
 
+    def holds(self, msg) -> bool:
+        """Whether ``msg`` is held back for reordering right now."""
+        return self._held.get(msg.src) is msg
+
     def _flush(self, src: int, msg) -> None:
         """Release a held message whose swap partner never showed up."""
-        if self._held.get(src) is msg:
+        if self.holds(msg):
             del self._held[src]
             self.counters.inc(REORDER_FLUSHES)
             self._dispatch(msg)

@@ -238,20 +238,15 @@ class Machine:
         """Restart measurement: counters, traffic, and time breakdowns.
 
         Protocol and cache state stay warm — this is the paper's
-        steady-state statistics acquisition (Section 4.3).
+        steady-state statistics acquisition (Section 4.3).  Buses,
+        memories and mesh links keep their reservations and busy time.
         """
         self._mark_time = self.sim.now
         self.counters.clear()
         self.checker.reset()
         self.transport.reset_stats()
-        self.fabric.reset_stats()
         for processor in self.processors:
             processor.reset_breakdown()
-        for bus in self.buses:
-            bus.transactions = 0
-        for memory in self.memories:
-            memory.accesses = 0
-            memory.directory_lookups = 0
 
     def _result(self) -> RunResult:
         finish_times = [p.finished_at for p in self.processors]

@@ -38,7 +38,6 @@ class LocalBus:
         #: True when the resource is a plain FIFO Resource, letting
         #: transact() inline the reservation arithmetic.
         self._finite = not infinite_bandwidth
-        self.transactions = 0
         #: Occupancy multiplier (>= 1); fault plans slow whole nodes down
         #: by raising this.
         self.slowdown = 1
@@ -53,19 +52,15 @@ class LocalBus:
         duration = self.arbitration + self.transfer * beats
         if self.slowdown != 1:
             duration *= self.slowdown
+        if not self._finite:
+            return earliest + duration
+        # Inlined Resource.reserve (same FIFO arithmetic) — this is one of
+        # the hottest calls in the whole simulator.
         resource = self.resource
-        if self._finite:
-            # Inlined Resource.reserve (same FIFO arithmetic) — this is
-            # one of the hottest calls in the whole simulator.
-            free_at = resource._free_at
-            start = free_at if free_at > earliest else earliest
-            resource._free_at = start + duration
-            resource.busy_time += duration
-            resource.reservations += 1
-        else:
-            resource.reservations += 1
-            start = earliest
-        self.transactions += 1
+        free_at = resource._free_at
+        start = free_at if free_at > earliest else earliest
+        resource._free_at = start + duration
+        resource.busy_time += duration
         return start + duration
 
     def utilization(self, elapsed: int) -> float:

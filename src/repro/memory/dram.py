@@ -30,8 +30,6 @@ class MemoryModule:
         from repro.sim.resource import InfiniteResource
 
         self.resource = InfiniteResource(name) if infinite_bandwidth else Resource(name)
-        self.accesses = 0
-        self.directory_lookups = 0
         #: Occupancy multiplier (>= 1); fault plans slow whole nodes down
         #: by raising this.
         self.slowdown = 1
@@ -39,9 +37,7 @@ class MemoryModule:
     def access(self, earliest: int) -> int:
         """Full data-array access (read line or write line); returns end time."""
         cycle = self.cycle if self.slowdown == 1 else self.cycle * self.slowdown
-        start = self.resource.reserve(earliest, cycle)
-        self.accesses += 1
-        return start + cycle
+        return self.resource.reserve(earliest, cycle) + cycle
 
     def directory_access(self, earliest: int) -> int:
         """Directory-only lookup/update; returns end time."""
@@ -50,9 +46,7 @@ class MemoryModule:
             if self.slowdown == 1
             else self.directory_cycle * self.slowdown
         )
-        start = self.resource.reserve(earliest, cycle)
-        self.directory_lookups += 1
-        return start + cycle
+        return self.resource.reserve(earliest, cycle) + cycle
 
     def utilization(self, elapsed: int) -> float:
         return self.resource.utilization(elapsed)

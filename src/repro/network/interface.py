@@ -12,7 +12,8 @@ directly and registers no handlers here.  :meth:`Fabric.register` and
 :meth:`Fabric.send` stay as the standalone API for driving the
 interconnect without the coherence layer (``tests/network``), and the
 benchmark's per-layer tracer wraps ``Fabric.send`` by name as part of
-the network layer.
+the network layer.  The fabric counts no traffic: the transport's
+per-kind counts are the machine's traffic.
 """
 
 from __future__ import annotations
@@ -86,21 +87,6 @@ class Fabric:
             raise SimulationError(f"no handler registered for node {message.dst}")
         mesh.send(message, handler)
 
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    @property
-    def bits_sent(self) -> int:
-        return self.request_mesh.bits_sent + self.reply_mesh.bits_sent
-
-    @property
-    def messages_sent(self) -> int:
-        return self.request_mesh.messages_sent + self.reply_mesh.messages_sent
-
     def unloaded_latency(self, src: int, dst: int, bits: int, network: str = REQUEST) -> int:
         mesh = self.request_mesh if network == REQUEST else self.reply_mesh
         return mesh.unloaded_latency(src, dst, bits)
-
-    def reset_stats(self) -> None:
-        self.request_mesh.reset_stats()
-        self.reply_mesh.reset_stats()

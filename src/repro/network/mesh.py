@@ -12,6 +12,9 @@ behind it, so the unloaded traversal latency is::
 
 Contention appears as queueing on the per-link reservations, which is
 where the paper's "WO Cont." read-penalty blow-up comes from (Figure 6).
+A mesh counts no traffic of its own: the coherence transport's per-kind
+counts are the paper's traffic, and each link's ``busy_time`` is what
+the metrics sampler reads.
 
 Deterministic XY routing over FIFO links preserves point-to-point ordering
 per (src, dst) pair within one mesh, matching the ordering assumptions of
@@ -89,11 +92,6 @@ class Mesh:
         for node in range(self.num_nodes):
             for neighbor in self._neighbors(node):
                 self.links[(node, neighbor)] = link_cls(f"{name}:{node}->{neighbor}")
-        # Traffic statistics.
-        self.messages_sent = 0
-        self.bits_sent = 0
-        self.flit_hops = 0
-        self.total_latency = 0
 
     # ------------------------------------------------------------------
     # Topology helpers
@@ -197,15 +195,11 @@ class Mesh:
         """
         sim = self.sim
         now = sim.now
-        message.sent_at = now
-        bits = message.bits
-        flits = -(-bits // self.link_bits)  # ceil division
-        self.messages_sent += 1
-        self.bits_sent += bits
 
         if message.src == message.dst:
             arrival = now + 2 * self.interface_delay
         else:
+            flits = -(-message.bits // self.link_bits)  # ceil division
             interface_delay = self.interface_delay
             fall_through = self.fall_through
             head = now + interface_delay
@@ -213,9 +207,7 @@ class Mesh:
             if chain is None:
                 chain = self._chain(message.src, message.dst)
             if self._infinite:
-                for link in chain:
-                    link.reservations += 1
-                    head += fall_through
+                head += fall_through * len(chain)
             else:
                 # Inlined Resource.reserve (same FIFO arithmetic): one link
                 # acquisition per hop without a method call per link.
@@ -224,33 +216,7 @@ class Mesh:
                     start = free_at if free_at > head else head
                     link._free_at = start + flits
                     link.busy_time += flits
-                    link.reservations += 1
                     head = start + fall_through
-            self.flit_hops += flits * len(chain)
             arrival = head + flits + interface_delay
 
-        # Latency bookkeeping happens at delivery time (not precomputed
-        # here) so reset_stats() mid-flight keeps mean_latency honest.
-        sim.schedule_at(arrival, self._complete, message, deliver)
-
-    def _complete(self, message: NetworkMessage, deliver: DeliveryCallback) -> None:
-        now = self.sim.now
-        message.delivered_at = now
-        self.total_latency += now - message.sent_at
-        deliver(message)
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    def mean_latency(self) -> float:
-        if self.messages_sent == 0:
-            return 0.0
-        return self.total_latency / self.messages_sent
-
-    def reset_stats(self) -> None:
-        self.messages_sent = 0
-        self.bits_sent = 0
-        self.flit_hops = 0
-        self.total_latency = 0
-        for link in self.links.values():
-            link.reset()
+        sim.schedule_at(arrival, deliver, message)

@@ -17,50 +17,25 @@ construction cost part of the simulator's hot path.
 
 from __future__ import annotations
 
-import itertools
-from typing import Optional
-
 #: Bits of header per message: src id (4) + dst id (4) + address (28) + command (4).
 HEADER_BITS = 40
 #: Bits of payload for a 16-byte cache line.
 DATA_BITS = 128
 
-_msg_ids = itertools.count()
-
 
 class NetworkMessage:
     """A unit of transfer on one of the two mesh networks.
 
-    ``src`` and ``dst`` are node ids.  ``bits`` is the total size used both
-    for traffic statistics and for link occupancy (flit count).
+    ``src`` and ``dst`` are node ids.  ``bits`` is the total size, which
+    sets the message's link occupancy (flit count).
     """
 
-    __slots__ = ("src", "dst", "bits", "uid", "sent_at", "delivered_at")
+    __slots__ = ("src", "dst", "bits")
 
-    def __init__(
-        self,
-        src: int = 0,
-        dst: int = 0,
-        bits: int = HEADER_BITS,
-        uid: Optional[int] = None,
-        sent_at: Optional[int] = None,
-        delivered_at: Optional[int] = None,
-    ) -> None:
+    def __init__(self, src: int = 0, dst: int = 0, bits: int = HEADER_BITS) -> None:
         self.src = src
         self.dst = dst
         self.bits = bits
-        #: Monotone id used only for deterministic tie-breaking and debugging.
-        self.uid = next(_msg_ids) if uid is None else uid
-        #: Filled in by the mesh on delivery (for latency statistics).
-        self.sent_at = sent_at
-        self.delivered_at = delivered_at
-
-    def flits(self, link_bits: int) -> int:
-        """Number of flits on a ``link_bits``-wide link (header-rounded)."""
-        return -(-self.bits // link_bits)  # ceil division
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"NetworkMessage(src={self.src}, dst={self.dst}, "
-            f"bits={self.bits}, uid={self.uid})"
-        )
+        return f"NetworkMessage(src={self.src}, dst={self.dst}, bits={self.bits})"

@@ -6,7 +6,10 @@ lists, in-flight messages, the event queue itself) and windowed resource
 occupancy (local buses, memory modules, both meshes) into a
 :class:`MetricsRing`.  The ring is bounded (``deque(maxlen=...)``), so a
 long run keeps the most recent ``capacity`` samples and counts the rest
-as dropped.
+as dropped.  The in-flight count is the transport's ``in_flight``
+counter.  Occupancy is the difference of each resource's cumulative
+``busy_time``, which the StatsMark leaves alone, so a window that spans
+the mark reads the true occupancy, never a negative one.
 
 Termination: the sampler must not keep the event queue alive forever, or
 runs would never drain (and real deadlocks would spin instead of raising
@@ -179,7 +182,7 @@ class MetricsSampler:
                 sim.pending(),
                 sum(len(c.mshrs) for c in m.caches),
                 sum(d.queued() for d in m.directories),
-                len(m.transport._inflight),
+                m.transport.in_flight,
                 utils[0],
                 utils[1],
                 utils[2],

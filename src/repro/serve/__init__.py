@@ -14,8 +14,8 @@ The service is fault-tolerant with the same failure model as
 ``run_many``: crashed or stuck workers are detected, the pool is
 rebuilt, and the affected cells are requeued with bounded attempts and
 deterministic backoff; clients retry every request with backoff.  A
-seeded :class:`~repro.serve.faults.ServeFaultPlan` (worker kills) makes
-the recovery path chaos-testable.
+:class:`~repro.serve.faults.ServeFaultPlan` (a budget of worker kills)
+makes the recovery path chaos-testable.
 """
 
 from repro._lazy import lazy_exports

@@ -35,14 +35,8 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.experiments.parallel import (
-    RunError,
-    RunOutcome,
-    RunSpec,
-    backoff_delay,
-    result_fingerprint,
-)
-from repro.experiments.store import result_from_json, spec_key, spec_to_json
+from repro.experiments.parallel import RunError, RunOutcome, RunSpec, backoff_delay
+from repro.experiments.store import spec_key, spec_to_json, verified_outcome
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import log_event, new_correlation_id
 
@@ -237,8 +231,9 @@ class ServeClient:
         carrying the server's error and attempt count.
         """
         specs = list(specs)
-        job = self.submit_specs(specs)
-        status = self.wait(job["job"], timeout=timeout)
+        status = self.submit_specs(specs)
+        if not status["complete"]:  # a warm job is complete on submission
+            status = self.wait(status["job"], timeout=timeout)
         entries: Dict[str, Optional[Dict[str, Any]]] = {}
         outcomes: List[RunOutcome] = []
         for spec, cell in zip(specs, status["cells"]):
@@ -249,23 +244,9 @@ class ServeClient:
                         entries[key] = self.result(key)
                     except ServeError:
                         entries[key] = None
-                entry = entries[key]
-                verified = False
-                if entry is not None:
-                    try:
-                        result = result_from_json(entry["result"])
-                        verified = (
-                            result_fingerprint(result) == entry["fingerprint"]
-                        )
-                    except Exception:
-                        verified = False
-                if verified:
-                    outcomes.append(RunOutcome(
-                        spec=spec,
-                        result=result,
-                        wall_time=entry.get("wall_time_s", 0.0),
-                        cached=True,
-                    ))
+                outcome = verified_outcome(spec, entries[key])
+                if outcome is not None:
+                    outcomes.append(outcome)
                     continue
                 outcomes.append(RunOutcome(spec=spec, error=RunError(
                     exc_type="FingerprintMismatch",

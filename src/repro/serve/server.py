@@ -66,7 +66,7 @@ attempt's future wakes the loop by writing a byte to a socket pair, the
 only cross-thread step; :meth:`ExperimentServer.close` does the same.
 
 A :class:`~repro.serve.faults.ServeFaultPlan` makes the recovery path
-chaos-testable with seeded worker kills.
+chaos-testable with budgeted worker kills.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ from repro.experiments.parallel import CellPool, CellScheduler, RunSpec
 from repro.experiments.store import ResultStore, spec_from_json, spec_key
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import log_event
-from repro.serve.faults import ServeFaultPlan
+from repro.serve.faults import KILL_DELAY, ServeFaultPlan
 
 SERVE_SCHEMA = "repro-serve/1"
 
@@ -441,11 +441,9 @@ class ExperimentServer:
         """A cell's attempt went to a worker: wake the loop when it ends."""
         self._m_cell_attempts.inc()
         cell.future.add_done_callback(self._wake)
-        if self.faults is not None and self.faults.should_kill(
-            cell.key, cell.attempts
-        ):
+        if self.faults is not None and self.faults.should_kill(cell.attempts):
             future = cell.future
-            self._call_later(self.faults.kill_delay,
+            self._call_later(KILL_DELAY,
                              lambda: self._fault_kill(cell, future, tries=50))
 
     def _fault_kill(self, cell: Cell, future: Any, tries: int) -> None:

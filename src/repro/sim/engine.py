@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "DeadlockError",
@@ -149,6 +149,15 @@ class Simulator:
     def pending(self) -> int:
         """Number of events still queued."""
         return self._size
+
+    def queued(self) -> List[Tuple[int, Callable, tuple]]:
+        """The pending events as ``(time, callback, args)``, in firing order."""
+        buckets = self._buckets
+        return [
+            (time, callback, args)
+            for time in sorted(buckets)
+            for callback, args in buckets[time]
+        ]
 
     def clear(self) -> None:
         """Drop every queued event (a run that stopped early leaves some)."""

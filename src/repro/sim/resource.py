@@ -13,6 +13,11 @@ This is the standard "occupancy" approximation used by architecture
 simulators when full cycle-accuracy is not required; the paper models
 contention "at the memory modules, the local buses, and the mesh networks",
 which this captures.
+
+A resource never forgets a reservation: the StatsMark restarts the
+machine's counters, not its resources, so a message sent after the mark
+still queues behind one crossing the same link, and ``busy_time`` only
+grows (the metrics sampler's windowed occupancy is its difference).
 """
 
 from __future__ import annotations
@@ -21,15 +26,13 @@ from __future__ import annotations
 class Resource:
     """A single-server FIFO resource (one bus, one DRAM bank, one link)."""
 
-    __slots__ = ("name", "_free_at", "busy_time", "reservations")
+    __slots__ = ("name", "_free_at", "busy_time")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._free_at: int = 0
         #: Total time this resource spent occupied (for utilization stats).
         self.busy_time: int = 0
-        #: Number of reservations granted.
-        self.reservations: int = 0
 
     @property
     def free_at(self) -> int:
@@ -48,7 +51,6 @@ class Resource:
         start = self._free_at if self._free_at > earliest else earliest
         self._free_at = start + duration
         self.busy_time += duration
-        self.reservations += 1
         return start
 
     def waiting_time(self, earliest: int) -> int:
@@ -60,11 +62,6 @@ class Resource:
         if elapsed <= 0:
             return 0.0
         return min(1.0, self.busy_time / elapsed)
-
-    def reset(self) -> None:
-        self._free_at = 0
-        self.busy_time = 0
-        self.reservations = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Resource({self.name!r}, free_at={self._free_at})"
@@ -82,7 +79,6 @@ class InfiniteResource(Resource):
     def reserve(self, earliest: int, duration: int) -> int:
         if duration < 0:
             raise ValueError(f"negative duration {duration!r}")
-        self.reservations += 1
         return earliest
 
     def waiting_time(self, earliest: int) -> int:

@@ -330,8 +330,7 @@ def test_serve_worker_kill_requeues_and_matches_undisturbed_run(tmp_path):
     requeued on a rebuilt pool and its result is byte-identical (same
     fingerprint) to an undisturbed local run.  Every count ``/stats``
     reports afterwards is also the value of its ``/metrics`` family."""
-    faults = ServeFaultPlan(seed=11, kill_fraction=1.0, max_kills=1,
-                            kill_delay=0.02)
+    faults = ServeFaultPlan(max_kills=1)
     registry = MetricsRegistry()
     # The first cell sleeps long enough that the 20ms-delayed kill lands
     # while it is still executing; the rest are ordinary tiny cells.
@@ -606,6 +605,26 @@ def test_correlation_id_threads_client_to_job(tmp_path):
         served = srv.jobs[job["job"]]
         assert served.cid == "sweep-e2e42"
         assert [cell.cid for cell in served.cells] == ["sweep-e2e42"]
+
+
+def test_warm_run_many_does_not_poll_a_complete_job(tmp_path):
+    """A job whose cells are all in the store is complete in the POST
+    reply, so ``run_many`` reads its results without a status poll."""
+    spec = tiny_specs()[0]
+    store = ResultStore(tmp_path / "cache")
+    store.put(execute_spec(spec))
+    registry = MetricsRegistry()
+    with running_server(store, registry=registry) as srv:
+        client = ServeClient(f"http://127.0.0.1:{srv.port}")
+        [outcome] = client.run_many([spec])
+        assert outcome.ok and outcome.cached
+        assert result_fingerprint(outcome.result) == result_fingerprint(
+            execute_spec(spec).unwrap()
+        )
+        http = parse_exposition(client.metrics())["repro_http_requests_total"]
+        assert http.value({"route": "/jobs"}) == 1
+        assert http.value({"route": "/jobs/{id}"}) is None  # no such series
+        assert http.value({"route": "/results/{key}"}) == 1
 
 
 # ---------------------------------------------------------------------------

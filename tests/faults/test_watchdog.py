@@ -19,7 +19,10 @@ from repro import (
 )
 from repro.coherence.messages import MsgKind
 from repro.cpu.ops import Barrier, Read, Write
+from repro.faults import FaultConfig
+from repro.protocols import policy_for
 from repro.snoopy import SnoopyConfig, SnoopyMachine
+from repro.workloads import make_workload
 
 ADDR = 8192  # home node 2
 BLOCK = ADDR // 16
@@ -134,6 +137,35 @@ def test_update_protocol_stall_renders_committed_mshr():
     text = dump.render()
     assert "committed" in text
     assert f"block {BLOCK}" in text
+
+
+@pytest.mark.parametrize("protocol, faults", [
+    ("W-I", None),
+    ("AD", None),
+    ("Dragon", None),
+    # Reorder holds: a swap releases a held message before its flush.
+    ("AD", FaultConfig(seed=3, intensity=1.0)),
+])
+def test_dump_lists_exactly_the_messages_in_flight(protocol, faults):
+    """Mid-run dumps read the event queue: every message between
+    ``Transport.send`` and its dispatch appears once, and a reply still
+    waiting out its service delay appears via ``Transport.send``."""
+    config = MachineConfig.dash_default(policy=policy_for(protocol), faults=faults)
+    machine = Machine(config)
+    checked = []
+
+    def probe():
+        dump = machine.diagnostic_dump()
+        moving = [m for m in dump.messages if m["via"] != "Transport.send"]
+        assert len(moving) == machine.transport.in_flight
+        assert all(m["due"] >= dump.sim_time for m in dump.messages)
+        checked.append(len(moving))
+        if not all(p.done for p in machine.processors):
+            machine.sim.schedule(37, probe)
+
+    machine.sim.schedule(37, probe)
+    machine.run(make_workload("mp3d", config.num_nodes, "tiny", seed=42).programs())
+    assert len(checked) > 400 and max(checked) > 20
 
 
 def test_watchdog_silent_on_a_healthy_run():

@@ -119,3 +119,19 @@ def test_dir_pending_series_is_pinned():
     ring = machine.metrics.ring
     column = ring.columns.index("dir_pending")
     assert [row[column] for row in ring.rows] == PRODUCER_CONSUMER_DIR_PENDING
+
+
+@pytest.mark.parametrize("workload", ["mp3d", "lu"])
+def test_occupancy_is_never_negative_across_the_stats_mark(workload):
+    """The StatsMark restarts counters, not resources, so the window that
+    spans it reads a true occupancy like every other window."""
+    config = MachineConfig.dash_default(
+        policy=ProtocolPolicy.adaptive_default(), metrics_interval=100
+    )
+    machine = Machine(config)
+    machine.run(make_workload(workload, config.num_nodes, "tiny", seed=42).programs())
+    assert machine._mark_time > 0  # the run passed a StatsMark
+    ring = machine.metrics.ring
+    for column in ("bus_util", "mem_util", "req_net_util", "reply_net_util"):
+        index = ring.columns.index(column)
+        assert min(row[index] for row in ring.rows) >= 0, column

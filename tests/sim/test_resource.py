@@ -52,19 +52,9 @@ def test_utilization():
     assert r.utilization(0) == 0.0
 
 
-def test_reset_clears_state():
-    r = Resource("r")
-    r.reserve(0, 10)
-    r.reset()
-    assert r.free_at == 0
-    assert r.busy_time == 0
-    assert r.reservations == 0
-
-
 def test_infinite_resource_never_queues():
     r = InfiniteResource("inf")
     assert r.reserve(0, 100) == 0
     assert r.reserve(0, 100) == 0
     assert r.waiting_time(0) == 0
     assert r.busy_time == 0
-    assert r.reservations == 2

@@ -20,12 +20,12 @@ from repro.serve.server import ExperimentServer
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Option actions of the parser and of every subparser, ``--help`` excluded.
-CLI_OPTIONS = 75
+CLI_OPTIONS = 74
 #: Distinct ``REPRO_*`` names anywhere under ``src/``.
 ENV_VARIABLES = 4
 #: Defaulted parameters of ``run_many``, ``ExperimentServer`` and
 #: ``ServeClient``, plus the ``init`` fields of ``ServeFaultPlan``.
-KEYWORD_KNOBS = 20
+KEYWORD_KNOBS = 17
 
 
 def _options(parser):
