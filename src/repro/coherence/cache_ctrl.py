@@ -223,8 +223,8 @@ class CacheController:
             return
         index = cache.find(block)
         if index >= 0:
-            cache._tick += 1
-            cache.lru[index] = cache._tick
+            if cache.lru is not None:
+                cache.touch_index(index)
             self._c_read_hits.inc()
             version = cache.versions[index]
             self.checker.on_read(self.node, block, version)
@@ -253,8 +253,8 @@ class CacheController:
                     # locally.
                     self._c_migrating_promotions.inc()
                     cache.states[index] = STATE_D
-                cache._tick += 1
-                cache.lru[index] = cache._tick
+                if cache.lru is not None:
+                    cache.touch_index(index)
                 self._c_write_hits.inc()
                 cache.versions[index] = self.checker.on_write(
                     self.node, block, cache.versions[index]
@@ -531,8 +531,8 @@ class CacheController:
                 cache.states[index] = fill_code
                 if fill_version > cache.versions[index]:
                     cache.versions[index] = fill_version
-                cache._tick += 1
-                cache.lru[index] = cache._tick
+                if cache.lru is not None:
+                    cache.touch_index(index)
             if fill_code >= STATE_D:
                 self.checker.acquire_writable(self.node, block)
             if mshr.miack_needed and not mshr.miack_received:

@@ -25,13 +25,21 @@ Storage layout
 --------------
 
 Per-block records are struct-of-arrays: a ``block -> row`` index dict
-plus dense per-row columns (state codes in a ``bytearray``, owner /
-version / last-writer in ``array('q')``, busy / awaiting-writeback flags
-in ``bytearray``s).  A row with no sharers points at the one shared,
-immutable ``_NO_SHARERS``; it gets its own Python ``set`` on its first
-sharer.  Sharer sets are only built by insertion, never emptied in place,
-so each one's iteration order (part of the deterministic invalidation and
-update send order) is that of its insertions.  Pending queues are
+plus dense per-row columns (state codes in a ``bytearray``, owner and
+last-writer in ``array('h')``, version and ``upd_count`` in
+``array('i')``, busy / awaiting-writeback flags in ``bytearray``s).
+
+A row's sharer list is a set whose iteration order is the order its
+invalidations and updates are sent in.  Sharer sets are only built by
+insertion, never emptied in place, so each iterates in the order of its
+insertions.  Most rows point at an interned, immutable set that every
+directory shares: the empty ``_NO_SHARERS``, a first reader's
+``_ONE[i]``, or the ``_TWO[src][requester]`` a Sw or NoMig leaves.  A
+joining sharer gives a row its own set, ``{*sharers, i}``: a copy of a
+one- or two-member set keeps its table layout, so it iterates as the
+set would after ``add(i)``.  A set with more than two members is the
+row's own and grows in place, since copying a bigger set (by a display
+or a union) can re-size its table and reorder it.  Pending queues are
 allocated lazily too (most blocks never queue), and so are the
 :class:`DirectoryEntry` views: a thin *view* over one row, kept for cold
 paths (tests, diagnostics); handlers work on row indices and integer
@@ -71,6 +79,25 @@ from repro.stats.counters import Counters
 
 #: The sharer list of every row that has no sharers.
 _NO_SHARERS: AbstractSet[int] = frozenset()
+#: Interned sharer sets, shared by every directory: ``_ONE[i]`` is
+#: ``{i}``, and ``_TWO[src][requester]`` is ``{src, requester}`` made on
+#: first use (``{a, b}`` and ``{b, a}`` may iterate in different orders).
+#: Each entry is immutable and fixed by its index, so sharing them
+#: across machines changes no result.
+_ONE: List[AbstractSet[int]] = []
+_TWO: List[List[Optional[AbstractSet[int]]]] = []
+
+
+def _intern_sharers(num_nodes: int) -> None:
+    """Grow the interned sharer sets to cover node ids below ``num_nodes``."""
+    size = len(_ONE)
+    if num_nodes <= size:
+        return
+    for pairs in _TWO:
+        pairs.extend([None] * (num_nodes - size))
+    for node in range(size, num_nodes):
+        _ONE.append(frozenset((node,)))
+        _TWO.append([None] * num_nodes)
 
 
 class DirectoryEntry:
@@ -213,6 +240,7 @@ class DirectoryController:
     def __init__(
         self,
         node: int,
+        num_nodes: int,
         sim: Simulator,
         transport: Transport,
         memory: MemoryModule,
@@ -223,6 +251,7 @@ class DirectoryController:
         tracer=None,
     ) -> None:
         self.node = node
+        _intern_sharers(num_nodes)
         self.sim = sim
         self.transport = transport
         self.memory = memory
@@ -266,14 +295,14 @@ class DirectoryController:
         self._index: Dict[int, int] = {}
         self._blocks: List[int] = []
         self._states = bytearray()
-        self._owners = array("q")
-        self._versions = array("q")
+        self._owners = array("h")
+        self._versions = array("i")
         #: Last-writer pointer; -1 = valid bit reset.
-        self._lw = array("q")
+        self._lw = array("h")
         #: Unconsumed home-committed updates per line (competitive hybrid:
         #: reaching the policy threshold falls the line back to
         #: invalidation; any consumer read resets it).
-        self._upd_count = array("q")
+        self._upd_count = array("i")
         self._busy = bytearray()
         self._awaiting = bytearray()
         self._sharers: List[AbstractSet[int]] = []
@@ -495,12 +524,16 @@ class DirectoryController:
             done = self.memory.access(self.sim.now)
             self._set_state(row, msg, DIR_SR)
             sharers = self._sharers[row]
-            if sharers:
-                sharers.add(i)
-            else:  # the first sharer gives the row its own set
-                self._sharers[row] = sharers = {i}
-            if len(sharers) > 2:
-                self._lw[row] = -1  # LW valid bit reset (paper Figure 4)
+            if not sharers:
+                self._sharers[row] = _ONE[i]
+            else:
+                if i not in sharers:
+                    if len(sharers) > 2:
+                        sharers.add(i)
+                    else:  # a joining sharer gives the row its own set
+                        self._sharers[row] = sharers = {*sharers, i}
+                if len(sharers) > 2:
+                    self._lw[row] = -1  # LW valid bit reset (paper Figure 4)
             self._send_at(
                 done,
                 CoherenceMessage(
@@ -647,7 +680,11 @@ class DirectoryController:
                         version = self._versions[row] + 1
                     self._versions[row] = version
                     self._upd_count[row] += 1
-                    sharers.add(i)
+                    if i not in sharers:
+                        if len(sharers) > 2:
+                            sharers.add(i)
+                        else:
+                            self._sharers[row] = {*sharers, i}
                     self._record_inval_count(0, block, i)
                     self._send_at(
                         done,
@@ -683,7 +720,11 @@ class DirectoryController:
         self._check_inflight(row, msg)
         self._set_state(row, msg, DIR_SR)
         self._versions[row] = msg.version
-        self._sharers[row] = {msg.src, msg.requester}
+        pairs = _TWO[msg.src]
+        sharers = pairs[msg.requester]
+        if sharers is None:
+            pairs[msg.requester] = sharers = frozenset((msg.src, msg.requester))
+        self._sharers[row] = sharers
         self._owners[row] = -1
         # Two sharers: the LW valid bit survives (reset only above two).
         self._complete(row)
@@ -745,7 +786,11 @@ class DirectoryController:
         self._c_nomig_reverts.inc()
         self._set_state(row, msg, DIR_SR)
         self._versions[row] = msg.version
-        self._sharers[row] = {msg.src, msg.requester}
+        pairs = _TWO[msg.src]
+        sharers = pairs[msg.requester]
+        if sharers is None:
+            pairs[msg.requester] = sharers = frozenset((msg.src, msg.requester))
+        self._sharers[row] = sharers
         self._owners[row] = -1
         self._lw[row] = -1
         self._complete(row)

@@ -60,7 +60,6 @@ class Transport:
         faults=None,
     ) -> None:
         self.sim = sim
-        self.fabric = fabric
         #: Meshes indexed by ``MsgKind.net_idx`` (0 = request, 1 = reply);
         #: the send path picks one with a tuple index instead of routing
         #: through ``Fabric.send``'s name-string dispatch.

@@ -117,8 +117,8 @@ class Machine:
                 self.memories[n].slowdown = self.fault_plan.memory_slowdown(n)
         self.directories = [
             DirectoryController(
-                n, self.sim, self.transport, self.memories[n], cfg.policy,
-                self.counters, checker=self.checker,
+                n, cfg.num_nodes, self.sim, self.transport, self.memories[n],
+                cfg.policy, self.counters, checker=self.checker,
                 profiler=self.block_profiler, tracer=self.tracer,
             )
             for n in range(cfg.num_nodes)

@@ -62,6 +62,3 @@ class LocalBus:
         resource._free_at = start + duration
         resource.busy_time += duration
         return start + duration
-
-    def utilization(self, elapsed: int) -> float:
-        return self.resource.utilization(elapsed)

@@ -13,10 +13,13 @@ versions are never lost or reordered (see DESIGN.md Section 5).
 Storage layout
 --------------
 
-The array is struct-of-arrays: five dense columns (``tags``/``states``/
-``versions``/``locked``/``lru``) indexed by frame number
+The array is struct-of-arrays: four dense columns (``tags``/``states``/
+``versions``/``locked``, 10 bytes a frame) indexed by frame number
 ``set_index * associativity + way``, using :mod:`array`/``bytearray``
-buffers rather than one Python object per line.  The hot path (controller
+buffers rather than one Python object per line.  An array with more than
+one way adds an ``lru`` column of recency stamps; a direct-mapped one
+has a single candidate per set, so it keeps none (``lru`` is None) and
+its hits and installs record no recency.  The hot path (controller
 lookups, victim selection, installs) works on frame indices and integer
 state codes directly; :class:`CacheLine` is a thin *view* over one frame
 — stable per frame, attribute reads/writes pass through to the columns —
@@ -132,14 +135,6 @@ class CacheLine:
         self._cache.locked[self._index] = 1 if value else 0
 
     @property
-    def last_used(self) -> int:
-        return self._cache.lru[self._index]
-
-    @last_used.setter
-    def last_used(self, value: int) -> None:
-        self._cache.lru[self._index] = value
-
-    @property
     def valid(self) -> bool:
         return self._cache.states[self._index] != STATE_I
 
@@ -167,11 +162,12 @@ class CacheArray:
 
     Column conventions (all indexed by frame number):
 
-    * ``tags`` — ``array('q')``, block tag or -1 when the frame is invalid;
+    * ``tags`` — ``array('i')``, block tag or -1 when the frame is invalid;
     * ``states`` — ``bytearray`` of ``STATE_*`` codes (0 = invalid);
-    * ``versions`` — ``array('q')`` data version for coherence checking;
+    * ``versions`` — ``array('i')`` data version for coherence checking;
     * ``locked`` — ``bytearray``, 1 while replacement is locked (MIack);
-    * ``lru`` — ``array('q')`` recency tick for victim selection.
+    * ``lru`` — ``array('q')`` recency tick for victim selection, or None
+      when direct-mapped.
     """
 
     def __init__(
@@ -199,11 +195,11 @@ class CacheArray:
         self.num_frames = num_lines
         # Dense columns (C buffers, bulk-allocated: far cheaper than one
         # CacheLine object per frame, and index arithmetic on lookup).
-        self.tags = array("q", [-1]) * num_lines
+        self.tags = array("i", [-1]) * num_lines
         self.states = bytearray(num_lines)
-        self.versions = array("q", [0]) * num_lines
+        self.versions = array("i", [0]) * num_lines
         self.locked = bytearray(num_lines)
-        self.lru = array("q", [0]) * num_lines
+        self.lru = array("q", [0]) * num_lines if associativity > 1 else None
         # One stable view per frame, materialized on demand.
         self._views: Dict[int, CacheLine] = {}
         self._tick = 0
@@ -258,9 +254,11 @@ class CacheArray:
         return -1
 
     def touch_index(self, index: int) -> None:
-        """Update LRU recency for frame ``index``."""
-        self._tick += 1
-        self.lru[index] = self._tick
+        """Update LRU recency for frame ``index`` (none when direct-mapped)."""
+        lru = self.lru
+        if lru is not None:
+            self._tick += 1
+            lru[index] = self._tick
 
     def victim_index(self, block: int) -> int:
         """Frame index ``block`` would occupy (invalid-first, then LRU).
@@ -303,8 +301,8 @@ class CacheArray:
         self.states[index] = state_code
         self.versions[index] = version
         self.locked[index] = 0
-        self._tick += 1
-        self.lru[index] = self._tick
+        if self.lru is not None:
+            self.touch_index(index)
         return index
 
     # ------------------------------------------------------------------

@@ -47,6 +47,3 @@ class MemoryModule:
             else self.directory_cycle * self.slowdown
         )
         return self.resource.reserve(earliest, cycle) + cycle
-
-    def utilization(self, elapsed: int) -> float:
-        return self.resource.utilization(elapsed)

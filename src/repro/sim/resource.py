@@ -53,10 +53,6 @@ class Resource:
         self.busy_time += duration
         return start
 
-    def waiting_time(self, earliest: int) -> int:
-        """How long a request arriving at ``earliest`` would queue."""
-        return max(0, self._free_at - earliest)
-
     def utilization(self, elapsed: int) -> float:
         """Fraction of ``elapsed`` pclocks the resource was occupied."""
         if elapsed <= 0:
@@ -80,6 +76,3 @@ class InfiniteResource(Resource):
         if duration < 0:
             raise ValueError(f"negative duration {duration!r}")
         return earliest
-
-    def waiting_time(self, earliest: int) -> int:
-        return 0

@@ -117,7 +117,7 @@ class Harness:
         self.checker = CoherenceChecker()
         self.counters = Counters()
         self.directory = DirectoryController(
-            num_caches, self.clock, self.transport, _MEMORY, policy,
+            num_caches, num_caches + 1, self.clock, self.transport, _MEMORY, policy,
             self.counters, checker=self.checker,
         )
         self.caches = [

@@ -4,11 +4,13 @@ A machine's fixed cost (cache arrays, meshes, tables) is allocated once;
 what grows with the footprint is the bookkeeping kept per touched block.
 Running random-mix at two sizes and dividing the difference in traced
 peak by the difference in directory rows cancels the fixed cost and
-leaves the marginal bytes per touched block.  A row with no sharers
-shares one empty sharer list and the miss marks are one byte per block
-per node, so the margin is ~345 B/row on CPython 3.11 (~335 on 3.9).
-The limit sits below the ~630 B/row (~620) that one more Python ``set``
-per row and per missed block costs.
+leaves the marginal bytes per touched block.  Most rows point at an
+interned sharer set that every directory shares (none, a first reader,
+or the pair a Sw leaves), the row columns hold 1 to 4 bytes each, and
+the miss marks are one byte per block per node, so the margin is
+~205 B/row on CPython 3.11-3.13 (~194 on 3.9).  The limit sits below
+the ~316 B/row (~305) measured when each row with sharers had its own
+Python ``set`` and 8-byte columns.
 """
 
 import tracemalloc
@@ -21,7 +23,7 @@ from repro.protocols import policy_for
 from repro.workloads import make_workload
 
 #: Marginal traced bytes per touched directory row (see module docstring).
-BYTES_PER_ROW_LIMIT = 480
+BYTES_PER_ROW_LIMIT = 260
 
 
 def _traced_run(num_blocks, ops, **config):

@@ -1,5 +1,7 @@
 """Unit tests for the cache tag/state array."""
 
+import tracemalloc
+
 import pytest
 
 from repro.memory import CacheArray, CacheGeometryError, CacheState
@@ -8,6 +10,19 @@ from repro.memory import CacheArray, CacheGeometryError, CacheState
 def test_geometry_64k_direct_mapped():
     c = CacheArray(64 * 1024, 16, 1)
     assert c.num_sets == 4096
+
+
+def test_direct_mapped_frame_costs_at_most_12_bytes():
+    # Tag and version (4 bytes each), state and lock (1 byte each), and no
+    # recency stamp: with one way per set there is no victim to choose.
+    tracemalloc.start()
+    try:
+        c = CacheArray(64 * 1024, 16, 1)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert c.lru is None
+    assert traced / c.num_frames <= 12, f"{traced / c.num_frames:.1f} B/frame"
 
 
 def test_geometry_4k():

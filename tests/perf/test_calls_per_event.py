@@ -10,9 +10,9 @@ the largest of Python 3.9.18, 3.11.7, 3.12.1 and 3.13.0):
     ========  ===============  =====
     protocol  calls per event  bound
     ========  ===============  =====
-    AD        13.71            13.85
-    W-I       13.39            13.53
-    Dragon    12.12            12.25
+    AD        13.70            13.84
+    W-I       13.38            13.52
+    Dragon    12.10            12.23
     ========  ===============  =====
 
 A change that adds calls per event raises the bound in its own diff, as
@@ -34,7 +34,7 @@ import pytest
 from repro.experiments.runner import run_workload
 from repro.protocols import policy_for
 
-BOUNDS = {"AD": 13.85, "W-I": 13.53, "Dragon": 12.25}
+BOUNDS = {"AD": 13.84, "W-I": 13.52, "Dragon": 12.23}
 
 
 def calls_per_event(protocol: str) -> float:

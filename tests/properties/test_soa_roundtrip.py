@@ -1,7 +1,7 @@
 """Round-trip properties of the struct-of-arrays hot-core storage.
 
 The cache and directory keep their per-line/per-block state in dense
-typed columns (``array('q')`` / ``bytearray``) for the hot paths, while
+typed columns (``array`` / ``bytearray``) for the hot paths, while
 cold paths (checker, dumps, tests) see thin view objects.  These tests
 pin the contract: everything written through one surface must read back
 identically through the other, and the enum <-> integer-code mappings

@@ -25,14 +25,6 @@ def test_gap_between_reservations_is_idle():
     assert r.busy_time == 5
 
 
-def test_waiting_time():
-    r = Resource("r")
-    r.reserve(0, 10)
-    assert r.waiting_time(3) == 7
-    assert r.waiting_time(10) == 0
-    assert r.waiting_time(20) == 0
-
-
 def test_zero_duration_reservation_allowed():
     r = Resource("r")
     assert r.reserve(5, 0) == 5
@@ -56,5 +48,4 @@ def test_infinite_resource_never_queues():
     r = InfiniteResource("inf")
     assert r.reserve(0, 100) == 0
     assert r.reserve(0, 100) == 0
-    assert r.waiting_time(0) == 0
     assert r.busy_time == 0
