@@ -1,68 +1,62 @@
 #!/usr/bin/env python
-"""Watch the detection FSM (Figure 4) classify access patterns.
+"""Watch the home directory classify access patterns (Figure 4).
 
-Feeds the home-side reference detector the request streams from the
-paper's Section 3.3 and prints every state transition, showing why each
-sequence is (or is not) nominated migratory.
+Runs the request streams of the paper's Section 3.3 on the simulator's
+own cache controllers and home directory, one processor operation at a
+time, and prints home's state after each operation with the messages it
+caused, showing why each sequence is (or is not) nominated migratory.
+LW, the last-writer pointer, is not read while a block is migratory.
 
 Run:  python examples/detection_trace.py
 """
 
-from repro.core.detection import ReferenceDetectorFSM
-from repro.core.policy import ProtocolPolicy
+from repro.protocols import policy_for
+from repro.verify.harness import BLOCK, Harness
+
+LABELS = {"read": "R", "write": "W", "evict": "Repl"}
 
 
-def trace(title: str, requests) -> None:
-    """requests: list of (label, callable(fsm))."""
-    fsm = ReferenceDetectorFSM(policy=ProtocolPolicy.adaptive_default())
+def trace(title: str, ops) -> None:
+    """ops: (action, node) steps, action one of read / write / evict."""
+    harness = Harness(num_caches=4, policy=policy_for("AD"))
+    home = harness.directory.entry(BLOCK)
     print(f"--- {title}")
-    print(f"{'request':<12}{'state after':<22}{'sharers':<16}{'LW':<6}migratory?")
-    for label, apply in requests:
-        apply(fsm)
-        sharers = "{" + ",".join(map(str, sorted(fsm.sharers))) + "}"
-        lw = "-" if fsm.last_writer is None else str(fsm.last_writer)
-        flag = "YES" if fsm.is_migratory else ""
-        print(f"{label:<12}{fsm.state.value:<22}{sharers:<16}{lw:<6}{flag}")
+    print(f"{'op':<8}{'home after':<20}{'sharers':<10}{'LW':<4}messages")
+    for action, node in ops:
+        delivered = harness.perform(action, node)
+        messages = " ".join(msg.kind.value for msg in delivered) or "(no messages)"
+        state = home.state.name.title().replace("_", "-")
+        sharers = "{" + ",".join(map(str, sorted(home.sharers))) + "}"
+        lw = "-" if home.last_writer is None else str(home.last_writer)
+        label = f"{LABELS[action]}_{node}"
+        print(f"{label:<8}{state:<20}{sharers:<10}{lw:<4}{messages}")
     print()
-
-
-def rr(node):
-    return (f"Rr_{node}", lambda fsm: fsm.read_miss(node))
-
-
-def rxq(node):
-    return (f"Rxq_{node}", lambda fsm: fsm.read_exclusive(node))
-
-
-def repl(node):
-    return (f"Repl_{node}", lambda fsm: fsm.replacement(node))
-
-
-def wr(node):
-    return (f"W_{node}(hit)", lambda fsm: fsm.write_hit_by_owner())
 
 
 def main() -> None:
     trace(
-        "Migratory sharing (paper expression (1)): nominated at Rxq_1",
-        [rr(0), rxq(0), rr(1), rxq(1), rr(2), wr(2), rr(3)],
+        "Migratory sharing (paper expression (1)): nominated at W_1",
+        [("read", 0), ("write", 0), ("read", 1), ("write", 1),
+         ("read", 2), ("write", 2), ("read", 3)],
     )
     trace(
         "Producer-consumer (Rxq_0 Rr_1 Rxq_0 Rr_1): never nominated (LW==i)",
-        [rxq(0), rr(1), rxq(0), rr(1), rxq(0)],
+        [("write", 0), ("read", 1), ("write", 0), ("read", 1), ("write", 0)],
     )
     trace(
         "Intervening reader (Rxq_0 Rr_1 Rr_2 Rxq_1): never nominated (N==3)",
-        [rxq(0), rr(1), rr(2), rxq(1)],
+        [("write", 0), ("read", 1), ("read", 2), ("write", 1)],
     )
     trace(
         "Silent replacement (Rr_0 Rxq_0 Rr_1 Rr_2 Repl_2 Rxq_1): "
         "LW valid bit protects against stale presence",
-        [rr(0), rxq(0), rr(1), rr(2), repl(2), rxq(1)],
+        [("read", 0), ("write", 0), ("read", 1), ("read", 2), ("evict", 2),
+         ("write", 1)],
     )
     trace(
         "Read-only ping-pong after nomination: NoMig reverts the block",
-        [rr(0), rxq(0), rr(1), rxq(1), rr(2), rr(3), rr(2)],
+        [("read", 0), ("write", 0), ("read", 1), ("write", 1), ("read", 2),
+         ("read", 3), ("read", 2)],
     )
 
 

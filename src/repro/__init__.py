@@ -20,7 +20,7 @@ __version__ = "1.0.0"
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".consistency": ("SEQUENTIAL_CONSISTENCY", "WEAK_ORDERING"),
-    ".core": ("ProtocolPolicy", "ReferenceDetectorFSM", "should_nominate"),
+    ".core": ("ProtocolPolicy", "should_nominate"),
     ".cpu": ("Barrier", "Compute", "Lock", "Read", "Unlock", "Write"),
     ".faults": ("DiagnosticDump", "FaultConfig"),
     ".machine": ("Machine", "MachineConfig", "RunResult", "SharedAllocator"),

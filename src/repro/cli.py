@@ -74,41 +74,27 @@ def _print_cache_summary(store) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.parallel import RunSpec, execute_spec
+
     cache_note = "disabled"
-    if args.trace:
-        from repro.experiments.runner import run_workload
-
-        # Tracing wants the live machine (span artifacts are not cached).
-        result = run_workload(
-            args.workload,
-            _policy_by_name(args.protocol),
-            preset=args.preset,
-            consistency=model_by_name(args.consistency),
-            check_coherence=not args.no_check,
-            seed=args.seed,
-            trace=True,
-        )
+    spec = RunSpec.make(
+        args.workload,
+        _policy_by_name(args.protocol),
+        preset=args.preset,
+        consistency=model_by_name(args.consistency),
+        check_coherence=not args.no_check,
+        seed=args.seed,
+    )
+    store = _open_store(args)
+    outcome = store.fetch(spec) if store is not None else None
+    if outcome is not None:
+        cache_note = "hit (fingerprint verified)"
     else:
-        from repro.experiments.parallel import RunSpec, execute_spec
-
-        spec = RunSpec.make(
-            args.workload,
-            _policy_by_name(args.protocol),
-            preset=args.preset,
-            consistency=model_by_name(args.consistency),
-            check_coherence=not args.no_check,
-            seed=args.seed,
-        )
-        store = _open_store(args)
-        outcome = store.fetch(spec) if store is not None else None
-        if outcome is not None:
-            cache_note = "hit (fingerprint verified)"
-        else:
-            outcome = execute_spec(spec)
-            if store is not None and outcome.ok:
-                store.put(outcome)
-                cache_note = "miss (stored)"
-        result = outcome.unwrap()
+        outcome = execute_spec(spec)
+        if store is not None and outcome.ok:
+            store.put(outcome)
+            cache_note = "miss (stored)"
+    result = outcome.unwrap()
     breakdown = result.aggregate_breakdown
     fractions = breakdown.fractions()
     print(f"workload:        {args.workload} (preset {args.preset})")
@@ -134,11 +120,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ):
         if result.counter(counter):
             print(f"  {counter:<22}{result.counter(counter)}")
-    if result.latency is not None:
-        from repro.obs import render_latency_summary
-
-        print()
-        print(render_latency_summary(result.latency))
     print(f"result cache:    {cache_note}")
     return 0
 
@@ -546,9 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workload seed (part of the cache key)")
     run_p.add_argument("--no-check", action="store_true",
                        help="disable coherence invariant checking")
-    run_p.add_argument("--trace", action="store_true",
-                       help="trace every miss and print the latency "
-                            "attribution summary (bypasses the cache)")
     _add_cache_args(run_p)
     run_p.set_defaults(func=_cmd_run)
 

@@ -45,11 +45,14 @@ allocated lazily too (most blocks never queue), and so are the
 paths (tests, diagnostics); handlers work on row indices and integer
 codes, dispatched through a kind-indexed table.
 
-The last-writer pointer (the paper's LW with its valid bit, see
-:class:`repro.core.detection.LastWriterTracker`) is inlined as the
-``_lw`` column: -1 encodes the reset valid bit, updates happen at every
-transition to Dirty-Remote, and the pointer is invalidated whenever the
-sharing list grows beyond two.
+The last-writer pointer (the paper's LW with its valid bit) is the
+``_lw`` column, read through :attr:`DirectoryEntry.last_writer`: -1
+encodes the reset valid bit, every transition to Dirty-Remote and every
+nomination records the new owner, and the pointer is invalidated
+whenever the sharing list grows beyond two or a NoMig reverts the block.
+No transition out of Migratory-Dirty or Migratory-Uncached reads it.
+These handlers are the Figure 4 state machine; the tests of its
+sequences drive them through :class:`repro.verify.Harness`.
 """
 
 from __future__ import annotations
@@ -139,6 +142,12 @@ class DirectoryEntry:
     @owner.setter
     def owner(self, value: Optional[int]) -> None:
         self._dir._owners[self._row] = -1 if value is None else value
+
+    @property
+    def last_writer(self) -> Optional[int]:
+        """The paper's LW pointer, or None when its valid bit is reset."""
+        lw = self._dir._lw[self._row]
+        return None if lw < 0 else lw
 
     @property
     def version(self) -> int:

@@ -19,23 +19,14 @@ be invalidated whenever the sharing list grows beyond two so that silent
 replacements (``Rr_i Rxq_i Rr_j Rr_k Repl_k Rxq_j``) cannot cause a false
 nomination.
 
-Two artifacts live here:
-
-* :func:`should_nominate` — the pure nomination predicate used by the
-  directory controller.
-* :class:`ReferenceDetectorFSM` — a standalone model of the home-side
-  finite-state machine of Figure 4, used as a test oracle in unit and
-  property tests (it tracks its own sharer set and last writer from a raw
-  request stream, independent of the timing simulator).
+:func:`should_nominate` is that condition.  The home directory
+(:mod:`repro.coherence.directory`) and the snoopy memory controller
+(:mod:`repro.snoopy.protocol`) both call it, and each keeps its own LW.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import Optional, Set
-
-from repro.core.policy import ProtocolPolicy
+from typing import Optional
 
 
 def should_nominate(
@@ -49,172 +40,3 @@ def should_nominate(
     valid bit is reset).
     """
     return num_copies == 2 and last_writer is not None and last_writer != requester
-
-
-class LastWriterTracker:
-    """Last-writer pointer (LW) with its valid bit, per the paper.
-
-    * Updated (and validated) at every transition to Dirty-Remote.
-    * Invalidated as soon as the sharing list exceeds two entries.
-    """
-
-    __slots__ = ("_writer",)
-
-    def __init__(self) -> None:
-        self._writer: Optional[int] = None
-
-    @property
-    def value(self) -> Optional[int]:
-        """The pointer, or None when the valid bit is reset."""
-        return self._writer
-
-    def record_write(self, node: int) -> None:
-        self._writer = node
-
-    def invalidate(self) -> None:
-        self._writer = None
-
-    def note_sharer_count(self, count: int) -> None:
-        """Reset the valid bit when the sharing list exceeds two."""
-        if count > 2:
-            self._writer = None
-
-
-class DetectorState(enum.Enum):
-    """Figure 4 states of the home finite-state machine."""
-
-    UNCACHED = "Uncached"
-    SHARED_REMOTE = "Shared-Remote"
-    DIRTY_REMOTE = "Dirty-Remote"
-    MIGRATORY_DIRTY = "Migratory-Dirty"
-    MIGRATORY_UNCACHED = "Migratory-Uncached"
-
-
-@dataclass
-class ReferenceDetectorFSM:
-    """Untimed model of the Figure 4 state machine for one memory block.
-
-    Feed it the global request stream home would see — ``read_miss(i)``,
-    ``read_exclusive(i)``, ``replacement(i)`` — and it tracks nomination
-    exactly per the paper.  ``migratory_read(i)`` models the Mr round-trip
-    outcome including the NoMig revert: the previous owner refuses to
-    migrate when it never wrote the block (its copy is still "Migrating").
-    """
-
-    policy: ProtocolPolicy = field(default_factory=ProtocolPolicy.adaptive_default)
-    state: DetectorState = DetectorState.UNCACHED
-    sharers: Set[int] = field(default_factory=set)
-    owner: Optional[int] = None
-    #: Whether the current migratory owner has written since acquiring.
-    owner_wrote: bool = False
-    nominations: int = 0
-    reverts: int = 0
-
-    def __post_init__(self) -> None:
-        self._lw = LastWriterTracker()
-
-    @property
-    def last_writer(self) -> Optional[int]:
-        return self._lw.value
-
-    @property
-    def is_migratory(self) -> bool:
-        return self.state in (
-            DetectorState.MIGRATORY_DIRTY,
-            DetectorState.MIGRATORY_UNCACHED,
-        )
-
-    # ------------------------------------------------------------------
-    # Request stream
-    # ------------------------------------------------------------------
-    def read_miss(self, node: int) -> None:
-        """Home receives Rr from ``node``."""
-        if self.state in (DetectorState.UNCACHED, DetectorState.SHARED_REMOTE):
-            self.sharers.add(node)
-            self.state = DetectorState.SHARED_REMOTE
-            self._lw.note_sharer_count(len(self.sharers))
-        elif self.state is DetectorState.DIRTY_REMOTE:
-            # Owner downgrades to shared; requester joins.
-            self.sharers = {self.owner, node}
-            self.owner = None
-            self.state = DetectorState.SHARED_REMOTE
-        elif self.state is DetectorState.MIGRATORY_UNCACHED:
-            self._become_owner(node)
-        elif self.state is DetectorState.MIGRATORY_DIRTY:
-            self.migratory_read(node)
-
-    def migratory_read(self, node: int, for_write: bool = False) -> None:
-        """Outcome of the Mr forward to the current owner."""
-        assert self.state is DetectorState.MIGRATORY_DIRTY
-        if (
-            self.policy.nomig_enabled
-            and not self.owner_wrote
-            and not for_write
-        ):
-            # NoMig: owner never wrote; block reverts to ordinary sharing.
-            self.sharers = {self.owner, node}
-            self.owner = None
-            self.state = DetectorState.SHARED_REMOTE
-            self._lw.invalidate()
-            self.reverts += 1
-        else:
-            self._become_owner(node)
-
-    def read_exclusive(self, node: int) -> None:
-        """Home receives Rxq from ``node``."""
-        if self.state in (DetectorState.UNCACHED, DetectorState.DIRTY_REMOTE):
-            self._to_dirty_remote(node)
-        elif self.state is DetectorState.SHARED_REMOTE:
-            if self.policy.adaptive and should_nominate(
-                len(self.sharers), node, self._lw.value
-            ):
-                self.nominations += 1
-                self._become_owner(node)
-                self.owner_wrote = True
-            else:
-                self._to_dirty_remote(node)
-        elif self.state is DetectorState.MIGRATORY_UNCACHED:
-            if self.policy.rxq_reverts_to_ordinary:
-                self._to_dirty_remote(node)
-            else:
-                self._become_owner(node)
-                self.owner_wrote = True
-        elif self.state is DetectorState.MIGRATORY_DIRTY:
-            if self.policy.rxq_reverts_to_ordinary:
-                self._to_dirty_remote(node)
-            else:
-                self.migratory_read(node, for_write=True)
-                self.owner_wrote = True
-
-    def write_hit_by_owner(self) -> None:
-        """The migratory owner's first write (local Migrating -> Dirty)."""
-        self.owner_wrote = True
-
-    def replacement(self, node: int, silent_if_shared: bool = True) -> None:
-        """``node`` evicts its copy."""
-        if self.state is DetectorState.DIRTY_REMOTE and self.owner == node:
-            self.owner = None
-            self.state = DetectorState.UNCACHED
-        elif self.state is DetectorState.MIGRATORY_DIRTY and self.owner == node:
-            self.owner = None
-            self.state = DetectorState.MIGRATORY_UNCACHED
-        elif node in self.sharers and not silent_if_shared:
-            self.sharers.discard(node)
-            if not self.sharers:
-                self.state = DetectorState.UNCACHED
-        # Silent shared replacement: home state unchanged (stale presence).
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _to_dirty_remote(self, node: int) -> None:
-        self.sharers = set()
-        self.owner = node
-        self.state = DetectorState.DIRTY_REMOTE
-        self._lw.record_write(node)
-
-    def _become_owner(self, node: int) -> None:
-        self.sharers = set()
-        self.owner = node
-        self.owner_wrote = False
-        self.state = DetectorState.MIGRATORY_DIRTY

@@ -53,6 +53,17 @@ class ProtocolPolicy:
     #: before the line falls back to invalidation.
     update_threshold: int = DEFAULT_UPDATE_THRESHOLD
 
+    def __post_init__(self) -> None:
+        # The migratory knobs belong to W-I/AD; MESI, Dragon and Hybrid
+        # would run them but be named (and cached) as the plain protocol.
+        if self.protocol in ("mesi", "dragon", "hybrid") and (
+            self.adaptive or self.rxq_reverts_to_ordinary or not self.nomig_enabled
+        ):
+            raise ValueError(
+                f"protocol {self.protocol!r} takes no adaptive, "
+                "rxq_reverts_to_ordinary or nomig_enabled setting"
+            )
+
     @staticmethod
     def write_invalidate() -> "ProtocolPolicy":
         """The paper's baseline ("W-I")."""

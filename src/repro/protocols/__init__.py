@@ -1,11 +1,13 @@
-"""Pluggable coherence protocols.
+"""The coherence protocol family.
 
 A protocol is a behavior object behind a stable controller/directory
-interface (:mod:`repro.protocols.base`); the registered family
-(:mod:`repro.protocols.family`) covers the paper's W-I/AD pair plus
-MESI, Dragon write-update, and the competitive update/invalidate
-hybrid.  Resolve names with :func:`get_protocol` / :func:`policy_for`;
-controllers bind behavior with :func:`behavior_for`.
+interface (:mod:`repro.protocols.base`); the family
+(:mod:`repro.protocols.family`) is the paper's W-I/AD pair plus MESI,
+Dragon write-update, and the competitive update/invalidate hybrid, and
+has no other members.  Resolve names with :func:`get_protocol` /
+:func:`policy_for`; controllers bind behavior with :func:`behavior_for`.
+Migratory detection is not a behavior hook: it lives in the directory's
+migratory paths, switched by ``ProtocolPolicy.adaptive``.
 """
 
 from repro.protocols.base import Protocol
@@ -22,7 +24,6 @@ from repro.protocols.registry import (
     default_policies,
     get_protocol,
     policy_for,
-    register_protocol,
 )
 
 __all__ = [
@@ -37,5 +38,4 @@ __all__ = [
     "default_policies",
     "get_protocol",
     "policy_for",
-    "register_protocol",
 ]

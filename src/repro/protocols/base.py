@@ -47,10 +47,6 @@ class Protocol:
 
     #: Registry name (canonical, lower-case).
     name = "wi"
-    #: Human-facing name (matches ``ProtocolPolicy.name``).
-    display_name = "W-I"
-    #: One-line description for ``repro-sim list``/docs.
-    summary = "DASH write-invalidate baseline (paper Section 3.1)"
 
     #: See module docstring for hook semantics.
     store_kind = MsgKind.RXQ
@@ -68,8 +64,8 @@ class Protocol:
     def use_update(self, n_others: int, upd_count: int) -> bool:
         """Update-vs-invalidate decision for a Wu at a shared line."""
         raise NotImplementedError(
-            f"{self.display_name} is not a write-update protocol"
+            f"{self.policy.name} is not a write-update protocol"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Protocol {self.display_name}>"
+        return f"<Protocol {self.policy.name}>"

@@ -1,4 +1,4 @@
-"""The registered protocol family.
+"""The protocol family.
 
 Five protocols share the DASH mechanism (see :mod:`repro.protocols.base`
 for the hook contract):
@@ -32,8 +32,6 @@ from repro.protocols.base import Protocol
 
 class WriteInvalidate(Protocol):
     name = "wi"
-    display_name = "W-I"
-    summary = "DASH write-invalidate baseline (paper Section 3.1)"
 
     @classmethod
     def default_policy(cls) -> ProtocolPolicy:
@@ -42,8 +40,6 @@ class WriteInvalidate(Protocol):
 
 class AdaptiveMigratory(Protocol):
     name = "ad"
-    display_name = "AD"
-    summary = "adaptive migratory optimization (paper Sections 3.2-3.4)"
 
     @classmethod
     def default_policy(cls) -> ProtocolPolicy:
@@ -52,8 +48,6 @@ class AdaptiveMigratory(Protocol):
 
 class Mesi(Protocol):
     name = "mesi"
-    display_name = "MESI"
-    summary = "clean-exclusive (E) state with silent E-to-M promotion"
 
     grant_exclusive_on_read = True
     clean_exclusive = True
@@ -61,8 +55,6 @@ class Mesi(Protocol):
 
 class Dragon(Protocol):
     name = "dragon"
-    display_name = "Dragon"
-    summary = "write-update: home-committed writes, sharers updated in place"
 
     store_kind = MsgKind.WU
     is_update = True
@@ -73,8 +65,6 @@ class Dragon(Protocol):
 
 class Hybrid(Dragon):
     name = "hybrid"
-    display_name = "Hybrid"
-    summary = "competitive update/invalidate (falls back after N unconsumed updates)"
 
     def use_update(self, n_others: int, upd_count: int) -> bool:
         return upd_count < self.policy.update_threshold

@@ -1,9 +1,9 @@
 """Protocol registry: name -> behavior class, policy -> behavior object.
 
 ``get_protocol`` resolves user-facing names (CLI ``--protocol``, sweep
-specs, serialized policies) to a registered :class:`Protocol` class; it
-accepts the canonical lower-case names plus the display-name aliases the
-paper tables use ("W-I", "AD", including the AD ablation spellings).
+specs, serialized policies) to a :class:`Protocol` class of the family;
+it accepts the canonical lower-case names plus the spellings the paper
+tables use ("W-I", "AD", including the AD ablation spellings).
 ``behavior_for`` builds (and caches) the behavior instance a controller
 consults — policies are frozen dataclasses, so one instance per distinct
 policy suffices.
@@ -23,7 +23,14 @@ from repro.protocols.family import (
     WriteInvalidate,
 )
 
-_REGISTRY: Dict[str, Type[Protocol]] = {}
+#: Canonical name -> behavior class, in sweep order.
+_REGISTRY: Dict[str, Type[Protocol]] = {
+    "wi": WriteInvalidate,
+    "ad": AdaptiveMigratory,
+    "mesi": Mesi,
+    "dragon": Dragon,
+    "hybrid": Hybrid,
+}
 
 #: Alias spellings (upper-cased for lookup) -> canonical registry name.
 #: The AD ablations resolve to the "ad" behavior; their knobs live on the
@@ -40,19 +47,8 @@ _ALIASES = {
 }
 
 
-def register_protocol(cls: Type[Protocol]) -> Type[Protocol]:
-    """Register ``cls`` under its canonical name (importable as a decorator)."""
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-for _cls in (WriteInvalidate, AdaptiveMigratory, Mesi, Dragon, Hybrid):
-    register_protocol(_cls)
-del _cls
-
-
 def available_protocols() -> Tuple[str, ...]:
-    """Canonical protocol names, in registration order."""
+    """Canonical protocol names, in sweep order."""
     return tuple(_REGISTRY)
 
 
@@ -95,5 +91,5 @@ def behavior_for(policy: ProtocolPolicy) -> Protocol:
 
 
 def default_policies() -> List[ProtocolPolicy]:
-    """One default policy per registered protocol (N-way sweep order)."""
+    """One default policy per protocol of the family (N-way sweep order)."""
     return [cls.default_policy() for cls in _REGISTRY.values()]

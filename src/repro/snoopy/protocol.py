@@ -1,13 +1,13 @@
 """Snoopy write-invalidate protocol with the adaptive migratory extension.
 
 State per cache line is the same quartet as the CC-NUMA machine —
-Invalid / Shared / Dirty / Migrating — and the detection logic is
-*literally the same code* (:func:`repro.core.detection.should_nominate`
-plus :class:`~repro.core.detection.LastWriterTracker`): the memory
+Invalid / Shared / Dirty / Migrating — and nomination calls the same
+predicate, :func:`repro.core.detection.should_nominate`: the memory
 controller sees every bus transaction, exactly as a home directory sees
 every request, so nomination fires under the identical N==2 ∧ LW≠i
 condition, and a nominated block's BusRd is converted into a
-read-for-ownership.
+read-for-ownership.  The controller keeps LW as the directory does: a
+write records its writer, and a third sharer or a NoMig resets it.
 
 Because bus transactions are atomic, there are no transient states and
 no races: each processor operation that misses performs one bus
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.coherence.checker import CoherenceChecker
-from repro.core.detection import LastWriterTracker, should_nominate
+from repro.core.detection import should_nominate
 from repro.core.policy import ProtocolPolicy
 from repro.memory.cache import CacheArray, CacheState
 from repro.sim.engine import SimulationError, Simulator
@@ -36,7 +36,8 @@ class BlockInfo:
 
     sharers: Set[int] = field(default_factory=set)
     owner: Optional[int] = None
-    lw: LastWriterTracker = field(default_factory=LastWriterTracker)
+    #: Last writer, or None while its valid bit is reset.
+    lw: Optional[int] = None
     migratory: bool = False
     version: int = 0
     #: The migratory owner has written since acquiring the block.
@@ -186,7 +187,7 @@ class SnoopyCache:
                         # revert the block to ordinary (Section 3.4).
                         self.system.c_nomig_reverts.inc()
                         info.migratory = False
-                        info.lw.invalidate()
+                        info.lw = None
                     else:
                         migrate = True
                         self.system.c_migratory_reads.inc()
@@ -216,7 +217,8 @@ class SnoopyCache:
                 self._finish(block, done, is_write=False)
                 return
             info.sharers.add(self.node)
-            info.lw.note_sharer_count(len(info.sharers))
+            if len(info.sharers) > 2:
+                info.lw = None
             self._install(block, CacheState.SHARED, info.version)
             self._finish(block, done, is_write=False)
 
@@ -235,7 +237,7 @@ class SnoopyCache:
             # Detection at the memory controller, in bus order: the same
             # condition as the directory machine (N==2 and LW != i).
             if self.system.policy.adaptive and not info.migratory:
-                if should_nominate(len(info.sharers), self.node, info.lw.value):
+                if should_nominate(len(info.sharers), self.node, info.lw):
                     self.system.c_nominations.inc()
                     info.migratory = True
             elif info.migratory and self.system.policy.rxq_reverts_to_ordinary:
@@ -261,7 +263,7 @@ class SnoopyCache:
             info.sharers = set()
             info.owner = self.node
             info.owner_wrote = True
-            info.lw.record_write(self.node)
+            info.lw = self.node
 
             line = self.cache.lookup(block)
             if line is None:

@@ -17,6 +17,9 @@ A step is a processor read or write (one outstanding, ``ops`` per cache),
 an eviction of an unlocked line, the delivery of a channel's head, or the
 release of a cache's oldest delayed send.  Each component snapshots and
 restores its own state, so each struct-of-arrays layout stays in its module.
+:meth:`Harness.perform` instead runs one processor operation to
+quiescence, in one fixed order, so a test can script the request stream
+home sees.
 """
 
 from __future__ import annotations
@@ -193,6 +196,26 @@ class Harness:
                 cache._ensure_frame(BLOCK)
             else:  # "read" or "write"
                 getattr(cache, action)(BLOCK, _done)
+
+    def perform(self, action: str, node: int) -> List[CoherenceMessage]:
+        """Take processor step ``(action, node)``, then release and deliver
+        every message it causes until only processor steps remain, and
+        return the delivered messages in order.  Delayed sends are
+        released first, lowest node first; otherwise the channel that
+        opened earliest delivers its head."""
+        self.take((action, node))
+        delivered = []
+        queues = self.transport.queues
+        while True:
+            sends = next(filter(None, self.clock.delayed), None)
+            if sends:
+                self.transport.send(sends.pop(0))
+            elif queues:
+                key = next(iter(queues))
+                delivered.append(queues[key][0])
+                self.transport.deliver(key)
+            else:
+                return delivered
 
     def describe(self, step: Tuple[str, object]) -> str:
         action, arg = step

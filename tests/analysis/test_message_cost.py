@@ -1,8 +1,12 @@
 """Tests of the Section 5.2 message-cost arithmetic."""
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis import (
+    AD_EPISODE,
+    WI_EPISODE,
     ad_episode_cost,
     breakdown_table,
     episode_cost,
@@ -12,6 +16,16 @@ from repro.analysis import (
 from repro.coherence.messages import MsgKind
 from repro.experiments import compare_protocols
 from repro.machine.config import MachineConfig
+from repro.protocols import policy_for
+from repro.verify.harness import Harness
+
+
+def episode(harness, node):
+    """Kinds of the messages ``node``'s read, then write, delivers."""
+    return tuple(
+        msg.kind for action in ("read", "write")
+        for msg in harness.perform(action, node)
+    )
 
 
 def test_wi_episode_is_704_bits():
@@ -27,6 +41,30 @@ def test_ad_episode_is_328_bits():
     assert cost.message_count == 5
     assert cost.data_replies == 1  # Mack
     assert cost.requests == 4  # Rr, Mr, DT, MIack (as the paper counts)
+
+
+def test_wi_controllers_send_the_wi_episode():
+    """The episode the closed form counts is what the controllers send:
+    node 1 reads, then writes, a block node 0 holds dirty."""
+    harness = Harness(num_caches=4, policy=policy_for("W-I"))
+    harness.perform("write", 0)
+    kinds = episode(harness, 1)
+    assert Counter(kinds) == Counter(WI_EPISODE)
+    assert episode_cost(kinds).total_bits == 704
+
+
+def test_ad_controllers_send_the_ad_episode():
+    """After the nomination by nodes 0 and 1, node 2's read-modify-write
+    is exactly Figure 3's messages: its write sends nothing."""
+    harness = Harness(num_caches=4, policy=policy_for("AD"))
+    episode(harness, 0)
+    episode(harness, 1)
+    assert harness.counters.get("nominations") == 1
+    read = harness.perform("read", 2)
+    assert harness.perform("write", 2) == []
+    kinds = tuple(msg.kind for msg in read)
+    assert kinds == AD_EPISODE
+    assert episode_cost(kinds).total_bits == 328
 
 
 def test_reduction_is_53_percent():

@@ -2,22 +2,42 @@
 
 Section 3.3 gives the nomination condition and three sequences that must
 NOT be nominated; Section 3.4 gives the NoMig revert and the Rxq
-heuristic.  These tests drive the untimed reference FSM (Figure 4).
+heuristic.  The sequences run on the simulator's own cache controllers
+and home directory (Figure 4 is the directory's state machine), one
+processor operation at a time through :meth:`Harness.perform`, so home
+sees the paper's request stream ``Rr_i Rxq_i Rr_j ...``.
 """
 
-import pytest
-
-from repro.core.detection import (
-    DetectorState,
-    LastWriterTracker,
-    ReferenceDetectorFSM,
-    should_nominate,
-)
-from repro.core.policy import ProtocolPolicy
+from repro.coherence.messages import MsgKind
+from repro.coherence.states import DirState
+from repro.core.detection import should_nominate
+from repro.protocols import policy_for
+from repro.verify.harness import BLOCK, Harness
 
 
-def adaptive_fsm(**kwargs):
-    return ReferenceDetectorFSM(policy=ProtocolPolicy(adaptive=True, **kwargs))
+def machine(policy="AD"):
+    """Four caches and their home directory under ``policy``."""
+    return Harness(num_caches=4, policy=policy_for(policy))
+
+
+def run(harness, *ops):
+    """Perform ``("read" | "write" | "evict", node)`` steps; return the
+    kinds of the messages the last one delivered."""
+    for action, node in ops:
+        kinds = [msg.kind for msg in harness.perform(action, node)]
+    return kinds
+
+
+def home(harness):
+    return harness.directory.entries[BLOCK]
+
+
+def count(harness, name):
+    return harness.counters.get(name)
+
+
+#: Rr_0 Rxq_0 Rr_1 Rxq_1: nominated at the second Rxq.
+CANONICAL = (("read", 0), ("write", 0), ("read", 1), ("write", 1))
 
 
 # ----------------------------------------------------------------------
@@ -45,62 +65,44 @@ def test_rejects_invalid_last_writer():
 
 
 # ----------------------------------------------------------------------
-# Last-writer pointer maintenance
-# ----------------------------------------------------------------------
-def test_lw_tracks_writes():
-    lw = LastWriterTracker()
-    assert lw.value is None
-    lw.record_write(3)
-    assert lw.value == 3
-
-
-def test_lw_invalidated_when_sharers_exceed_two():
-    lw = LastWriterTracker()
-    lw.record_write(3)
-    lw.note_sharer_count(2)
-    assert lw.value == 3
-    lw.note_sharer_count(3)
-    assert lw.value is None
-
-
-# ----------------------------------------------------------------------
 # The canonical migratory sequence: Rr_i Rxq_i Rr_j Rxq_j ...
 # ----------------------------------------------------------------------
 def test_canonical_migratory_sequence_nominated():
-    fsm = adaptive_fsm()
-    fsm.read_miss(0)
-    fsm.read_exclusive(0)       # LW=0, Dirty-Remote
-    fsm.read_miss(1)            # Shared-Remote {0, 1}
-    fsm.read_exclusive(1)       # N==2, LW=0 != 1 -> nominate
-    assert fsm.is_migratory
-    assert fsm.state is DetectorState.MIGRATORY_DIRTY
-    assert fsm.owner == 1
-    assert fsm.nominations == 1
+    h = machine()
+    run(h, ("read", 0), ("write", 0))
+    assert home(h).state is DirState.DIRTY_REMOTE
+    assert home(h).last_writer == 0     # a write sets LW
+    assert run(h, ("read", 1)) == [MsgKind.RR, MsgKind.FWD_RR, MsgKind.RP, MsgKind.SW]
+    assert home(h).state is DirState.SHARED_REMOTE
+    assert home(h).sharers == {0, 1}
+    assert home(h).last_writer == 0     # two sharers keep it
+    run(h, ("write", 1))                # N==2, LW=0 != 1 -> nominate
+    assert home(h).state is DirState.MIGRATORY_DIRTY
+    assert home(h).owner == 1
+    assert count(h, "nominations") == 1
 
 
 def test_migratory_stays_migratory_across_processors():
-    fsm = adaptive_fsm()
-    fsm.read_miss(0)
-    fsm.read_exclusive(0)
-    fsm.read_miss(1)
-    fsm.read_exclusive(1)
-    # Subsequent read-modify-write episodes: owner migrates on each read.
-    for node in (2, 3, 4):
-        fsm.read_miss(node)
-        assert fsm.owner == node
-        fsm.write_hit_by_owner()  # local Migrating -> Dirty, no request
-    assert fsm.is_migratory
-    assert fsm.nominations == 1
+    h = machine()
+    run(h, *CANONICAL)
+    # Subsequent read-modify-write episodes: ownership migrates on each
+    # read, and the write is a local Migrating -> Dirty hit.
+    for node in (2, 3, 0):
+        assert run(h, ("read", node)) == [
+            MsgKind.RR, MsgKind.MR, MsgKind.MACK, MsgKind.DT, MsgKind.MIACK,
+        ]
+        assert home(h).owner == node
+        assert h.perform("write", node) == []
+    assert home(h).state is DirState.MIGRATORY_DIRTY
+    assert count(h, "nominations") == 1
+    assert count(h, "migratory_reads") == 3
 
 
 def test_write_invalidate_policy_never_nominates():
-    fsm = ReferenceDetectorFSM(policy=ProtocolPolicy.write_invalidate())
-    fsm.read_miss(0)
-    fsm.read_exclusive(0)
-    fsm.read_miss(1)
-    fsm.read_exclusive(1)
-    assert not fsm.is_migratory
-    assert fsm.state is DetectorState.DIRTY_REMOTE
+    h = machine("W-I")
+    run(h, *CANONICAL)
+    assert home(h).state is DirState.DIRTY_REMOTE
+    assert count(h, "nominations") == 0
 
 
 # ----------------------------------------------------------------------
@@ -108,157 +110,124 @@ def test_write_invalidate_policy_never_nominates():
 # ----------------------------------------------------------------------
 def test_intervening_reader_rejected():
     """Rxq_i Rr_j Rr_k Rxq_j: three copies at the Rxq -> not migratory."""
-    fsm = adaptive_fsm()
-    fsm.read_miss(0)
-    fsm.read_exclusive(0)
-    fsm.read_miss(1)
-    fsm.read_miss(2)            # sharers {0, 1, 2}: LW invalidated too
-    fsm.read_exclusive(1)
-    assert not fsm.is_migratory
+    h = machine()
+    run(h, ("read", 0), ("write", 0), ("read", 1), ("read", 2))
+    assert home(h).sharers == {0, 1, 2}
+    assert home(h).last_writer is None  # reset above two sharers
+    run(h, ("write", 1))
+    assert home(h).state is DirState.DIRTY_REMOTE
+    assert count(h, "nominations") == 0
 
 
 def test_producer_consumer_rejected():
     """Rxq_i Rr_j Rxq_i Rr_j: LW == requester -> not migratory."""
-    fsm = adaptive_fsm()
-    fsm.read_exclusive(0)
-    fsm.read_miss(1)
-    fsm.read_exclusive(0)       # N==2 but LW==0 == requester
-    assert not fsm.is_migratory
-    fsm.read_miss(1)
-    fsm.read_exclusive(0)
-    assert not fsm.is_migratory
+    h = machine()
+    run(h, ("write", 0), ("read", 1), ("write", 0))  # N==2 but LW==0
+    assert home(h).state is DirState.DIRTY_REMOTE
+    run(h, ("read", 1), ("write", 0))
+    assert home(h).state is DirState.DIRTY_REMOTE
+    assert count(h, "nominations") == 0
 
 
 def test_silent_replacement_rejected():
     """Rr_i Rxq_i Rr_j Rr_k Repl_k Rxq_j: stale presence + invalid LW."""
-    fsm = adaptive_fsm()
-    fsm.read_miss(0)
-    fsm.read_exclusive(0)
-    fsm.read_miss(1)
-    fsm.read_miss(2)            # list grows to 3: LW valid bit reset
-    fsm.replacement(2)          # silent: home still counts 3 copies
-    fsm.read_exclusive(1)
-    assert not fsm.is_migratory
-    assert len(fsm.sharers) == 0  # moved to Dirty-Remote
-    assert fsm.state is DetectorState.DIRTY_REMOTE
+    h = machine()
+    run(h, ("read", 0), ("write", 0), ("read", 1), ("read", 2))
+    assert h.perform("evict", 2) == []  # silent: home still counts 3 copies
+    assert len(home(h).sharers) == 3
+    run(h, ("write", 1))
+    assert home(h).state is DirState.DIRTY_REMOTE
+    assert not home(h).sharers
+    assert count(h, "nominations") == 0
 
 
 # ----------------------------------------------------------------------
 # Migratory-Uncached: nomination survives replacement
 # ----------------------------------------------------------------------
 def test_replacement_of_migratory_block_keeps_nomination():
-    fsm = adaptive_fsm()
-    fsm.read_miss(0)
-    fsm.read_exclusive(0)
-    fsm.read_miss(1)
-    fsm.read_exclusive(1)
-    fsm.replacement(1)
-    assert fsm.state is DetectorState.MIGRATORY_UNCACHED
-    assert fsm.is_migratory
-    fsm.read_miss(2)            # re-fetch: straight back to migratory-dirty
-    assert fsm.state is DetectorState.MIGRATORY_DIRTY
-    assert fsm.owner == 2
+    h = machine()
+    run(h, *CANONICAL)
+    assert run(h, ("evict", 1)) == [MsgKind.WB, MsgKind.WACK]
+    assert home(h).state is DirState.MIGRATORY_UNCACHED
+    # Re-fetch: served from memory straight back to Migratory-Dirty.
+    assert run(h, ("read", 2)) == [MsgKind.RR, MsgKind.MACK]
+    assert home(h).state is DirState.MIGRATORY_DIRTY
+    assert home(h).owner == 2
 
 
 # ----------------------------------------------------------------------
 # NoMig revert (Section 3.4 / 5.4)
 # ----------------------------------------------------------------------
 def test_read_only_pingpong_reverts():
-    fsm = adaptive_fsm()
-    fsm.read_miss(0)
-    fsm.read_exclusive(0)
-    fsm.read_miss(1)
-    fsm.read_exclusive(1)
-    assert fsm.is_migratory
+    h = machine()
+    run(h, *CANONICAL)
     # Processor 2 reads; owner 1 wrote, so ownership migrates to 2.
-    fsm.read_miss(2)
-    assert fsm.owner == 2
+    run(h, ("read", 2))
+    assert home(h).owner == 2
     # Processor 3 reads while 2 never wrote: NoMig, revert to ordinary.
-    fsm.read_miss(3)
-    assert not fsm.is_migratory
-    assert fsm.state is DetectorState.SHARED_REMOTE
-    assert fsm.sharers == {2, 3}
-    assert fsm.reverts == 1
-    assert fsm.last_writer is None
+    assert MsgKind.NOMIG in run(h, ("read", 3))
+    assert home(h).state is DirState.SHARED_REMOTE
+    assert home(h).sharers == {2, 3}
+    assert count(h, "nomig_reverts") == 1
+    assert home(h).last_writer is None
 
 
 def test_nomig_disabled_keeps_pingponging():
-    fsm = adaptive_fsm(nomig_enabled=False)
-    fsm.read_miss(0)
-    fsm.read_exclusive(0)
-    fsm.read_miss(1)
-    fsm.read_exclusive(1)
-    fsm.read_miss(2)
-    fsm.read_miss(3)            # would revert, but the ablation disables it
-    assert fsm.is_migratory
-    assert fsm.owner == 3
-    assert fsm.reverts == 0
+    h = machine("AD-NONOMIG")
+    run(h, *CANONICAL)
+    run(h, ("read", 2), ("read", 3))  # would revert, but the ablation disables it
+    assert home(h).state is DirState.MIGRATORY_DIRTY
+    assert home(h).owner == 3
+    assert count(h, "nomig_reverts") == 0
 
 
 def test_block_can_be_renominated_after_revert():
-    fsm = adaptive_fsm()
-    fsm.read_miss(0)
-    fsm.read_exclusive(0)
-    fsm.read_miss(1)
-    fsm.read_exclusive(1)
-    fsm.read_miss(2)
-    fsm.read_miss(3)            # NoMig revert
-    assert not fsm.is_migratory
+    h = machine()
+    run(h, *CANONICAL)
+    run(h, ("read", 2), ("read", 3))  # NoMig revert
+    assert home(h).state is DirState.SHARED_REMOTE
     # Now start writing again in migratory style.
-    fsm.read_exclusive(3)       # sharers were {2,3}, but LW invalid -> no
-    assert not fsm.is_migratory
-    fsm.read_miss(4)
-    fsm.read_exclusive(4)       # N==2 ({3,4}), LW=3 != 4 -> nominate again
-    assert fsm.is_migratory
-    assert fsm.nominations == 2
+    run(h, ("write", 3))                # sharers were {2,3}, but LW invalid -> no
+    assert home(h).state is DirState.DIRTY_REMOTE
+    run(h, ("read", 0), ("write", 0))   # N==2 ({3,0}), LW=3 != 0 -> nominate again
+    assert home(h).state is DirState.MIGRATORY_DIRTY
+    assert count(h, "nominations") == 2
 
 
 # ----------------------------------------------------------------------
 # Rxq on a migratory block (Section 3.4, dashed arrows)
 # ----------------------------------------------------------------------
 def test_rxq_default_keeps_migratory():
-    fsm = adaptive_fsm()
-    fsm.read_miss(0)
-    fsm.read_exclusive(0)
-    fsm.read_miss(1)
-    fsm.read_exclusive(1)
-    fsm.read_exclusive(2)       # write without preceding read
-    assert fsm.is_migratory
-    assert fsm.owner == 2
+    h = machine()
+    run(h, *CANONICAL)
+    run(h, ("write", 2))                # write without preceding read
+    assert home(h).state is DirState.MIGRATORY_DIRTY
+    assert home(h).owner == 2
+    assert count(h, "rxq_demotions") == 0
 
 
 def test_rxq_heuristic_demotes():
-    fsm = adaptive_fsm(rxq_reverts_to_ordinary=True)
-    fsm.read_miss(0)
-    fsm.read_exclusive(0)
-    fsm.read_miss(1)
-    fsm.read_exclusive(1)
-    fsm.read_exclusive(2)
-    assert not fsm.is_migratory
-    assert fsm.state is DetectorState.DIRTY_REMOTE
-    assert fsm.owner == 2
+    h = machine("AD-RXQ")
+    run(h, *CANONICAL)
+    run(h, ("write", 2))
+    assert home(h).state is DirState.DIRTY_REMOTE
+    assert home(h).owner == 2
+    assert count(h, "rxq_demotions") == 1
 
 
 def test_rxq_heuristic_demotes_from_migratory_uncached():
-    fsm = adaptive_fsm(rxq_reverts_to_ordinary=True)
-    fsm.read_miss(0)
-    fsm.read_exclusive(0)
-    fsm.read_miss(1)
-    fsm.read_exclusive(1)
-    fsm.replacement(1)
-    assert fsm.state is DetectorState.MIGRATORY_UNCACHED
-    fsm.read_exclusive(2)
-    assert fsm.state is DetectorState.DIRTY_REMOTE
+    h = machine("AD-RXQ")
+    run(h, *CANONICAL, ("evict", 1))
+    assert home(h).state is DirState.MIGRATORY_UNCACHED
+    run(h, ("write", 2))
+    assert home(h).state is DirState.DIRTY_REMOTE
+    assert home(h).owner == 2
 
 
 def test_write_without_read_stays_migratory_by_default():
     """Paper: 'As a default policy, we still consider the block migratory'."""
-    fsm = adaptive_fsm()
-    fsm.read_miss(0)
-    fsm.read_exclusive(0)
-    fsm.read_miss(1)
-    fsm.read_exclusive(1)
-    fsm.replacement(1)
-    fsm.read_exclusive(2)       # first access is a write
-    assert fsm.state is DetectorState.MIGRATORY_DIRTY
-    assert fsm.owner == 2
+    h = machine()
+    run(h, *CANONICAL, ("evict", 1))
+    run(h, ("write", 2))                # first access is a write
+    assert home(h).state is DirState.MIGRATORY_DIRTY
+    assert home(h).owner == 2

@@ -207,6 +207,10 @@ def test_serve_rejects_bad_requests(server, client):
         with pytest.raises(ServeError) as excinfo:
             client.submit([entry])
         assert excinfo.value.status == 400, entry
+    with pytest.raises(ServeError) as excinfo:  # MESI with migratory detection
+        client.submit([{"workload": "migratory-counters", "preset": "tiny",
+                        "policy": {"protocol": "mesi", "adaptive": True}}])
+    assert excinfo.value.status == 400
     # One bad spec rejects the whole batch: its valid leading cell is
     # neither registered nor run, and no job id is used up.
     valid = spec_to_json(tiny_specs()[0])

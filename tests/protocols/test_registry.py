@@ -4,13 +4,11 @@ import pytest
 
 from repro.core.policy import ProtocolPolicy
 from repro.protocols import (
-    Protocol,
     available_protocols,
     behavior_for,
     default_policies,
     get_protocol,
     policy_for,
-    register_protocol,
 )
 
 
@@ -55,9 +53,17 @@ def test_policy_for_ad_ablations():
     assert behavior_for(rxq).name == behavior_for(nonomig).name == "ad"
 
 
-def test_display_names_match_policy_names():
-    for policy in default_policies():
-        assert behavior_for(policy).display_name == policy.name
+@pytest.mark.parametrize("protocol", ["mesi", "dragon", "hybrid"])
+@pytest.mark.parametrize(
+    "knob",
+    [{"adaptive": True}, {"rxq_reverts_to_ordinary": True}, {"nomig_enabled": False}],
+)
+def test_policy_rejects_adaptive_knobs_on_other_protocols(protocol, knob):
+    """MESI with migratory detection would run AD's paths under the name
+    "MESI"; such a policy is refused rather than mislabelled."""
+    with pytest.raises(ValueError, match=protocol):
+        ProtocolPolicy(protocol=protocol, **knob)
+    ProtocolPolicy(protocol="wi", **knob)  # the W-I/AD pair takes them
 
 
 def test_behavior_instances_are_cached_per_policy():
@@ -82,24 +88,3 @@ def test_behavior_hooks_differentiate_the_family():
     assert dragon.use_update(3, 10_000)
     assert hybrid.use_update(3, hybrid.policy.update_threshold - 1)
     assert not hybrid.use_update(3, hybrid.policy.update_threshold)
-
-
-def test_register_protocol_is_open_for_extension():
-    """Third-party protocols slot in through the same registry."""
-
-    class Moesi(Protocol):
-        name = "moesi-test"
-        display_name = "MOESI-test"
-        summary = "registry extension smoke"
-
-    try:
-        register_protocol(Moesi)
-        assert get_protocol("moesi-test") is Moesi
-        policy = Moesi.default_policy()
-        assert policy.protocol == "moesi-test"
-        assert behavior_for(policy).display_name == "MOESI-test"
-    finally:
-        from repro.protocols import registry
-
-        registry._REGISTRY.pop("moesi-test", None)
-        registry._BEHAVIOR_CACHE.pop(policy, None)

@@ -17,8 +17,9 @@ import repro
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-#: Packages imported for their side effects: registering the protocol
-#: family, and the workload table behind the CLI's argparse choices.
+#: Packages that import their submodules at once: the protocol family,
+#: whose classes the directory binds and ``bench/layers.py`` finds by
+#: subclass, and the workload table behind the CLI's argparse choices.
 EAGER_PACKAGES = {"repro.protocols", "repro.workloads"}
 PACKAGES = ["repro"] + sorted(
     f"repro.{info.name}"

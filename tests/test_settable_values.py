@@ -20,7 +20,7 @@ from repro.serve.server import ExperimentServer
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Option actions of the parser and of every subparser, ``--help`` excluded.
-CLI_OPTIONS = 74
+CLI_OPTIONS = 73
 #: Distinct ``REPRO_*`` names anywhere under ``src/``.
 ENV_VARIABLES = 4
 #: Defaulted parameters of ``run_many``, ``ExperimentServer`` and
