@@ -38,8 +38,8 @@ def run(policy):
 
 
 def main() -> None:
-    wi = run(ProtocolPolicy.write_invalidate())
-    ad = run(ProtocolPolicy.adaptive_default())
+    wi = run(ProtocolPolicy("W-I"))
+    ad = run(ProtocolPolicy("AD"))
 
     print("8 processors, one snooping bus, lock-protected task farm\n")
     print(f"{'metric':<26}{'W-I':>10}{'AD':>10}{'saved':>8}")

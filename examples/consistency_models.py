@@ -42,8 +42,8 @@ def main() -> None:
           f"{'read':>8}{'write':>8}")
     for label, consistency, infinite in variants:
         for policy_label, policy in (
-            ("W-I", ProtocolPolicy.write_invalidate()),
-            ("AD", ProtocolPolicy.adaptive_default()),
+            ("W-I", ProtocolPolicy("W-I")),
+            ("AD", ProtocolPolicy("AD")),
         ):
             result = run(policy, consistency, infinite)
             if baseline is None:

@@ -57,8 +57,8 @@ def run(policy: ProtocolPolicy):
 
 
 def main() -> None:
-    wi_machine, _, wi = run(ProtocolPolicy.write_invalidate())
-    ad_machine, accounts, ad = run(ProtocolPolicy.adaptive_default())
+    wi_machine, _, wi = run(ProtocolPolicy("W-I"))
+    ad_machine, accounts, ad = run(ProtocolPolicy("AD"))
 
     total_writes = 16 * TRANSFERS_PER_TELLER * 2
     print(f"{16} tellers x {TRANSFERS_PER_TELLER} transfers "

@@ -18,13 +18,11 @@ from repro.verify import Harness, explore
 
 def main() -> None:
     configs = [
-        ("write-invalidate", 2, 2, ProtocolPolicy.write_invalidate()),
-        ("adaptive", 2, 2, ProtocolPolicy.adaptive_default()),
-        ("adaptive", 2, 3, ProtocolPolicy.adaptive_default()),
-        ("adaptive + rxq-revert", 2, 3,
-         ProtocolPolicy(adaptive=True, rxq_reverts_to_ordinary=True)),
-        ("adaptive - nomig", 2, 3,
-         ProtocolPolicy(adaptive=True, nomig_enabled=False)),
+        ("write-invalidate", 2, 2, ProtocolPolicy("W-I")),
+        ("adaptive", 2, 2, ProtocolPolicy("AD")),
+        ("adaptive", 2, 3, ProtocolPolicy("AD")),
+        ("adaptive + rxq-revert", 2, 3, ProtocolPolicy("AD-RXQ")),
+        ("adaptive - nomig", 2, 3, ProtocolPolicy("AD-NONOMIG")),
     ]
     print(f"{'policy':<24}{'caches':>7}{'ops':>5}   result")
     for name, caches, ops, policy in configs:

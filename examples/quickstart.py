@@ -23,8 +23,8 @@ def run(policy: ProtocolPolicy):
 
 
 def main() -> None:
-    wi = run(ProtocolPolicy.write_invalidate())
-    ad = run(ProtocolPolicy.adaptive_default())
+    wi = run(ProtocolPolicy("W-I"))
+    ad = run(ProtocolPolicy("AD"))
 
     print("Migratory counters: 16 processors, lock / read / modify / write / unlock")
     print()

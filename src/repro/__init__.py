@@ -5,7 +5,7 @@ Public API quick tour::
 
     from repro import Machine, MachineConfig, ProtocolPolicy
 
-    config = MachineConfig.dash_default(policy=ProtocolPolicy.adaptive_default())
+    config = MachineConfig.dash_default(policy=ProtocolPolicy("AD"))
     machine = Machine(config)
     result = machine.run(programs)          # one op-generator per node
     print(result.execution_time, result.counter("rxq_received"))

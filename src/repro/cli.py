@@ -35,17 +35,17 @@ from repro.workloads import PRESETS, WORKLOADS
 
 
 def _policy_by_name(name: str) -> ProtocolPolicy:
-    from repro.protocols import available_protocols, policy_for
+    from repro.protocols import policy_for
 
     try:
         return policy_for(name)
-    except KeyError:
-        choices = sorted(
-            p.upper() for p in available_protocols()
-        ) + ["AD-RXQ", "AD-NONOMIG"]
-        raise SystemExit(
-            f"unknown protocol {name!r}; choose from {choices}"
-        ) from None
+    except KeyError as exc:
+        raise SystemExit(exc.args[0]) from None
+
+
+def _policies_by_names(names: str) -> List[ProtocolPolicy]:
+    """The policies of a comma-separated ``--protocols`` list."""
+    return [_policy_by_name(n) for n in map(str.strip, names.split(",")) if n]
 
 
 def _open_store(args: argparse.Namespace):
@@ -313,11 +313,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     policies = None
     if args.protocols:
-        names = [n.strip() for n in args.protocols.split(",") if n.strip()]
-        if len(names) < 2:
+        policies = _policies_by_names(args.protocols)
+        if len(policies) < 2:
             raise SystemExit("--protocols needs at least two comma-separated "
                              "protocol names")
-        policies = [_policy_by_name(n) for n in names]
     comparison = compare_protocols(
         args.workload,
         preset=args.preset,
@@ -443,7 +442,10 @@ def _cmd_bus(args: argparse.Namespace) -> int:
         policy=policy,
         check_coherence=not args.no_check,
     )
-    machine = SnoopyMachine(config)
+    try:
+        machine = SnoopyMachine(config)
+    except ValueError as exc:  # a protocol the bus machine lacks
+        raise SystemExit(str(exc)) from None
     workload = make_workload(args.workload, args.processors, args.preset)
     result = machine.run(workload.programs())
     print(f"workload:         {args.workload} on {args.processors}-way bus")
@@ -475,13 +477,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             f"--intensities must be comma-separated floats, got "
             f"{args.intensities!r}"
         ) from None
-    policies = None
-    if args.protocols:
-        policies = [
-            _policy_by_name(n)
-            for n in args.protocols.split(",")
-            if n.strip()
-        ]
+    policies = _policies_by_names(args.protocols) if args.protocols else None
     report = run_chaos(
         args.workloads or DEFAULT_WORKLOADS,
         intensities,
@@ -642,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     bus_p = sub.add_parser("bus", help="run on the bus-based snoopy machine")
     bus_p.add_argument("workload", choices=sorted(WORKLOADS))
     bus_p.add_argument("--protocol", default="AD",
-                       help="W-I or AD (coherence policy)")
+                       help="W-I, AD, AD-RXQ or AD-NONOMIG")
     bus_p.add_argument("--processors", type=int, default=8)
     bus_p.add_argument("--preset", default="tiny")
     bus_p.add_argument("--no-check", action="store_true")

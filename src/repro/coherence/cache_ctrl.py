@@ -147,7 +147,6 @@ class CacheController:
         self.transport = transport
         self.cache = cache
         self.home_of = home_of
-        self.policy = policy
         #: Behavior object supplying the protocol-specific decisions
         #: (see :mod:`repro.protocols.base` for the hook contract).
         self.protocol = behavior_for(policy)
@@ -743,7 +742,7 @@ class CacheController:
         ):
             self._fault_evict_and_nak(block, cache.view(index), msg)
             return
-        if code == STATE_M and not msg.for_write and self.policy.nomig_enabled:
+        if code == STATE_M and not msg.for_write and self.protocol.nomig_enabled:
             # NoMig (Section 3.4): this processor never wrote the block —
             # the sharing is read-only, so refuse migration, answer like an
             # ordinary dirty read, and revert the block at home.

@@ -3,7 +3,8 @@
 One :class:`DirectoryController` per node owns the directory state for
 every memory block whose home is that node.  It implements the DASH
 write-invalidate protocol of the paper's Section 3.1 and — when the
-policy enables it — the adaptive migratory extension of Sections 3.2-3.4.
+protocol's ``adaptive`` hook is set — the adaptive migratory extension of
+Sections 3.2-3.4.
 
 Transaction serialization
 -------------------------
@@ -264,7 +265,6 @@ class DirectoryController:
         self.sim = sim
         self.transport = transport
         self.memory = memory
-        self.policy = policy
         #: Behavior object supplying the protocol-specific decisions
         #: (see :mod:`repro.protocols.base` for the hook contract).
         self.protocol = behavior_for(policy)
@@ -599,7 +599,7 @@ class DirectoryController:
             sharers = self._sharers[row]
             others = sharers - {i}
             lw = self._lw[row]
-            nominate = self.policy.adaptive and should_nominate(
+            nominate = self.protocol.adaptive and should_nominate(
                 len(sharers), i, None if lw < 0 else lw
             )
             done = self.memory.access(self.sim.now)
@@ -639,14 +639,14 @@ class DirectoryController:
                 # First access by the new processor is a write (paper §3.4):
                 # default policy keeps the block migratory and transfers
                 # ownership; the heuristic demotes it to Dirty-Remote.
-                demote = self.policy.rxq_reverts_to_ordinary
+                demote = self.protocol.rxq_reverts_to_ordinary
                 if demote:
                     self._c_rxq_demotions.inc()
                 self._c_migratory_reads.inc()
                 self._forward(row, msg, MsgKind.MR, demote=demote, for_write=True)
         elif st == DIR_MU:
             done = self.memory.access(self.sim.now)
-            if self.policy.rxq_reverts_to_ordinary:
+            if self.protocol.rxq_reverts_to_ordinary:
                 self._c_rxq_demotions.inc()
                 self._set_state(row, msg, DIR_DR)
                 self._lw[row] = i

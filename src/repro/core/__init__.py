@@ -1,7 +1,8 @@
 """The paper's contribution: adaptive detection of migratory sharing.
 
 This package holds the protocol-independent pieces of the adaptive
-extension: the nomination predicate of Figure 4 and the policy knobs.
+extension: the nomination predicate of Figure 4 and the protocol names a
+machine is configured with (:class:`~repro.core.policy.ProtocolPolicy`).
 The Figure 4 state machine itself is the home directory,
 :mod:`repro.coherence.directory`, which calls the predicate; its tests
 drive the real controllers through :class:`repro.verify.Harness`.

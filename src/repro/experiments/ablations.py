@@ -56,8 +56,8 @@ def run_rxq_heuristic_ablation(
         )
         for name in PAPER_BENCHMARKS
         for policy in (
-            ProtocolPolicy.adaptive_default(),
-            ProtocolPolicy(adaptive=True, rxq_reverts_to_ordinary=True),
+            ProtocolPolicy("AD"),
+            ProtocolPolicy("AD-RXQ"),
         )
     ]
     pairs = run_pairs(specs, workers=workers, store=store)
@@ -107,8 +107,8 @@ def run_bandwidth_sweep(
         )
         for width in link_widths
         for policy in (
-            ProtocolPolicy.write_invalidate(),
-            ProtocolPolicy.adaptive_default(),
+            ProtocolPolicy("W-I"),
+            ProtocolPolicy("AD"),
         )
     ]
     pairs = run_pairs(specs, workers=workers, store=store)

@@ -38,10 +38,6 @@ DEFAULT_INTENSITIES: Tuple[float, ...] = (0.0, 0.25, 0.5, 1.0)
 #: only a genuine livelock trips it.
 DEFAULT_WATCHDOG: int = 200_000
 
-def _default_policies() -> Tuple[ProtocolPolicy, ...]:
-    """Every registered protocol's default policy (the full family)."""
-    return tuple(default_policies())
-
 
 @dataclass
 class ChaosCell:
@@ -91,9 +87,9 @@ class ChaosReport:
     preset: str
     seed: int
     watchdog: int
+    #: Policy names in sweep order.
+    policies: List[str]
     cells: List[ChaosCell] = field(default_factory=list)
-    #: Policy display names in sweep order (W-I/AD only in legacy reports).
-    policies: List[str] = field(default_factory=lambda: ["W-I", "AD"])
 
     @property
     def all_ok(self) -> bool:
@@ -194,7 +190,7 @@ def chaos_specs(
     """The spec grid, ordered workload-major then policy then intensity."""
     specs: List[RunSpec] = []
     for workload in workloads:
-        for policy in (policies or _default_policies()):
+        for policy in (policies or default_policies()):
             for intensity in intensities:
                 faults = (
                     FaultConfig(seed=seed, intensity=intensity)
@@ -233,7 +229,7 @@ def run_chaos(
     """Run the full chaos grid and assemble the survival report."""
     workloads = list(workloads)
     intensities = sorted(set(intensities))
-    chosen = tuple(policies or _default_policies())
+    chosen = tuple(policies or default_policies())
     specs = chaos_specs(
         workloads,
         intensities,

@@ -51,15 +51,10 @@ def run_figure6(
     for variant, policy_name in keys:
         consistency = SEQUENTIAL_CONSISTENCY if variant == "SC" else WEAK_ORDERING
         cfg = base.with_(infinite_bandwidth=(variant == "WO No Cont."))
-        policy = (
-            ProtocolPolicy.write_invalidate()
-            if policy_name == "W-I"
-            else ProtocolPolicy.adaptive_default()
-        )
         specs.append(
             RunSpec.make(
                 workload,
-                policy,
+                ProtocolPolicy(policy_name),
                 preset=preset,
                 consistency=consistency,
                 config=cfg,

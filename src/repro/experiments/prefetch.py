@@ -68,9 +68,9 @@ def run_prefetch_comparison(
         return machine.run(workload.programs())
 
     return PrefetchComparison(
-        baseline=run(ProtocolPolicy.write_invalidate(), False),
-        prefetch=run(ProtocolPolicy.write_invalidate(), True),
-        adaptive=run(ProtocolPolicy.adaptive_default(), False),
+        baseline=run(ProtocolPolicy("W-I"), False),
+        prefetch=run(ProtocolPolicy("W-I"), True),
+        adaptive=run(ProtocolPolicy("AD"), False),
     )
 
 

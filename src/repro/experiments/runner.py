@@ -66,8 +66,8 @@ def run_workload(
 
 #: The paper's default comparison pair.
 DEFAULT_COMPARE_POLICIES = (
-    ProtocolPolicy.write_invalidate(),
-    ProtocolPolicy.adaptive_default(),
+    ProtocolPolicy("W-I"),
+    ProtocolPolicy("AD"),
 )
 
 

@@ -57,8 +57,8 @@ def run_scaling(
             mesh_width=width, mesh_height=height, check_coherence=check_coherence
         )
         for policy in (
-            ProtocolPolicy.write_invalidate(),
-            ProtocolPolicy.adaptive_default(),
+            ProtocolPolicy("W-I"),
+            ProtocolPolicy("AD"),
         ):
             # Counters scale with the machine so per-processor contention
             # (and thus migratory behaviour) stays constant.

@@ -66,8 +66,8 @@ def run_section54(
         )
         for name in MIGRATORY_APPS
         for policy in (
-            ProtocolPolicy.adaptive_default(),
-            ProtocolPolicy(adaptive=True, nomig_enabled=False),
+            ProtocolPolicy("AD"),
+            ProtocolPolicy("AD-NONOMIG"),
         )
     ]
     pairs = run_pairs(specs, workers=workers, store=store)
@@ -111,8 +111,8 @@ def run_nomig_necessity(
             tag=f"read-only/{policy.name}",
         )
         for policy in (
-            ProtocolPolicy.adaptive_default(),
-            ProtocolPolicy(adaptive=True, nomig_enabled=False),
+            ProtocolPolicy("AD"),
+            ProtocolPolicy("AD-NONOMIG"),
         )
     ]
     [(with_nomig, without)] = run_pairs(specs, workers=workers, store=store)

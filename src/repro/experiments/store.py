@@ -116,13 +116,7 @@ def spec_to_json(spec: RunSpec) -> Dict[str, Any]:
     """Wire form of a spec (what ``repro-sim serve`` submissions carry)."""
     return {
         "workload": spec.workload,
-        "policy": {
-            "adaptive": spec.policy.adaptive,
-            "rxq_reverts_to_ordinary": spec.policy.rxq_reverts_to_ordinary,
-            "nomig_enabled": spec.policy.nomig_enabled,
-            "protocol": spec.policy.protocol,
-            "update_threshold": spec.policy.update_threshold,
-        },
+        "policy": asdict(spec.policy),
         "preset": spec.preset,
         "consistency": {
             "name": spec.consistency.name,
@@ -142,15 +136,12 @@ def spec_from_json(doc: Dict[str, Any]) -> RunSpec:
     """Rebuild a spec from :func:`spec_to_json` output.
 
     Accepts two client-friendly shorthands alongside the full wire form:
-    ``"policy": "AD"`` (any registered protocol name or alias — "W-I",
-    "AD", "mesi", "dragon", "hybrid", ...) and ``"consistency": "SC"``
-    (any registered model name).  Legacy policy objects without the
-    ``protocol``/``update_threshold`` fields deserialize to the matching
-    W-I/AD policy via the dataclass defaults.
+    ``"policy": "AD"`` (any protocol name in any letter case — "W-I",
+    "ad-rxq", "mesi", "Dragon", ...) and ``"consistency": "SC"`` (any
+    registered model name).
     """
     policy = doc.get("policy") or {}
-    if isinstance(policy, str):
-        policy = asdict(policy_for(policy))
+    policy = policy_for(policy) if isinstance(policy, str) else ProtocolPolicy(**policy)
     consistency = doc.get("consistency", "SC")
     if isinstance(consistency, str):
         model = model_by_name(consistency)
@@ -162,7 +153,7 @@ def spec_from_json(doc: Dict[str, Any]) -> RunSpec:
         raise ValueError(f"spec overrides must be an object, got {overrides!r}")
     return RunSpec.make(
         doc["workload"],
-        ProtocolPolicy(**policy),
+        policy,
         preset=doc.get("preset", "default"),
         consistency=model,
         config=MachineConfig.from_json(config) if config is not None else None,

@@ -54,7 +54,7 @@ class MachineConfig:
     # request (the paper's 3-hop latencies include this).
     cache_service_delay: int = 4
     # Protocol and consistency.
-    policy: ProtocolPolicy = field(default_factory=ProtocolPolicy.write_invalidate)
+    policy: ProtocolPolicy = field(default_factory=ProtocolPolicy)
     consistency: ConsistencyModel = SEQUENTIAL_CONSISTENCY
     # Simulation controls.
     check_coherence: bool = True

@@ -2,40 +2,39 @@
 
 A protocol is a behavior object behind a stable controller/directory
 interface (:mod:`repro.protocols.base`); the family
-(:mod:`repro.protocols.family`) is the paper's W-I/AD pair plus MESI,
-Dragon write-update, and the competitive update/invalidate hybrid, and
-has no other members.  Resolve names with :func:`get_protocol` /
-:func:`policy_for`; controllers bind behavior with :func:`behavior_for`.
-Migratory detection is not a behavior hook: it lives in the directory's
-migratory paths, switched by ``ProtocolPolicy.adaptive``.
+(:mod:`repro.protocols.family`) is the paper's W-I/AD pair with AD's two
+ablations, plus MESI, Dragon write-update, and the competitive
+update/invalidate hybrid, and has no other members.  Each protocol name
+is one class: resolve names with :func:`policy_for`; controllers bind
+behavior with :func:`behavior_for`.  Migratory detection is switched by
+three hooks (``adaptive``, ``rxq_reverts_to_ordinary``,
+``nomig_enabled``) that the directory's and caches' migratory paths read.
 """
 
 from repro.protocols.base import Protocol
 from repro.protocols.family import (
     AdaptiveMigratory,
+    AdaptiveNoNomig,
+    AdaptiveRxqRevert,
     Dragon,
     Hybrid,
     Mesi,
-    WriteInvalidate,
 )
 from repro.protocols.registry import (
-    available_protocols,
     behavior_for,
     default_policies,
-    get_protocol,
     policy_for,
 )
 
 __all__ = [
     "AdaptiveMigratory",
+    "AdaptiveNoNomig",
+    "AdaptiveRxqRevert",
     "Dragon",
     "Hybrid",
     "Mesi",
     "Protocol",
-    "WriteInvalidate",
-    "available_protocols",
     "behavior_for",
     "default_policies",
-    "get_protocol",
     "policy_for",
 ]

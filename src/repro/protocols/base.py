@@ -4,12 +4,16 @@ The cache controller and home directory implement the *mechanism* — MSHRs,
 transaction serialization, forwards, writebacks, ack collection.  A
 :class:`Protocol` supplies the *policy*: which request kind a store miss
 issues, whether an uncached read is granted exclusively, whether a write
-to a shared line updates or invalidates the other copies, and whether an
-owner may hold a clean-exclusive line.  One behavior object is built per
+to a shared line updates or invalidates the other copies, whether an
+owner may hold a clean-exclusive line, and whether the adaptive migratory
+extension runs.  Each protocol name is one class (see
+:mod:`repro.protocols.registry`); one behavior object is built per
 :class:`~repro.core.policy.ProtocolPolicy` (see
 :func:`repro.protocols.registry.behavior_for`) and consulted by both
-controllers; the base class encodes the paper's DASH write-invalidate
-behavior, so W-I is simply the base with no overrides.
+controllers and by the snoopy bus machine.  Every hook is a class
+attribute except ``use_update``, so reading one costs no call.  The base
+class encodes the paper's DASH write-invalidate behavior, so W-I is
+simply the base with no overrides.
 
 Hook reference
 --------------
@@ -34,6 +38,16 @@ Hook reference
     commits the write at home and updates the sharers in place; False
     falls back to the invalidation flow.  Only consulted when
     ``is_update`` and ``n_others > 0``.
+``adaptive``
+    Directory, Rxq to a Shared-Remote line: nominate the block migratory
+    when :func:`~repro.core.detection.should_nominate` holds (Figure 4).
+``rxq_reverts_to_ordinary``
+    Directory, Rxq to a migratory block: demote it to Dirty-Remote
+    instead of keeping it migratory (Figure 4's dashed arrows).
+``nomig_enabled``
+    Cache, migratory read at a Migrating line its owner has not written:
+    refuse the migration with NoMig and revert the block to ordinary
+    (Section 3.4).  Only reachable when ``adaptive``.
 """
 
 from __future__ import annotations
@@ -45,21 +59,17 @@ from repro.core.policy import ProtocolPolicy
 class Protocol:
     """Base behavior: the paper's DASH write-invalidate ("W-I")."""
 
-    #: Registry name (canonical, lower-case).
-    name = "wi"
-
     #: See module docstring for hook semantics.
     store_kind = MsgKind.RXQ
     grant_exclusive_on_read = False
     clean_exclusive = False
     is_update = False
+    adaptive = False
+    rxq_reverts_to_ordinary = False
+    nomig_enabled = True
 
     def __init__(self, policy: ProtocolPolicy) -> None:
         self.policy = policy
-
-    @classmethod
-    def default_policy(cls) -> ProtocolPolicy:
-        return ProtocolPolicy(protocol=cls.name)
 
     def use_update(self, n_others: int, upd_count: int) -> bool:
         """Update-vs-invalidate decision for a Wu at a shared line."""

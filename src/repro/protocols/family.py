@@ -1,13 +1,17 @@
 """The protocol family.
 
-Five protocols share the DASH mechanism (see :mod:`repro.protocols.base`
-for the hook contract):
+Seven protocols share the DASH mechanism (see :mod:`repro.protocols.base`
+for the hook contract); W-I is :class:`~repro.protocols.base.Protocol`
+itself:
 
-* :class:`WriteInvalidate` — the paper's baseline, behavior-free base.
-* :class:`AdaptiveMigratory` — the paper's contribution; detection and
-  migration live in the controllers' migratory paths and are enabled by
-  ``policy.adaptive``, so the behavior object adds nothing beyond its
-  default policy.
+* :class:`AdaptiveMigratory` — the paper's contribution ("AD"): the
+  directory nominates blocks migratory and a Migrating owner refuses
+  read-only sharing with NoMig.  Detection and migration live in the
+  controllers' migratory paths, switched by the three migratory hooks.
+* :class:`AdaptiveRxqRevert` — AD with Figure 4's dashed arrows
+  ("AD-RXQ"): an Rxq demotes a migratory block to Dirty-Remote.
+* :class:`AdaptiveNoNomig` — AD without the NoMig revert ("AD-NONOMIG",
+  the Section 5.4 ablation).
 * :class:`Mesi` — grants uncached reads exclusively (E state, realized
   as a clean ``STATE_M`` line); the silent E→M promotion is the same
   local write the adaptive protocol's Migrating state uses, and a
@@ -26,36 +30,27 @@ for the hook contract):
 from __future__ import annotations
 
 from repro.coherence.messages import MsgKind
-from repro.core.policy import ProtocolPolicy
 from repro.protocols.base import Protocol
 
 
-class WriteInvalidate(Protocol):
-    name = "wi"
-
-    @classmethod
-    def default_policy(cls) -> ProtocolPolicy:
-        return ProtocolPolicy.write_invalidate()
-
-
 class AdaptiveMigratory(Protocol):
-    name = "ad"
+    adaptive = True
 
-    @classmethod
-    def default_policy(cls) -> ProtocolPolicy:
-        return ProtocolPolicy.adaptive_default()
+
+class AdaptiveRxqRevert(AdaptiveMigratory):
+    rxq_reverts_to_ordinary = True
+
+
+class AdaptiveNoNomig(AdaptiveMigratory):
+    nomig_enabled = False
 
 
 class Mesi(Protocol):
-    name = "mesi"
-
     grant_exclusive_on_read = True
     clean_exclusive = True
 
 
 class Dragon(Protocol):
-    name = "dragon"
-
     store_kind = MsgKind.WU
     is_update = True
 
@@ -64,11 +59,5 @@ class Dragon(Protocol):
 
 
 class Hybrid(Dragon):
-    name = "hybrid"
-
     def use_update(self, n_others: int, upd_count: int) -> bool:
         return upd_count < self.policy.update_threshold
-
-    @classmethod
-    def default_policy(cls) -> ProtocolPolicy:
-        return ProtocolPolicy.hybrid()

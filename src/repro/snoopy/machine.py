@@ -34,7 +34,7 @@ class SnoopyConfig:
     line_size: int = 16
     associativity: int = 1
     bus_timing: BusTiming = field(default_factory=BusTiming)
-    policy: ProtocolPolicy = field(default_factory=ProtocolPolicy.write_invalidate)
+    policy: ProtocolPolicy = field(default_factory=ProtocolPolicy)
     consistency: ConsistencyModel = SEQUENTIAL_CONSISTENCY
     check_coherence: bool = True
     #: Progress watchdog window in pclocks (None = disabled); see

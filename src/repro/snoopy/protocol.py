@@ -23,11 +23,16 @@ from repro.coherence.checker import CoherenceChecker
 from repro.core.detection import should_nominate
 from repro.core.policy import ProtocolPolicy
 from repro.memory.cache import CacheArray, CacheState
+from repro.protocols import behavior_for
 from repro.sim.engine import SimulationError, Simulator
 from repro.snoopy.bus import BusOp, SnoopBus
 from repro.stats.counters import Counters
 
 DoneCallback = Callable[[], None]
+
+#: The protocols the bus machine implements: W-I and AD with its two
+#: ablations.  It has no E state and no update flow.
+BUS_PROTOCOLS = ("W-I", "AD", "AD-RXQ", "AD-NONOMIG")
 
 
 @dataclass
@@ -55,9 +60,15 @@ class SnoopySystemState:
         checker: CoherenceChecker,
         counters: Counters,
     ) -> None:
+        if policy.name not in BUS_PROTOCOLS:
+            raise ValueError(
+                f"the bus machine runs {', '.join(BUS_PROTOCOLS)}, "
+                f"not {policy.name}"
+            )
         self.sim = sim
         self.bus = bus
-        self.policy = policy
+        #: Behavior object whose migratory hooks switch detection.
+        self.protocol = behavior_for(policy)
         self.checker = checker
         self.counters = counters
         self.blocks: Dict[int, BlockInfo] = {}
@@ -182,7 +193,7 @@ class SnoopyCache:
             if line_owner is not None:
                 migrate = False
                 if info.migratory:
-                    if not info.owner_wrote and self.system.policy.nomig_enabled:
+                    if not info.owner_wrote and self.system.protocol.nomig_enabled:
                         # NoMig: the owner never wrote — read-only sharing;
                         # revert the block to ordinary (Section 3.4).
                         self.system.c_nomig_reverts.inc()
@@ -236,11 +247,11 @@ class SnoopyCache:
         def complete() -> None:
             # Detection at the memory controller, in bus order: the same
             # condition as the directory machine (N==2 and LW != i).
-            if self.system.policy.adaptive and not info.migratory:
+            if self.system.protocol.adaptive and not info.migratory:
                 if should_nominate(len(info.sharers), self.node, info.lw):
                     self.system.c_nominations.inc()
                     info.migratory = True
-            elif info.migratory and self.system.policy.rxq_reverts_to_ordinary:
+            elif info.migratory and self.system.protocol.rxq_reverts_to_ordinary:
                 self.system.c_rxq_demotions.inc()
                 info.migratory = False
 

@@ -114,7 +114,7 @@ class Harness:
         policy: Optional[ProtocolPolicy] = None,
     ) -> None:
         self.num_caches = num_caches
-        policy = policy or ProtocolPolicy.adaptive_default()
+        policy = policy or ProtocolPolicy("AD")
         self.clock = _Clock(num_caches)
         self.transport = _Channels()
         self.checker = CoherenceChecker()

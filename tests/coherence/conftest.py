@@ -7,9 +7,7 @@ from repro.consistency import SEQUENTIAL_CONSISTENCY
 
 
 def build_machine(adaptive=False, **overrides):
-    policy = (
-        ProtocolPolicy.adaptive_default() if adaptive else ProtocolPolicy.write_invalidate()
-    )
+    policy = ProtocolPolicy("AD" if adaptive else "W-I")
     if "policy" in overrides:
         policy = overrides.pop("policy")
     config = MachineConfig.dash_default(policy=policy, **overrides)

@@ -160,7 +160,7 @@ def test_nomig_disabled_pingpongs_forever(helpers):
         (3, Read(ADDR)),
         (4, Read(ADDR)),
         (3, Read(ADDR)),
-        policy=ProtocolPolicy(adaptive=True, nomig_enabled=False),
+        policy=ProtocolPolicy("AD-NONOMIG"),
     )
     e = helpers.entry(m, ADDR)
     assert e.state is DirState.MIGRATORY_DIRTY
@@ -190,7 +190,7 @@ def test_rxq_heuristic_demotes_timed(helpers):
         (0, Read(ADDR)), (0, Write(ADDR)),
         (1, Read(ADDR)), (1, Write(ADDR)),
         (3, Write(ADDR)),
-        policy=ProtocolPolicy(adaptive=True, rxq_reverts_to_ordinary=True),
+        policy=ProtocolPolicy("AD-RXQ"),
     )
     e = helpers.entry(m, ADDR)
     assert e.state is DirState.DIRTY_REMOTE

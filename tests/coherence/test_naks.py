@@ -16,11 +16,7 @@ BLOCK = ADDR // 16
 
 
 def build(adaptive=False):
-    policy = (
-        ProtocolPolicy.adaptive_default()
-        if adaptive
-        else ProtocolPolicy.write_invalidate()
-    )
+    policy = ProtocolPolicy("AD" if adaptive else "W-I")
     return Machine(
         MachineConfig.dash_default(
             policy=policy,

@@ -37,7 +37,7 @@ def seq(machine_helpers, policy, *steps, **overrides):
 # MESI: exclusive grant and silent E->M upgrade
 # ----------------------------------------------------------------------
 def test_mesi_uncached_read_grants_exclusive(helpers):
-    m = seq(helpers, ProtocolPolicy.mesi(), (0, Read(ADDR)))
+    m = seq(helpers, ProtocolPolicy("MESI"), (0, Read(ADDR)))
     e = helpers.entry(m, ADDR)
     assert e.state is DirState.DIRTY_REMOTE
     assert e.owner == 0
@@ -49,7 +49,7 @@ def test_mesi_uncached_read_grants_exclusive(helpers):
 
 
 def test_mesi_silent_upgrade_to_modified(helpers):
-    m = seq(helpers, ProtocolPolicy.mesi(), (0, Read(ADDR)), (0, Write(ADDR)))
+    m = seq(helpers, ProtocolPolicy("MESI"), (0, Read(ADDR)), (0, Write(ADDR)))
     # The E->M upgrade is local: no read-exclusive request reaches home.
     assert helpers.line(m, 0, ADDR).state is CacheState.DIRTY
     assert m.counters.get("migrating_promotions") == 1
@@ -60,7 +60,7 @@ def test_mesi_silent_upgrade_to_modified(helpers):
 
 
 def test_mesi_second_reader_demotes_exclusive(helpers):
-    m = seq(helpers, ProtocolPolicy.mesi(), (0, Read(ADDR)), (1, Read(ADDR)))
+    m = seq(helpers, ProtocolPolicy("MESI"), (0, Read(ADDR)), (1, Read(ADDR)))
     e = helpers.entry(m, ADDR)
     assert e.state is DirState.SHARED_REMOTE
     assert e.sharers == {0, 1}
@@ -71,7 +71,7 @@ def test_mesi_second_reader_demotes_exclusive(helpers):
 def test_mesi_exclusive_eviction_writes_back(helpers):
     """A clean-exclusive line cannot be dropped silently — the directory
     thinks the cache owns it, so eviction must resync via writeback."""
-    policy = ProtocolPolicy.mesi()
+    policy = ProtocolPolicy("MESI")
     build, run = helpers.build, helpers.run
     machine = build(policy=policy, cache_size=512)
     line = machine.config.line_size
@@ -89,7 +89,7 @@ def test_mesi_exclusive_eviction_writes_back(helpers):
 # ----------------------------------------------------------------------
 def test_dragon_write_updates_sharers(helpers):
     m = seq(
-        helpers, ProtocolPolicy.dragon(),
+        helpers, ProtocolPolicy("Dragon"),
         (0, Read(ADDR)), (1, Read(ADDR)), (0, Write(ADDR)),
     )
     e = helpers.entry(m, ADDR)
@@ -109,7 +109,7 @@ def test_dragon_sole_writer_takes_dirty(helpers):
     """With no other sharer there is nobody to update: the store takes
     the ordinary read-exclusive flow and the line goes Dirty (Dragon's
     Sm-with-no-sharers = M)."""
-    m = seq(helpers, ProtocolPolicy.dragon(), (0, Write(ADDR)))
+    m = seq(helpers, ProtocolPolicy("Dragon"), (0, Write(ADDR)))
     assert helpers.line(m, 0, ADDR).state is CacheState.DIRTY
     assert m.counters.get("updates_sent") == 0
     e = helpers.entry(m, ADDR)
@@ -118,7 +118,7 @@ def test_dragon_sole_writer_takes_dirty(helpers):
 
 def test_dragon_consumer_read_sees_updated_version(helpers):
     m = seq(
-        helpers, ProtocolPolicy.dragon(),
+        helpers, ProtocolPolicy("Dragon"),
         (0, Read(ADDR)), (1, Read(ADDR)),
         (0, Write(ADDR)), (0, Write(ADDR)),
         (1, Read(ADDR)),
@@ -134,7 +134,7 @@ def test_dragon_consumer_read_sees_updated_version(helpers):
 # ----------------------------------------------------------------------
 def test_hybrid_falls_back_after_threshold(helpers):
     threshold = 2
-    policy = ProtocolPolicy.hybrid(update_threshold=threshold)
+    policy = ProtocolPolicy("Hybrid", update_threshold=threshold)
     # Two sharers, then three writes with no intervening consumer read:
     # the first two update, the third falls back and invalidates.
     m = seq(
@@ -152,7 +152,7 @@ def test_hybrid_falls_back_after_threshold(helpers):
 
 
 def test_hybrid_consumer_read_resets_counter(helpers):
-    policy = ProtocolPolicy.hybrid(update_threshold=2)
+    policy = ProtocolPolicy("Hybrid", update_threshold=2)
     # A directory-visible consumer read (node 3's cold miss; updated
     # sharers hit locally and never reach home) resets the per-line
     # counter, so three writes split 2/1 around it never trip the
@@ -176,10 +176,10 @@ def test_hybrid_consumer_read_resets_counter(helpers):
 @pytest.fixture(scope="module")
 def mp3d_results():
     policies = {
-        "wi": ProtocolPolicy.write_invalidate(),
-        "ad": ProtocolPolicy.adaptive_default(),
-        "dragon": ProtocolPolicy.dragon(),
-        "hybrid": ProtocolPolicy.hybrid(),
+        "wi": ProtocolPolicy("W-I"),
+        "ad": ProtocolPolicy("AD"),
+        "dragon": ProtocolPolicy("Dragon"),
+        "hybrid": ProtocolPolicy("Hybrid"),
     }
     return {
         name: run_workload("mp3d", policy, preset="tiny")

@@ -18,11 +18,7 @@ ADDR = 8192  # home node 2
 
 
 def build(adaptive=False, **overrides):
-    policy = (
-        ProtocolPolicy.adaptive_default()
-        if adaptive
-        else ProtocolPolicy.write_invalidate()
-    )
+    policy = ProtocolPolicy("AD" if adaptive else "W-I")
     return Machine(MachineConfig.dash_default(policy=policy, **overrides))
 
 

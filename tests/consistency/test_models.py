@@ -66,7 +66,7 @@ def test_rc_coherent_under_locked_increments():
 
     machine = Machine(
         MachineConfig.dash_default(
-            policy=ProtocolPolicy.adaptive_default(),
+            policy=ProtocolPolicy("AD"),
             consistency=RELEASE_CONSISTENCY,
         )
     )

@@ -202,7 +202,7 @@ def test_associativity_reduces_conflict_misses():
     for assoc in (1, 2, 4):
         config = MachineConfig.dash_default(cache_size=1024, associativity=assoc)
         result = run_workload(
-            "mp3d", ProtocolPolicy.write_invalidate(), preset="tiny",
+            "mp3d", ProtocolPolicy("W-I"), preset="tiny",
             config=config, check_coherence=False,
         )
         misses[assoc] = result.counter("replacement_misses")

@@ -71,7 +71,7 @@ def _served(specs, tmp_path, timeout=None, **resilience):
 
 def _spec(workload, policy=None, seed=1, **overrides):
     return RunSpec.make(
-        workload, policy or ProtocolPolicy.adaptive_default(),
+        workload, policy or ProtocolPolicy("AD"),
         preset="tiny", seed=seed, **overrides,
     )
 
@@ -98,7 +98,7 @@ def test_run_many_and_serve_share_one_failure_model(execute, scenario, tmp_path)
     if scenario == "crash-always":
         specs = [
             _spec("test-crash-always"),
-            _spec("test-crash-always", ProtocolPolicy.write_invalidate()),
+            _spec("test-crash-always", ProtocolPolicy("W-I")),
         ]
         outcomes, requeues = execute(specs, tmp_path, max_attempts=2)
         expected = [("WorkerCrash", 2, "worker process died 2 time(s) "

@@ -32,19 +32,19 @@ def tiny_specs():
     """A small mixed batch: cheap runs across workloads and policies."""
     return [
         RunSpec.make(
-            "migratory-counters", ProtocolPolicy.write_invalidate(),
+            "migratory-counters", ProtocolPolicy("W-I"),
             iterations=6, tag="mig/W-I",
         ),
         RunSpec.make(
-            "migratory-counters", ProtocolPolicy.adaptive_default(),
+            "migratory-counters", ProtocolPolicy("AD"),
             iterations=6, tag="mig/AD",
         ),
         RunSpec.make(
-            "producer-consumer", ProtocolPolicy.adaptive_default(),
+            "producer-consumer", ProtocolPolicy("AD"),
             rounds=4, tag="pc/AD",
         ),
         RunSpec.make(
-            "read-only", ProtocolPolicy.write_invalidate(),
+            "read-only", ProtocolPolicy("W-I"),
             read_rounds=4, tag="ro/W-I",
         ),
     ]
@@ -72,7 +72,7 @@ def test_parallel_results_identical_to_serial():
 def test_failed_run_is_captured_not_fatal():
     specs = [
         tiny_specs()[0],
-        RunSpec.make("no-such-workload", ProtocolPolicy.adaptive_default()),
+        RunSpec.make("no-such-workload", ProtocolPolicy("AD")),
         tiny_specs()[2],
     ]
     outcomes = run_many(specs, workers=2)
@@ -92,7 +92,7 @@ def test_run_error_carries_coordinates_and_dump_across_processes():
 
     spec = RunSpec.make(
         "migratory-counters",
-        ProtocolPolicy.adaptive_default(),
+        ProtocolPolicy("AD"),
         preset="tiny",
         # A zero-width watchdog window trips on the first event that
         # fires after t=0 with no retirement — a guaranteed LivelockError.
@@ -172,7 +172,7 @@ def test_freeze_value_round_trips_and_ignores_insertion_order():
 
 def test_runspec_with_dict_overrides_stays_hashable():
     spec = RunSpec.make(
-        "migratory-counters", ProtocolPolicy.adaptive_default(),
+        "migratory-counters", ProtocolPolicy("AD"),
         knobs={"beta": 2, "alpha": 1}, order=[3, 1], iterations=6,
     )
     hash(spec)  # must not raise (the RunSpec hashability contract)

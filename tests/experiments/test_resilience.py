@@ -36,7 +36,7 @@ def fresh_pool():
 
 def _mig_spec(seed, **overrides):
     return RunSpec.make(
-        "migratory-counters", ProtocolPolicy.adaptive_default(),
+        "migratory-counters", ProtocolPolicy("AD"),
         preset="tiny", iterations=4, seed=seed, **overrides,
     )
 
@@ -58,7 +58,7 @@ def test_worker_crash_recovers_and_matches_serial(tmp_path):
     rebuild + re-submission, and the final results are byte-identical to
     a crash-free serial run."""
     crash = RunSpec.make(
-        "test-crash-once", ProtocolPolicy.adaptive_default(),
+        "test-crash-once", ProtocolPolicy("AD"),
         preset="tiny", marker=str(tmp_path / "crash.marker"), seed=7,
     )
     specs = [crash, _mig_spec(1), _mig_spec(2)]
@@ -70,7 +70,7 @@ def test_worker_crash_recovers_and_matches_serial(tmp_path):
     baseline_marker = tmp_path / "baseline.marker"
     baseline_marker.write_text("armed")
     baseline = RunSpec.make(
-        "test-crash-once", ProtocolPolicy.adaptive_default(),
+        "test-crash-once", ProtocolPolicy("AD"),
         preset="tiny", marker=str(baseline_marker), seed=7,
     )
     serial = run_many([baseline, _mig_spec(1), _mig_spec(2)], workers=1)
@@ -101,7 +101,7 @@ def test_externally_killed_worker_does_not_poison_next_call():
 
 def test_cell_timeout_yields_structured_error_not_hang():
     hang = RunSpec.make(
-        "test-hang", ProtocolPolicy.adaptive_default(),
+        "test-hang", ProtocolPolicy("AD"),
         preset="tiny", seconds=30.0, seed=3,
     )
     specs = [hang, _mig_spec(1), _mig_spec(2)]
@@ -117,11 +117,11 @@ def test_cell_timeout_yields_structured_error_not_hang():
 
 def test_worker_crash_exhausts_attempts_with_accounting():
     crash = RunSpec.make(
-        "test-crash-always", ProtocolPolicy.adaptive_default(),
+        "test-crash-always", ProtocolPolicy("AD"),
         preset="tiny", seed=1,
     )
     outcomes = run_many([crash, RunSpec.make(
-        "test-crash-always", ProtocolPolicy.write_invalidate(),
+        "test-crash-always", ProtocolPolicy("W-I"),
         preset="tiny", seed=1,
     )], workers=2, max_attempts=2)
     for outcome in outcomes:
@@ -140,7 +140,7 @@ def test_interrupted_sweep_resumes_from_the_store(tmp_path):
         _mig_spec(1),
         _mig_spec(2),
         RunSpec.make(
-            "test-interrupt-once", ProtocolPolicy.adaptive_default(),
+            "test-interrupt-once", ProtocolPolicy("AD"),
             preset="tiny", marker=str(tmp_path / "interrupt.marker"),
         ),
         _mig_spec(3),

@@ -68,11 +68,11 @@ def client(server):
 def tiny_specs():
     return [
         RunSpec.make(
-            "migratory-counters", ProtocolPolicy.adaptive_default(),
+            "migratory-counters", ProtocolPolicy("AD"),
             preset="tiny", iterations=6, tag="mig/AD",
         ),
         RunSpec.make(
-            "migratory-counters", ProtocolPolicy.write_invalidate(),
+            "migratory-counters", ProtocolPolicy("W-I"),
             preset="tiny", iterations=6, tag="mig/W-I",
         ),
     ]
@@ -146,7 +146,7 @@ def test_serve_shorthand_specs(server, client):
     # The shorthand keys identically to the equivalent RunSpec.
     assert status["cells"][0]["key"] == spec_key(
         RunSpec.make(
-            "migratory-counters", ProtocolPolicy.adaptive_default(),
+            "migratory-counters", ProtocolPolicy("AD"),
             preset="tiny", iterations=6,
         )
     )
@@ -207,10 +207,16 @@ def test_serve_rejects_bad_requests(server, client):
         with pytest.raises(ServeError) as excinfo:
             client.submit([entry])
         assert excinfo.value.status == 400, entry
-    with pytest.raises(ServeError) as excinfo:  # MESI with migratory detection
-        client.submit([{"workload": "migratory-counters", "preset": "tiny",
-                        "policy": {"protocol": "mesi", "adaptive": True}}])
-    assert excinfo.value.status == 400
+    # A policy is a protocol name plus Hybrid's budget: an unknown name,
+    # the removed field spellings, a budget on another protocol and a
+    # budget that is no int are refused before anything is queued.
+    for policy in ({"name": "MOESI"}, {"protocol": "mesi"}, {"adaptive": True},
+                   {"name": "Dragon", "update_threshold": 3},
+                   {"name": "Hybrid", "update_threshold": "4"}):
+        with pytest.raises(ServeError) as excinfo:
+            client.submit([{"workload": "migratory-counters", "preset": "tiny",
+                            "policy": policy}])
+        assert excinfo.value.status == 400, policy
     # One bad spec rejects the whole batch: its valid leading cell is
     # neither registered nor run, and no job id is used up.
     valid = spec_to_json(tiny_specs()[0])
@@ -324,7 +330,7 @@ from repro.serve.client import _error_body
 
 def _hang_spec(seed, seconds=30.0):
     return RunSpec.make(
-        "test-hang", ProtocolPolicy.adaptive_default(),
+        "test-hang", ProtocolPolicy("AD"),
         preset="tiny", seconds=seconds, seed=seed,
     )
 

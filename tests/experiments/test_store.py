@@ -42,7 +42,7 @@ def mig_spec(**kwargs):
     defaults = dict(preset="tiny", seed=7, iterations=6)
     defaults.update(kwargs)
     return RunSpec.make(
-        "migratory-counters", ProtocolPolicy.adaptive_default(), **defaults
+        "migratory-counters", ProtocolPolicy("AD"), **defaults
     )
 
 
@@ -64,7 +64,7 @@ def test_equivalent_config_spellings_key_identically():
     # run_workload folds the spec's policy into the config either way.
     prefolded = mig_spec(
         config=MachineConfig.dash_default(
-            policy=ProtocolPolicy.adaptive_default()
+            policy=ProtocolPolicy("AD")
         )
     )
     assert spec_key(implicit) == spec_key(explicit) == spec_key(prefolded)
@@ -86,9 +86,13 @@ def test_seed_config_and_code_version_perturb_key(monkeypatch):
 
 def test_spec_key_is_pinned():
     """A store written by an earlier release still hits: the key is the
-    SHA-256 of the canonical identity, whichever module computes it."""
+    SHA-256 of the canonical identity, whichever module computes it.
+
+    The pin moved once, when a policy's identity became its protocol
+    name plus Hybrid's budget (it was 119e2a84... while the policy
+    serialized four migratory and registry fields)."""
     assert spec_key(mig_spec()) == (
-        "119e2a8454f2b40a1f9a0f0578de5065768fe38e5cebbe7ccdf50a2884964fbd"
+        "5fbdcbd4efe0ec275ea6723de2794ad66484296c6818a5e2d68dc068a7182ea4"
     )
 
 
@@ -121,26 +125,8 @@ def test_protocol_field_perturbs_key():
     assert len(keys) == len(default_policies())
     # The hybrid's threshold is behavioural, so it is part of the key too.
     assert spec_key(
-        _protocol_spec(ProtocolPolicy.hybrid(update_threshold=4))
-    ) != spec_key(_protocol_spec(ProtocolPolicy.hybrid()))
-
-
-def test_legacy_policy_dict_does_not_alias_new_protocols():
-    """Pre-framework wire dicts (no ``protocol``/``update_threshold``
-    fields) must deserialize to the W-I/AD family and never collide with
-    a new protocol's content address."""
-    from repro.protocols import policy_for
-
-    doc = spec_to_json(mig_spec())
-    doc["policy"] = {
-        key: doc["policy"][key]
-        for key in ("adaptive", "rxq_reverts_to_ordinary", "nomig_enabled")
-    }
-    legacy = spec_from_json(json.loads(json.dumps(doc)))
-    assert legacy.policy == ProtocolPolicy.adaptive_default()
-    assert spec_key(legacy) == spec_key(mig_spec())
-    for name in ("mesi", "dragon", "hybrid"):
-        assert spec_key(legacy) != spec_key(_protocol_spec(policy_for(name)))
+        _protocol_spec(ProtocolPolicy("Hybrid", update_threshold=4))
+    ) != spec_key(_protocol_spec(ProtocolPolicy("Hybrid")))
 
 
 def test_spec_from_json_accepts_shorthand_names():
@@ -153,11 +139,11 @@ def test_spec_from_json_accepts_shorthand_names():
         "overrides": {"iterations": 6},
     }
     spec = spec_from_json(doc)
-    assert spec.policy == ProtocolPolicy.write_invalidate()
+    assert spec.policy == ProtocolPolicy("W-I")
     assert spec.consistency == model_by_name("SC")
     assert spec_key(spec) == spec_key(
         RunSpec.make(
-            "migratory-counters", ProtocolPolicy.write_invalidate(),
+            "migratory-counters", ProtocolPolicy("W-I"),
             preset="tiny", seed=7, consistency=model_by_name("SC"),
             iterations=6,
         )
@@ -171,11 +157,11 @@ def sweep_specs():
     return [
         mig_spec(tag="mig/AD"),
         RunSpec.make(
-            "migratory-counters", ProtocolPolicy.write_invalidate(),
+            "migratory-counters", ProtocolPolicy("W-I"),
             preset="tiny", seed=7, iterations=6, tag="mig/W-I",
         ),
         RunSpec.make(
-            "producer-consumer", ProtocolPolicy.adaptive_default(),
+            "producer-consumer", ProtocolPolicy("AD"),
             preset="tiny", rounds=4, tag="pc/AD",
         ),
     ]
@@ -237,7 +223,7 @@ def test_corrupt_entry_recomputed_not_served(tmp_path):
 
 def test_failed_outcome_is_not_stored(tmp_path):
     store = ResultStore(tmp_path / "cache")
-    bad = RunSpec.make("no-such-workload", ProtocolPolicy.adaptive_default())
+    bad = RunSpec.make("no-such-workload", ProtocolPolicy("AD"))
     [outcome] = run_many([bad], store=store)
     assert not outcome.ok
     assert store.put(outcome) is None

@@ -10,7 +10,7 @@ def test_chaos_grid_survives_and_reports():
     report = run_chaos(
         ["migratory-counters"], (0.0, 0.5), preset="tiny", seed=3, workers=1,
         policies=(
-            ProtocolPolicy.write_invalidate(), ProtocolPolicy.adaptive_default(),
+            ProtocolPolicy("W-I"), ProtocolPolicy("AD"),
         ),
     )
     assert report.all_ok

@@ -15,11 +15,7 @@ from repro.faults.plan import DELAYS, FORCED_NAKS, REORDERS, FaultPlan
 
 
 def _run(faults=None, adaptive=False, watchdog=200_000, seed=42):
-    policy = (
-        ProtocolPolicy.adaptive_default()
-        if adaptive
-        else ProtocolPolicy.write_invalidate()
-    )
+    policy = ProtocolPolicy("AD" if adaptive else "W-I")
     config = MachineConfig.dash_default(faults=faults, watchdog_window=watchdog)
     return run_workload(
         "migratory-counters", policy, preset="tiny", config=config, seed=seed

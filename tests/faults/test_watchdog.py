@@ -108,7 +108,7 @@ def test_update_protocol_stall_renders_committed_mshr():
     from repro.core.policy import ProtocolPolicy
 
     machine = Machine(
-        MachineConfig.dash_default(policy=ProtocolPolicy.dragon())
+        MachineConfig.dash_default(policy=ProtocolPolicy("Dragon"))
     )
     swallowed = []
     real = machine.transport._cache_handlers[1]

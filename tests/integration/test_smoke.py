@@ -138,7 +138,7 @@ def test_lock_protected_counter_is_coherent():
 
 
 def test_adaptive_lock_counter_is_coherent_and_detects():
-    config = MachineConfig.dash_default(policy=ProtocolPolicy.adaptive_default())
+    config = MachineConfig.dash_default(policy=ProtocolPolicy("AD"))
     machine = Machine(config)
 
     def incrementer():
@@ -165,7 +165,7 @@ def test_adaptive_reduces_rxq_on_migratory_pattern():
             yield Unlock(0)
 
     results = {}
-    for policy in (ProtocolPolicy.write_invalidate(), ProtocolPolicy.adaptive_default()):
+    for policy in (ProtocolPolicy("W-I"), ProtocolPolicy("AD")):
         machine = Machine(MachineConfig.dash_default(policy=policy))
         results[policy.name] = machine.run([incrementer() for _ in range(16)])
     assert results["AD"].counter("rxq_received") < results["W-I"].counter("rxq_received") / 2

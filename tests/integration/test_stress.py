@@ -15,10 +15,10 @@ from repro.consistency import SEQUENTIAL_CONSISTENCY, WEAK_ORDERING
 from repro.cpu.ops import Barrier, Compute, Lock, Read, Unlock, Write
 
 POLICIES = [
-    ProtocolPolicy.write_invalidate(),
-    ProtocolPolicy.adaptive_default(),
-    ProtocolPolicy(adaptive=True, rxq_reverts_to_ordinary=True),
-    ProtocolPolicy(adaptive=True, nomig_enabled=False),
+    ProtocolPolicy("W-I"),
+    ProtocolPolicy("AD"),
+    ProtocolPolicy("AD-RXQ"),
+    ProtocolPolicy("AD-NONOMIG"),
 ]
 MODELS = [SEQUENTIAL_CONSISTENCY, WEAK_ORDERING]
 
@@ -109,7 +109,7 @@ def test_tiny_cache_thrash(policy):
 def test_mixed_sync_and_unsync(seed):
     """Barriers interleaved with unsynchronized sharing, adaptive + WO."""
     config = MachineConfig.dash_default(
-        policy=ProtocolPolicy.adaptive_default(),
+        policy=ProtocolPolicy("AD"),
         consistency=WEAK_ORDERING,
         cache_size=512,
         max_events=5_000_000,

@@ -62,7 +62,7 @@ def _run(policy, **cfg_overrides):
 
 def test_sampler_samples_and_terminates():
     machine, result = _run(
-        ProtocolPolicy.adaptive_default(), metrics_interval=100
+        ProtocolPolicy("AD"), metrics_interval=100
     )
     ring = machine.metrics.ring
     assert len(ring) > 0
@@ -82,8 +82,8 @@ def test_sampler_samples_and_terminates():
 
 
 def test_sampler_does_not_change_results():
-    _, plain = _run(ProtocolPolicy.adaptive_default())
-    _, sampled = _run(ProtocolPolicy.adaptive_default(), metrics_interval=50)
+    _, plain = _run(ProtocolPolicy("AD"))
+    _, sampled = _run(ProtocolPolicy("AD"), metrics_interval=50)
     assert plain.execution_time == sampled.execution_time
     assert plain.network_bits == sampled.network_bits
     assert plain.counters.as_dict() == sampled.counters.as_dict()
@@ -91,7 +91,7 @@ def test_sampler_does_not_change_results():
 
 def test_sampler_capacity_bounds_retention():
     machine, _ = _run(
-        ProtocolPolicy.write_invalidate(), metrics_interval=10,
+        ProtocolPolicy("W-I"), metrics_interval=10,
         metrics_capacity=5,
     )
     ring = machine.metrics.ring
@@ -111,7 +111,7 @@ PRODUCER_CONSUMER_DIR_PENDING = [
 
 def test_dir_pending_series_is_pinned():
     config = MachineConfig.dash_default(
-        policy=ProtocolPolicy.adaptive_default(), metrics_interval=400
+        policy=ProtocolPolicy("AD"), metrics_interval=400
     )
     machine = Machine(config)
     workload = make_workload("producer-consumer", config.num_nodes, "tiny", seed=42)
@@ -126,7 +126,7 @@ def test_occupancy_is_never_negative_across_the_stats_mark(workload):
     """The StatsMark restarts counters, not resources, so the window that
     spans it reads a true occupancy like every other window."""
     config = MachineConfig.dash_default(
-        policy=ProtocolPolicy.adaptive_default(), metrics_interval=100
+        policy=ProtocolPolicy("AD"), metrics_interval=100
     )
     machine = Machine(config)
     machine.run(make_workload(workload, config.num_nodes, "tiny", seed=42).programs())

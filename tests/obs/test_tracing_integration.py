@@ -24,12 +24,12 @@ def _traced_run(policy, trace=True):
 
 @pytest.fixture(scope="module")
 def wi_run():
-    return _traced_run(ProtocolPolicy.write_invalidate())
+    return _traced_run(ProtocolPolicy("W-I"))
 
 
 @pytest.fixture(scope="module")
 def ad_run():
-    return _traced_run(ProtocolPolicy.adaptive_default())
+    return _traced_run(ProtocolPolicy("AD"))
 
 
 def test_every_span_tiles_its_latency(wi_run, ad_run):
@@ -100,7 +100,7 @@ def test_dragon_update_transactions_trace_and_tile():
     """Write-update commits (Wu -> Wup -> Uacks) trace like any other
     transaction: segments tile, data is "served by" the update commit,
     and the Upd fan-out is counted per span."""
-    machine, _ = _traced_run(ProtocolPolicy.dragon())
+    machine, _ = _traced_run(ProtocolPolicy("Dragon"))
     tracer = machine.tracer
     for span in tracer.spans:
         assert sum(span.segments.values()) == span.latency, span
@@ -121,7 +121,7 @@ def test_dragon_update_transactions_trace_and_tile():
 def test_tracing_disabled_is_result_identical(ad_run):
     machine, traced = ad_run
     plain_machine, plain = _traced_run(
-        ProtocolPolicy.adaptive_default(), trace=False
+        ProtocolPolicy("AD"), trace=False
     )
     assert plain_machine.tracer is None
     assert plain.execution_time == traced.execution_time

@@ -37,11 +37,11 @@ from repro.experiments.parallel import RunSpec, execute_spec
 GOLDEN_PATH = Path(__file__).parent / "golden_tiny.json"
 
 POLICIES = {
-    "W-I": ProtocolPolicy.write_invalidate(),
-    "AD": ProtocolPolicy.adaptive_default(),
-    "MESI": ProtocolPolicy.mesi(),
-    "Dragon": ProtocolPolicy.dragon(),
-    "Hybrid": ProtocolPolicy.hybrid(),
+    "W-I": ProtocolPolicy("W-I"),
+    "AD": ProtocolPolicy("AD"),
+    "MESI": ProtocolPolicy("MESI"),
+    "Dragon": ProtocolPolicy("Dragon"),
+    "Hybrid": ProtocolPolicy("Hybrid"),
 }
 
 

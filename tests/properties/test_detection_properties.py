@@ -72,7 +72,7 @@ def test_nomination_only_under_paper_condition(policy, stream):
     """A write reaching a Shared-Remote home nominates exactly when N==2
     and LW is valid and different; nothing else nominates."""
     harness, home = machine(policy)
-    adaptive = harness.directory.policy.adaptive
+    adaptive = harness.directory.protocol.adaptive
     for action, node in stream:
         state, copies, lw = home.state, len(home.sharers), home.last_writer
         before = harness.counters.get("nominations")

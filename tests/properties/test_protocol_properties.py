@@ -17,10 +17,10 @@ from repro.cpu.ops import Barrier, Lock, Read, Unlock, Write
 from repro.memory.cache import CacheState
 
 POLICIES = [
-    ProtocolPolicy.write_invalidate(),
-    ProtocolPolicy.adaptive_default(),
-    ProtocolPolicy(adaptive=True, rxq_reverts_to_ordinary=True),
-    ProtocolPolicy(adaptive=True, nomig_enabled=False),
+    ProtocolPolicy("W-I"),
+    ProtocolPolicy("AD"),
+    ProtocolPolicy("AD-RXQ"),
+    ProtocolPolicy("AD-NONOMIG"),
 ]
 
 NUM_PROCS = 4  # 2x2 mesh keeps the state space dense and runs fast
@@ -103,7 +103,7 @@ def test_random_programs_terminate_coherently(policy, raw, wo):
 def test_wi_and_ad_commit_identical_write_counts(raw):
     """Both protocols perform exactly the same writes (same programs)."""
     latest = []
-    for policy in (ProtocolPolicy.write_invalidate(), ProtocolPolicy.adaptive_default()):
+    for policy in (ProtocolPolicy("W-I"), ProtocolPolicy("AD")):
         config = MachineConfig(
             mesh_width=2, mesh_height=2, cache_size=256,
             policy=policy, max_events=2_000_000,

@@ -98,7 +98,7 @@ def test_cache_index_and_view_api_equivalent():
 # ----------------------------------------------------------------------
 def _run_sharing_machine():
     machine = Machine(
-        MachineConfig.dash_default(policy=ProtocolPolicy.adaptive_default())
+        MachineConfig.dash_default(policy=ProtocolPolicy("AD"))
     )
     addr = 4096  # one migratory block plus one read-shared block
     shared = 8192

@@ -13,11 +13,7 @@ def idle():
 
 
 def machine(adaptive=False, procs=4, **overrides):
-    policy = (
-        ProtocolPolicy.adaptive_default()
-        if adaptive
-        else ProtocolPolicy.write_invalidate()
-    )
+    policy = ProtocolPolicy("AD" if adaptive else "W-I")
     if "policy" in overrides:
         policy = overrides.pop("policy")
     return SnoopyMachine(
@@ -185,6 +181,36 @@ def test_wrong_program_count_rejected():
         m.run([idle()])
 
 
+@pytest.mark.parametrize("name", ["MESI", "Dragon", "Hybrid"])
+def test_protocols_without_a_bus_flow_are_refused(name):
+    """The bus has no E state and no update flow: the machine would run
+    W-I under the name MESI, Dragon or Hybrid."""
+    with pytest.raises(ValueError, match="runs W-I, AD, AD-RXQ, AD-NONOMIG"):
+        machine(policy=ProtocolPolicy(name))
+
+
+def test_ad_ablations_switch_the_bus_detector():
+    """AD-RXQ demotes a migratory block on a read-exclusive; AD-NONOMIG
+    keeps a read-only block migratory where AD reverts it."""
+    ops = [(0, Read(0x200)), (0, Write(0x200)), (1, Read(0x200)),
+           (1, Write(0x200)), (2, Write(0x200))]
+    results = {
+        name: seq(machine(policy=ProtocolPolicy(name)), *ops)
+        for name in ("AD", "AD-RXQ")
+    }
+    assert results["AD"].counter("nominations") == 1
+    assert results["AD"].counter("rxq_demotions") == 0
+    assert results["AD-RXQ"].counter("rxq_demotions") == 1
+    reads = [(0, Read(0x300)), (0, Write(0x300)), (1, Read(0x300)),
+             (1, Write(0x300)), (2, Read(0x300)), (3, Read(0x300))]
+    reverts = {
+        name: seq(machine(policy=ProtocolPolicy(name)), *reads)
+        for name in ("AD", "AD-NONOMIG")
+    }
+    assert reverts["AD"].counter("nomig_reverts") == 1
+    assert reverts["AD-NONOMIG"].counter("nomig_reverts") == 0
+
+
 def test_task_farm_bus_traffic_reduction():
     """Section 6: "the protocol is applicable to bus-based systems ... a
     primary concern is to reduce network traffic".  Eight processors
@@ -202,7 +228,7 @@ def test_task_farm_bus_traffic_reduction():
     for name, cfg in (
         ("wi", SnoopyConfig(num_processors=8, check_coherence=False)),
         ("ad", SnoopyConfig(num_processors=8,
-                            policy=ProtocolPolicy.adaptive_default(),
+                            policy=ProtocolPolicy("AD"),
                             check_coherence=False)),
     ):
         results[name] = SnoopyMachine(cfg).run([worker(p) for p in range(8)])

@@ -209,6 +209,25 @@ def test_bus_command(capsys):
     assert "nominations" in out
 
 
+@pytest.mark.parametrize("name", ["MESI", "Dragon", "hybrid"])
+def test_bus_command_refuses_protocols_it_lacks(name, capsys):
+    """The bus machine would run W-I and print it as the named protocol."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bus", "migratory-counters", "--protocol", name])
+    assert "W-I, AD, AD-RXQ, AD-NONOMIG" in str(excinfo.value.code)
+    assert capsys.readouterr().out == ""
+
+
+def test_protocol_lists_take_spaces_and_empty_entries(capsys):
+    args = ["chaos", "migratory-counters", "--intensities", "0", "--json",
+            "--preset", "tiny", "--protocols", " W-I, ad-nonomig ,"]
+    assert main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["policies"] == ["W-I", "AD-NONOMIG"]
+    with pytest.raises(SystemExit, match="at least two"):
+        main(["compare", "producer-consumer", "--protocols", " AD, ,"])
+
+
 def test_parse_size_units():
     from repro.cli import _parse_size
 

@@ -93,7 +93,7 @@ from repro.core.policy import ProtocolPolicy
 from repro.experiments.parallel import RunSpec, run_many
 
 specs = [
-    RunSpec.make("migratory-counters", ProtocolPolicy.adaptive_default(),
+    RunSpec.make("migratory-counters", ProtocolPolicy("AD"),
                  preset="tiny", iterations=4, seed=seed)
     for seed in (1, 2)
 ]
@@ -118,7 +118,7 @@ from repro.experiments.parallel import RunSpec, execute_spec
 from repro.experiments.store import ResultStore, spec_key, spec_to_json
 from repro.serve.server import ExperimentServer
 
-spec = RunSpec.make("migratory-counters", ProtocolPolicy.adaptive_default(),
+spec = RunSpec.make("migratory-counters", ProtocolPolicy("AD"),
                     preset="tiny", iterations=4)
 store = ResultStore({str(tmp_path / "cache")!r})
 store.put(execute_spec(spec))

@@ -27,7 +27,7 @@ def _explored(caches, ops, policy):
 
 
 def test_wi_small_exploration_clean():
-    result = _explored(2, 2, ProtocolPolicy.write_invalidate())
+    result = _explored(2, 2, ProtocolPolicy("W-I"))
     assert result.states_explored > 500
     assert result.final_states > 0
     # W-I never reaches migratory directory states.
@@ -37,7 +37,7 @@ def test_wi_small_exploration_clean():
 
 
 def test_ad_small_exploration_clean():
-    result = _explored(2, 2, ProtocolPolicy.adaptive_default())
+    result = _explored(2, 2, ProtocolPolicy("AD"))
     shapes = result.state_shapes
     # The migratory states are actually reachable...
     assert any(shape[0] == "MD" for shape in shapes)
@@ -53,7 +53,7 @@ def test_ad_three_ops_reaches_migratory_uncached():
     """Nomination takes four operations; the eviction that produces
     Migratory-Uncached is the fifth, so it needs the 2-cache 3-op bound,
     where all five directory states are reachable."""
-    result = _explored(2, 3, ProtocolPolicy.adaptive_default())
+    result = _explored(2, 3, ProtocolPolicy("AD"))
     assert result.final_states > 0
     assert {shape[0] for shape in result.state_shapes} == {
         "U", "SR", "DR", "MD", "MU"
@@ -63,8 +63,8 @@ def test_ad_three_ops_reaches_migratory_uncached():
 @pytest.mark.parametrize(
     "policy",
     [
-        ProtocolPolicy(adaptive=True, rxq_reverts_to_ordinary=True),
-        ProtocolPolicy(adaptive=True, nomig_enabled=False),
+        ProtocolPolicy("AD-RXQ"),
+        ProtocolPolicy("AD-NONOMIG"),
     ],
     ids=["rxq-revert", "no-nomig"],
 )
@@ -76,7 +76,7 @@ def test_policy_variants_explore_clean(policy):
 def test_channels_are_fifo():
     """Two updates on one channel reach the real cache controller in the
     order they were sent, one delivery step at a time."""
-    harness = Harness(2, 2, ProtocolPolicy.dragon())
+    harness = Harness(2, 2, ProtocolPolicy("Dragon"))
     line = harness.caches[0].cache.install(BLOCK, CacheState.SHARED, 0)
     home = harness.num_caches
     for version in (1, 2):
@@ -139,14 +139,14 @@ def test_timed_simulation_shapes_subset_of_model():
     from repro import Machine, MachineConfig
     from repro.cpu.ops import Read, Write
 
-    explored = _explored(2, 3, ProtocolPolicy.adaptive_default()).state_shapes
+    explored = _explored(2, 3, ProtocolPolicy("AD")).state_shapes
 
     for seed in range(8):
         rng = random.Random(seed)
         config = MachineConfig(
             mesh_width=2,
             mesh_height=2,
-            policy=ProtocolPolicy.adaptive_default(),
+            policy=ProtocolPolicy("AD"),
         )
         machine = Machine(config)
 

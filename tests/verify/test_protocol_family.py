@@ -26,7 +26,7 @@ def _explored(policy):
 
 
 def test_mesi_small_exploration_clean():
-    result = _explored(ProtocolPolicy.mesi())
+    result = _explored(ProtocolPolicy("MESI"))
     assert result.states_explored > 500
     assert result.final_states > 0
     # MESI never uses the migratory directory states...
@@ -39,14 +39,14 @@ def test_mesi_exclusive_only_under_dirty_remote():
     """A clean-exclusive copy only exists while the directory points at
     its owner (DR) — never under U/SR, where another cache could read
     stale data without the owner's knowledge."""
-    result = _explored(ProtocolPolicy.mesi())
+    result = _explored(ProtocolPolicy("MESI"))
     for dir_state, lines in result.state_shapes:
         if "M" in lines:
             assert dir_state == "DR", (dir_state, lines)
 
 
 def test_dragon_small_exploration_clean():
-    result = _explored(ProtocolPolicy.dragon())
+    result = _explored(ProtocolPolicy("Dragon"))
     assert result.states_explored > 500
     assert result.final_states > 0
     # Write-update keeps sharers alive: both caches shared is reachable,
@@ -58,8 +58,8 @@ def test_dragon_small_exploration_clean():
 def test_hybrid_fallback_explores_clean():
     """threshold=1 forces the invalidate fallback into the explored
     space: the second unconsumed update takes the Rxq flow instead."""
-    eager = _explored(ProtocolPolicy(protocol="hybrid", update_threshold=1))
-    pure = _explored(ProtocolPolicy.dragon())
+    eager = _explored(ProtocolPolicy("Hybrid", update_threshold=1))
+    pure = _explored(ProtocolPolicy("Dragon"))
     assert eager.final_states > 0
     # The threshold changed the transition relation: some explored step
     # falls back from update to invalidate, which pure Dragon never does.
@@ -74,8 +74,8 @@ def test_hybrid_fallback_explores_clean():
 def test_hybrid_default_threshold_matches_dragon_at_small_bound():
     """Two ops per cache cannot accumulate 8 unconsumed updates, so the
     default hybrid must traverse exactly Dragon's state space."""
-    hybrid = _explored(ProtocolPolicy.hybrid())
-    dragon = _explored(ProtocolPolicy.dragon())
+    hybrid = _explored(ProtocolPolicy("Hybrid"))
+    dragon = _explored(ProtocolPolicy("Dragon"))
     assert hybrid.states_explored == dragon.states_explored
     assert hybrid.state_shapes == dragon.state_shapes
 
@@ -83,7 +83,7 @@ def test_hybrid_default_threshold_matches_dragon_at_small_bound():
 def test_stale_sharer_detected_at_quiescence():
     """The no-stale-read invariant has teeth: a drained SR state with a
     sharer below the latest version must be rejected."""
-    harness = Harness(2, 2, ProtocolPolicy.dragon())
+    harness = Harness(2, 2, ProtocolPolicy("Dragon"))
     entry = harness.directory.entry(BLOCK)
     entry.state, entry.sharers, entry.version = DirState.SHARED_REMOTE, {0, 1}, 2
     harness.caches[0].cache.install(BLOCK, CacheState.SHARED, 2)

@@ -46,7 +46,7 @@ def test_replay_under_other_protocol_differs_from_native():
     under AD is not the same experiment as a native AD run when the
     workload makes timing-dependent decisions (dynamic task queue)."""
     wi = MachineConfig.dash_default()
-    ad = MachineConfig.dash_default(policy=ProtocolPolicy.adaptive_default())
+    ad = MachineConfig.dash_default(policy=ProtocolPolicy("AD"))
 
     recorded = record_run(wi, make_workload("cholesky", 16, "tiny").programs())
     trace_driven = recorded.replay(ad)
@@ -74,7 +74,7 @@ def test_load_rejects_unknown_opcode():
 
 
 def test_replay_of_benchmark_trace_is_coherent():
-    config = MachineConfig.dash_default(policy=ProtocolPolicy.adaptive_default())
+    config = MachineConfig.dash_default(policy=ProtocolPolicy("AD"))
     recorded = record_run(config, make_workload("water", 16, "tiny").programs())
     replayed = recorded.replay(config)
     assert replayed.execution_time > 0
@@ -88,7 +88,7 @@ def test_trace_driven_estimate_differs_at_default_preset():
     """Section 4.1 at the default preset: both methodologies see AD win,
     but the W-I schedule frozen in the trace biases the estimate."""
     wi_config = MachineConfig.dash_default(check_coherence=False)
-    ad_config = wi_config.with_(policy=ProtocolPolicy.adaptive_default())
+    ad_config = wi_config.with_(policy=ProtocolPolicy("AD"))
     recorded = record_run(
         wi_config, make_workload("cholesky", 16, "default").programs()
     )
