@@ -5,7 +5,8 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".cache_ctrl": ("MSHR", "CacheController"),
     ".checker": ("CoherenceChecker", "CoherenceViolation"),
-    ".directory": ("DirectoryController", "DirectoryEntry"),
+    ".directory": ("DirectoryController",),
+    ".directory_views": ("DirectoryEntry",),
     ".messages": (
         "DATA_KINDS", "DIRECTORY_KINDS", "CoherenceMessage", "MsgKind",
         "message_bits",

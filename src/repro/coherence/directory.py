@@ -25,29 +25,36 @@ writeback (guaranteed to be in flight) arrives.
 Storage layout
 --------------
 
-Per-block records are struct-of-arrays: a ``block -> row`` index dict
-plus dense per-row columns (state codes in a ``bytearray``, owner and
-last-writer in ``array('h')``, version and ``upd_count`` in
-``array('i')``, busy / awaiting-writeback flags in ``bytearray``s).
+Per-block records are struct-of-arrays, addressed by page: dense
+per-row columns (state codes in a ``bytearray``, owner and last-writer
+in ``array('h')``, version and ``upd_count`` in ``array('i')``, busy /
+awaiting-writeback flags in ``bytearray``s) grow one placement page of
+rows at a time.  A home owns whole pages, so every row of a page is
+one of its blocks.  A ``page -> base row`` dict, one entry per touched
+page, finds a block's row at ``base + block % lines_per_page``; there
+is no ``block -> row`` dict and no boxed int per block.  A row that no
+request has touched holds the reserved state code ``_UNTOUCHED`` and
+is absent from :attr:`entries`; its first touch makes it Uncached.
 
 A row's sharer list is a set whose iteration order is the order its
 invalidations and updates are sent in.  Sharer sets are only built by
 insertion, never emptied in place, so each iterates in the order of its
 insertions.  Most rows point at an interned, immutable set that every
 directory shares: the empty ``_NO_SHARERS``, a first reader's
-``_ONE[i]``, or the ``_TWO[src][requester]`` a Sw or NoMig leaves.  A
-joining sharer gives a row its own set, ``{*sharers, i}``: a copy of a
-one- or two-member set keeps its table layout, so it iterates as the
-set would after ``add(i)``.  A set with more than two members is the
-row's own and grows in place, since copying a bigger set (by a display
-or a union) can re-size its table and reorder it.  Pending queues are
-allocated lazily too (most blocks never queue), and so are the
-:class:`DirectoryEntry` views: a thin *view* over one row, kept for cold
-paths (tests, diagnostics); handlers work on row indices and integer
-codes, dispatched through a kind-indexed table.
+``_ONE[i]``, or the pair ``_TWO[first][second]`` that a second reader
+joining ``first``, or a Sw or NoMig, leaves.  A third sharer gives a
+row its own set, ``{*sharers, i}``: a copy of a two-member set keeps
+its table layout, so it iterates as the set would after ``add(i)``.  A
+set with more than two members is the row's own and grows in place,
+since copying a bigger set (by a display or a union) can re-size its
+table and reorder it.  Pending queues are allocated lazily too (most
+blocks never queue), and so are the ``DirectoryEntry`` views of
+:mod:`repro.coherence.directory_views`: a thin *view* over one row,
+kept for cold paths (tests, diagnostics); handlers work on row indices
+and integer codes, dispatched through a kind-indexed table.
 
 The last-writer pointer (the paper's LW with its valid bit) is the
-``_lw`` column, read through :attr:`DirectoryEntry.last_writer`: -1
+``_lw`` column, read through ``DirectoryEntry.last_writer``: -1
 encodes the reset valid bit, every transition to Dirty-Remote and every
 nomination records the new owner, and the pointer is invalidated
 whenever the sharing list grows beyond two or a NoMig reverts the block.
@@ -60,7 +67,9 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import AbstractSet, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, AbstractSet, Callable, Deque, Dict, List, Optional, Tuple,
+)
 
 from repro.coherence.messages import NUM_KINDS, CoherenceMessage, MsgKind
 from repro.coherence.states import (
@@ -71,7 +80,6 @@ from repro.coherence.states import (
     DIR_STATES_BY_CODE,
     DIR_U,
     HOME_VALID_CODES,
-    DirState,
 )
 from repro.coherence.transport import Transport
 from repro.core.detection import should_nominate
@@ -81,15 +89,30 @@ from repro.memory.dram import MemoryModule
 from repro.sim.engine import SimulationError, Simulator
 from repro.stats.counters import Counters
 
+if TYPE_CHECKING:
+    from repro.coherence.directory_views import DirectoryEntry, _EntriesView
+
+#: State code of a row that no request has touched (see "Storage layout").
+_UNTOUCHED = 255
 #: The sharer list of every row that has no sharers.
 _NO_SHARERS: AbstractSet[int] = frozenset()
 #: Interned sharer sets, shared by every directory: ``_ONE[i]`` is
-#: ``{i}``, and ``_TWO[src][requester]`` is ``{src, requester}`` made on
-#: first use (``{a, b}`` and ``{b, a}`` may iterate in different orders).
-#: Each entry is immutable and fixed by its index, so sharing them
-#: across machines changes no result.
+#: ``{i}``, and ``_TWO[first][second]`` is ``{first, second}`` made on
+#: first use by :func:`_pair` (``{a, b}`` and ``{b, a}`` may iterate in
+#: different orders).  Each entry is immutable and fixed by its index,
+#: so sharing them across machines changes no result.
 _ONE: List[AbstractSet[int]] = []
 _TWO: List[List[Optional[AbstractSet[int]]]] = []
+
+
+def _pair(first: int, second: int) -> AbstractSet[int]:
+    """The interned ``{first, second}``: it iterates as ``{first}`` does
+    after ``add(second)``."""
+    pairs = _TWO[first]
+    pair = pairs[second]
+    if pair is None:
+        pairs[second] = pair = frozenset((first, second))
+    return pair
 
 
 def _intern_sharers(num_nodes: int) -> None:
@@ -102,146 +125,6 @@ def _intern_sharers(num_nodes: int) -> None:
     for node in range(size, num_nodes):
         _ONE.append(frozenset((node,)))
         _TWO.append([None] * num_nodes)
-
-
-class DirectoryEntry:
-    """A view over one directory row.
-
-    Reads and writes pass through to the owning controller's columns, so
-    a view is always current; one stable view exists per row.  Views are
-    for cold paths (tests, dumps) — the protocol handlers use row indices
-    directly.
-    """
-
-    __slots__ = ("_dir", "_row")
-
-    def __init__(self, directory: "DirectoryController", row: int) -> None:
-        self._dir = directory
-        self._row = row
-
-    @property
-    def state(self) -> DirState:
-        return DIR_STATES_BY_CODE[self._dir._states[self._row]]
-
-    @state.setter
-    def state(self, value: DirState) -> None:
-        self._dir._states[self._row] = value.code
-
-    @property
-    def sharers(self) -> AbstractSet[int]:
-        return self._dir._sharers[self._row]
-
-    @sharers.setter
-    def sharers(self, value: AbstractSet[int]) -> None:
-        self._dir._sharers[self._row] = value
-
-    @property
-    def owner(self) -> Optional[int]:
-        owner = self._dir._owners[self._row]
-        return None if owner < 0 else owner
-
-    @owner.setter
-    def owner(self, value: Optional[int]) -> None:
-        self._dir._owners[self._row] = -1 if value is None else value
-
-    @property
-    def last_writer(self) -> Optional[int]:
-        """The paper's LW pointer, or None when its valid bit is reset."""
-        lw = self._dir._lw[self._row]
-        return None if lw < 0 else lw
-
-    @property
-    def version(self) -> int:
-        return self._dir._versions[self._row]
-
-    @version.setter
-    def version(self, value: int) -> None:
-        self._dir._versions[self._row] = value
-
-    @property
-    def upd_count(self) -> int:
-        return self._dir._upd_count[self._row]
-
-    @upd_count.setter
-    def upd_count(self, value: int) -> None:
-        self._dir._upd_count[self._row] = value
-
-    @property
-    def busy(self) -> bool:
-        return bool(self._dir._busy[self._row])
-
-    @busy.setter
-    def busy(self, value: bool) -> None:
-        self._dir._busy[self._row] = 1 if value else 0
-
-    @property
-    def awaiting_wb(self) -> bool:
-        return bool(self._dir._awaiting[self._row])
-
-    @awaiting_wb.setter
-    def awaiting_wb(self, value: bool) -> None:
-        self._dir._awaiting[self._row] = 1 if value else 0
-
-    @property
-    def inflight(self) -> Optional[Tuple[CoherenceMessage, bool]]:
-        return self._dir._inflight[self._row]
-
-    @inflight.setter
-    def inflight(self, value: Optional[Tuple[CoherenceMessage, bool]]) -> None:
-        self._dir._inflight[self._row] = value
-
-    @property
-    def pending(self) -> Deque[CoherenceMessage]:
-        return self._dir._pending_of(self._row)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DirectoryEntry(state={self.state}, sharers={sorted(self.sharers)}, "
-            f"owner={self.owner}, busy={self.busy})"
-        )
-
-
-class _EntriesView:
-    """Read-only dict-like view of a controller's directory entries.
-
-    Supports the mapping surface external consumers use (``[block]``,
-    ``.get``, ``in``, iteration, ``.keys/.values/.items``) while the
-    underlying storage stays struct-of-arrays.
-    """
-
-    __slots__ = ("_dir",)
-
-    def __init__(self, directory: "DirectoryController") -> None:
-        self._dir = directory
-
-    def __getitem__(self, block: int) -> DirectoryEntry:
-        return self._dir._view(self._dir._index[block])
-
-    def get(self, block: int, default=None):
-        row = self._dir._index.get(block)
-        return default if row is None else self._dir._view(row)
-
-    def __contains__(self, block: int) -> bool:
-        return block in self._dir._index
-
-    def __len__(self) -> int:
-        return len(self._dir._index)
-
-    def __iter__(self):
-        return iter(self._dir._blocks)
-
-    def keys(self):
-        return iter(self._dir._blocks)
-
-    def values(self):
-        view = self._dir._view
-        return (view(row) for row in range(len(self._dir._blocks)))
-
-    def items(self):
-        view = self._dir._view
-        return (
-            (block, view(row)) for row, block in enumerate(self._dir._blocks)
-        )
 
 
 class DirectoryController:
@@ -259,6 +142,7 @@ class DirectoryController:
         checker=None,
         profiler=None,
         tracer=None,
+        lines_per_page: int = 256,
     ) -> None:
         self.node = node
         _intern_sharers(num_nodes)
@@ -300,9 +184,13 @@ class DirectoryController:
         #: Optional :class:`~repro.obs.tracer.TransactionTracer`; records
         #: the directory-state transitions taken by traced transactions.
         self.tracer = tracer
-        # Struct-of-arrays storage, one row per block ever referenced.
-        self._index: Dict[int, int] = {}
-        self._blocks: List[int] = []
+        # Struct-of-arrays storage, grown a page of rows at a time (a
+        # 4 KB page of 16-byte lines unless the machine says otherwise).
+        self._lines_per_page = lines_per_page
+        #: First row of each page that has rows.
+        self._bases: Dict[int, int] = {}
+        #: Rows that a request has touched (``len(entries)``).
+        self._touched = 0
         self._states = bytearray()
         self._owners = array("h")
         self._versions = array("i")
@@ -337,29 +225,27 @@ class DirectoryController:
     # Row management and views
     # ------------------------------------------------------------------
     def _row(self, block: int) -> int:
-        """Row index for ``block``, creating an Uncached row on first touch."""
-        row = self._index.get(block)
-        if row is None:
-            row = len(self._blocks)
-            self._index[block] = row
-            self._blocks.append(block)
-            self._states.append(DIR_U)
-            self._owners.append(-1)
-            self._versions.append(0)
-            self._lw.append(-1)
-            self._upd_count.append(0)
-            self._busy.append(0)
-            self._awaiting.append(0)
-            self._sharers.append(_NO_SHARERS)
-            self._inflight.append(None)
-            self._pending.append(None)
+        """Row index for ``block``; its first touch makes the row Uncached
+        (and the first touch of its page adds the page's rows)."""
+        lines = self._lines_per_page
+        base = self._bases.get(block // lines)
+        if base is None:
+            self._bases[block // lines] = base = len(self._states)
+            self._states += bytes((_UNTOUCHED,)) * lines
+            self._owners += array("h", (-1,)) * lines
+            self._versions += array("i", (0,)) * lines
+            self._lw += array("h", (-1,)) * lines
+            self._upd_count += array("i", (0,)) * lines
+            self._busy += bytes(lines)
+            self._awaiting += bytes(lines)
+            self._sharers += [_NO_SHARERS] * lines
+            self._inflight += [None] * lines
+            self._pending += [None] * lines
+        row = base + block % lines
+        if self._states[row] == _UNTOUCHED:
+            self._states[row] = DIR_U
+            self._touched += 1
         return row
-
-    def _view(self, row: int) -> DirectoryEntry:
-        view = self._row_views.get(row)
-        if view is None:
-            self._row_views[row] = view = DirectoryEntry(self, row)
-        return view
 
     def _pending_of(self, row: int) -> Deque[CoherenceMessage]:
         queue = self._pending[row]
@@ -368,11 +254,16 @@ class DirectoryController:
         return queue
 
     def entry(self, block: int) -> DirectoryEntry:
-        return self._view(self._row(block))
+        """The view of ``block``'s row (the row is made on first use)."""
+        from repro.coherence.directory_views import view
+
+        return view(self, self._row(block))
 
     @property
     def entries(self) -> _EntriesView:
-        """Dict-like view of per-block directory entries."""
+        """Dict-like view of the touched blocks' directory entries."""
+        from repro.coherence.directory_views import _EntriesView
+
         return _EntriesView(self)
 
     def _set_state(self, row: int, msg: CoherenceMessage, new: int) -> None:
@@ -395,8 +286,7 @@ class DirectoryController:
     def introspect(self) -> list:
         """Transient directory entries (busy / awaiting / queued), for dumps."""
         out = []
-        for block in sorted(self._blocks):
-            row = self._index[block]
+        for block, row in self.entries.rows():
             pending = self._pending[row]
             if not (self._busy[row] or self._awaiting[row] or pending):
                 continue
@@ -539,8 +429,11 @@ class DirectoryController:
                 if i not in sharers:
                     if len(sharers) > 2:
                         sharers.add(i)
-                    else:  # a joining sharer gives the row its own set
+                    elif len(sharers) == 2:  # a third sharer: the row's own set
                         self._sharers[row] = sharers = {*sharers, i}
+                    else:  # a second reader: the interned pair
+                        (first,) = sharers
+                        self._sharers[row] = sharers = _pair(first, i)
                 if len(sharers) > 2:
                     self._lw[row] = -1  # LW valid bit reset (paper Figure 4)
             self._send_at(
@@ -692,8 +585,11 @@ class DirectoryController:
                     if i not in sharers:
                         if len(sharers) > 2:
                             sharers.add(i)
-                        else:
+                        elif len(sharers) == 2:
                             self._sharers[row] = {*sharers, i}
+                        else:
+                            (first,) = sharers
+                            self._sharers[row] = _pair(first, i)
                     self._record_inval_count(0, block, i)
                     self._send_at(
                         done,
@@ -729,11 +625,7 @@ class DirectoryController:
         self._check_inflight(row, msg)
         self._set_state(row, msg, DIR_SR)
         self._versions[row] = msg.version
-        pairs = _TWO[msg.src]
-        sharers = pairs[msg.requester]
-        if sharers is None:
-            pairs[msg.requester] = sharers = frozenset((msg.src, msg.requester))
-        self._sharers[row] = sharers
+        self._sharers[row] = _pair(msg.src, msg.requester)
         self._owners[row] = -1
         # Two sharers: the LW valid bit survives (reset only above two).
         self._complete(row)
@@ -795,11 +687,7 @@ class DirectoryController:
         self._c_nomig_reverts.inc()
         self._set_state(row, msg, DIR_SR)
         self._versions[row] = msg.version
-        pairs = _TWO[msg.src]
-        sharers = pairs[msg.requester]
-        if sharers is None:
-            pairs[msg.requester] = sharers = frozenset((msg.src, msg.requester))
-        self._sharers[row] = sharers
+        self._sharers[row] = _pair(msg.src, msg.requester)
         self._owners[row] = -1
         self._lw[row] = -1
         self._complete(row)

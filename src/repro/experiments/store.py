@@ -138,9 +138,10 @@ def spec_from_json(doc: Dict[str, Any]) -> RunSpec:
     Accepts two client-friendly shorthands alongside the full wire form:
     ``"policy": "AD"`` (any protocol name in any letter case — "W-I",
     "ad-rxq", "mesi", "Dragon", ...) and ``"consistency": "SC"`` (any
-    registered model name).
+    registered model name).  A spec without ``"policy"`` runs the
+    default policy; an empty name or a null policy is refused.
     """
-    policy = doc.get("policy") or {}
+    policy = doc.get("policy", {})
     policy = policy_for(policy) if isinstance(policy, str) else ProtocolPolicy(**policy)
     consistency = doc.get("consistency", "SC")
     if isinstance(consistency, str):

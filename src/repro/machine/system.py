@@ -120,6 +120,7 @@ class Machine:
                 n, cfg.num_nodes, self.sim, self.transport, self.memories[n],
                 cfg.policy, self.counters, checker=self.checker,
                 profiler=self.block_profiler, tracer=self.tracer,
+                lines_per_page=cfg.page_size // cfg.line_size,
             )
             for n in range(cfg.num_nodes)
         ]

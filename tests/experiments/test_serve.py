@@ -208,11 +208,12 @@ def test_serve_rejects_bad_requests(server, client):
             client.submit([entry])
         assert excinfo.value.status == 400, entry
     # A policy is a protocol name plus Hybrid's budget: an unknown name,
-    # the removed field spellings, a budget on another protocol and a
-    # budget that is no int are refused before anything is queued.
+    # the removed field spellings, a budget on another protocol, a
+    # budget that is no int, and an empty or null policy are refused
+    # before anything is queued.
     for policy in ({"name": "MOESI"}, {"protocol": "mesi"}, {"adaptive": True},
                    {"name": "Dragon", "update_threshold": 3},
-                   {"name": "Hybrid", "update_threshold": "4"}):
+                   {"name": "Hybrid", "update_threshold": "4"}, "", None):
         with pytest.raises(ServeError) as excinfo:
             client.submit([{"workload": "migratory-counters", "preset": "tiny",
                             "policy": policy}])

@@ -150,6 +150,14 @@ def test_spec_from_json_accepts_shorthand_names():
     )
 
 
+def test_spec_from_json_refuses_an_empty_or_null_policy():
+    doc = {"workload": "migratory-counters", "preset": "tiny"}
+    assert spec_from_json(doc).policy == ProtocolPolicy("W-I")  # no policy given
+    for policy in ("", None, []):
+        with pytest.raises((KeyError, TypeError)):
+            spec_from_json({**doc, "policy": policy})
+
+
 # -- cold -> warm round trip --------------------------------------------
 
 

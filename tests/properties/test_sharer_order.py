@@ -5,11 +5,13 @@ its row's sharer set iterates in, and both result goldens rest on it.
 That order was fixed when every row built its set by insertion alone:
 ``{i}`` for the first reader, ``add(i)`` for each later one, and
 ``{src, requester}`` after a Sw or NoMig.  Rows now share interned
-copies of the one- and two-member sets, and a joining sharer gives a
-row its own copy, built as ``{*sharers, i}``.  A copy of a set that
-small gets the same 8-slot table, so it iterates as ``add(i)`` would
-have left it.  A set with more than two members is the row's own and
-grows in place, because copying a bigger one can re-lay its table.
+copies of the one- and two-member sets: a second reader joining
+``{first}`` takes the interned ``frozenset((first, i))``, built in the
+order ``add(i)`` would have built it, and a third sharer gives a row
+its own copy, built as ``{*sharers, i}``.  A copy of a set that small
+gets the same 8-slot table, so it iterates as ``add(i)`` would have
+left it.  A set with more than two members is the row's own and grows
+in place, because copying a bigger one can re-lay its table.
 
 A union shows how.  At 16 nodes, readers 0, 1, 5 and 10 leave a set
 that iterates 0, 1, 10, 5 (10 collides with 2 in an 8-slot table).  If
@@ -30,7 +32,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coherence.directory import DirectoryController
+from repro.coherence.directory import _TWO, DirectoryController
 from repro.coherence.messages import CoherenceMessage, MsgKind
 from repro.coherence.states import DirState
 from repro.protocols import policy_for
@@ -120,7 +122,24 @@ def test_small_sharer_sets_are_shared_by_every_directory():
         _deliver(directory, MsgKind.RR, 9)
         _deliver(directory, MsgKind.SW, 5, 9)
     assert one.entry(BLOCK).sharers is two.entry(BLOCK).sharers == {5, 9}
-    # A joining sharer gives the row its own set and leaves the shared one.
+    # A third sharer gives the row its own set and leaves the shared one.
     _deliver(one, MsgKind.RR, 12)
     assert one.entry(BLOCK).sharers == {5, 9, 12}
     assert two.entry(BLOCK).sharers == {5, 9}
+
+
+@pytest.mark.parametrize("join", [MsgKind.RR, MsgKind.WU])
+def test_a_second_sharer_takes_the_interned_pair(join):
+    # 10 and 2 collide in an 8-slot table, so {10, 2} and {2, 10}
+    # iterate in different orders: the pair must be the one ``add`` builds.
+    directory = _directory(16)
+    _deliver(directory, MsgKind.RR, 10)
+    _deliver(directory, join, 2)  # a read, or a write update with 10 to update
+    built = {10}
+    built.add(2)
+    sharers = directory.entry(BLOCK).sharers
+    assert sharers is _TWO[10][2]
+    assert list(sharers) == list(built)
+    _deliver(directory, join, 5)  # a third sharer copies the pair
+    assert directory.entry(BLOCK).sharers == {10, 2, 5}
+    assert _TWO[10][2] == {10, 2}

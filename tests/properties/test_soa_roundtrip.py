@@ -119,7 +119,7 @@ def test_directory_entry_views_match_columns():
     for directory in machine.directories:
         for block, entry in directory.entries.items():
             seen_any = True
-            row = directory._index[block]
+            row = directory.entries.row_of(block)
             assert entry.state is DIR_STATES_BY_CODE[directory._states[row]]
             owner = directory._owners[row]
             assert entry.owner == (None if owner < 0 else owner)
@@ -150,7 +150,7 @@ def test_directory_entry_setters_write_columns():
     directory = next(d for d in machine.directories if len(d.entries))
     blocks = list(directory.entries.keys())
     entry = directory.entries[blocks[0]]
-    row = directory._index[blocks[0]]
+    row = directory.entries.row_of(blocks[0])
     entry.state = DirState.MIGRATORY_DIRTY
     entry.owner = 5
     entry.version = 42
@@ -162,6 +162,37 @@ def test_directory_entry_setters_write_columns():
     assert directory._busy[row] == 1 and directory._awaiting[row] == 1
     entry.owner = None
     assert directory._owners[row] == -1
+
+
+def test_rows_are_addressed_by_page():
+    """An access adds its whole page of rows, but only a touched block is
+    an entry: the rest of the page stays absent until a request touches
+    it."""
+    machine = Machine(MachineConfig.dash_default(page_size=1024))
+    cfg = machine.config
+    lines = cfg.page_size // cfg.line_size
+    block = (cfg.num_nodes + 3) * lines + 7  # a page whose home is node 3
+    run(machine, {0: [Read(block * cfg.line_size)]})
+    directory = machine.directories[3]
+    entries = directory.entries
+    assert len(directory._states) == lines  # one page of rows
+    assert list(entries) == [block] and len(entries) == 1
+    assert entries[block].state is DirState.SHARED_REMOTE
+    for other in (block - 7, block + 1, block - 8 + lines):  # the same page
+        assert entries.row_of(other) is None
+        assert entries.get(other) is None
+        assert other not in entries
+        with pytest.raises(KeyError):
+            entries[other]
+    # A block on an earlier page of the same home adds a page after the
+    # first; entries and dumps still list blocks in block order.
+    earlier = 3 * lines + 1
+    for touched in (block + 2, earlier):
+        directory.entry(touched).busy = True
+    assert len(directory._states) == 2 * lines
+    assert len(entries) == 3
+    assert list(entries) == [earlier, block, block + 2]
+    assert [t["block"] for t in directory.introspect()] == [earlier, block + 2]
 
 
 def test_diagnostic_dump_reconstructs_from_soa():

@@ -76,6 +76,20 @@ def test_runner_and_store_skip_observability_and_the_pool():
     }
 
 
+def test_a_run_leaves_the_directory_views_unloaded():
+    """The directory imports its cold-path entry views on first use, so a
+    simulation never compiles them."""
+    loaded = set(_fresh("""
+import json, sys
+from repro.experiments.runner import run_workload
+from repro.protocols import policy_for
+run_workload("migratory-counters", policy_for("AD"), preset="tiny")
+print(json.dumps(sorted(sys.modules)))
+"""))
+    assert "repro.coherence.directory" in loaded
+    assert "repro.coherence.directory_views" not in loaded
+
+
 def test_parallel_import_skips_the_pool_modules():
     loaded = _loaded_after("repro.experiments.parallel")
     assert not loaded & {
