@@ -10,9 +10,11 @@ order the specs were given regardless of completion order.
 
 Design points:
 
-* **Processes, not threads.**  A run is CPU-bound Python; the pool uses
-  a :class:`concurrent.futures.ProcessPoolExecutor` (``fork`` where
-  available, ``spawn`` otherwise).
+* **Processes, not threads.**  A run is CPU-bound Python, so
+  :class:`CellPool` forks its own workers (``os.fork``) and talks to
+  each over a request pipe and a reply pipe, one length-prefixed pickle
+  per message.  A sweep loads neither :mod:`multiprocessing` nor
+  :mod:`concurrent.futures` and starts no thread.
 * **Deterministic ordering.**  Results are re-indexed by submission
   order, so ``run_many(specs, workers=8)`` is byte-identical to
   ``run_many(specs, workers=1)``.
@@ -31,8 +33,8 @@ Design points:
   hanging or crashing the sweep.  Timeouts need the pool: the serial
   inline path cannot preempt a run and ignores ``timeout``.
 * **Graceful serial fallback.**  ``workers=1``, a single spec, or a
-  platform without multiprocessing support all run inline in this
-  process (no pool, no pickling).
+  platform without ``os.fork`` all run inline in this process (no pool,
+  no pickling).
 * **Pool reuse.**  The process pool persists across :func:`run_many`
   calls (sweeps are many small phases; rebuilding a pool per phase costs
   more than the fan-out saves on short batches).
@@ -52,15 +54,14 @@ Design points:
 from __future__ import annotations
 
 import atexit
+import contextlib
 import os
 import random
 import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.consistency.models import ConsistencyModel, SEQUENTIAL_CONSISTENCY
 from repro.core.policy import ProtocolPolicy
@@ -68,12 +69,6 @@ from repro.machine.config import MachineConfig
 from repro.machine.result import RunResult
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import correlation_scope, log_event, new_correlation_id
-
-if TYPE_CHECKING:
-    # The pool modules are imported only where a pool is built or drained,
-    # so serial runs, the result store and the serve client never load them.
-    import concurrent.futures
-    import multiprocessing.context
 
 #: Tags marking frozen containers inside ``RunSpec.overrides`` so the
 #: original value shape survives the hashable round trip.  (A workload
@@ -306,9 +301,8 @@ class RunOutcome:
 
 def execute_spec(spec: RunSpec) -> RunOutcome:
     """Execute one spec in this process, capturing any failure."""
-    # Imported here so a forked/spawned worker resolves it at call time,
-    # to avoid a module-level import cycle with runner.py, and so the
-    # store and the serve daemon never load the simulator.
+    # Imported here to avoid a module-level import cycle with runner.py,
+    # and so the store and the serve daemon never load the simulator.
     from repro.experiments.runner import run_workload
 
     start = time.perf_counter()
@@ -362,23 +356,129 @@ def execute_spec_with_cid(spec: RunSpec, cid: str = "") -> RunOutcome:
     return outcome
 
 
-def _pool_context() -> Optional[multiprocessing.context.BaseContext]:
-    """The preferred multiprocessing context, or None if unavailable."""
-    import multiprocessing
-
-    try:
-        methods = multiprocessing.get_all_start_methods()
-    except Exception:  # pragma: no cover - exotic platforms
-        return None
-    for method in ("fork", "spawn"):
-        if method in methods:
-            return multiprocessing.get_context(method)
-    return None  # pragma: no cover - no known start method
-
-
 def default_workers() -> int:
     """A sensible worker count for this host (>= 1)."""
     return max(1, os.cpu_count() or 1)
+
+
+def _send(fd: int, obj: Any) -> None:
+    """Write ``obj`` to ``fd`` pickled, after its length in 8 little-endian
+    bytes."""
+    import pickle
+
+    data = pickle.dumps(obj)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _work(requests: int, replies: int, inherited: List[int]) -> None:
+    """A forked worker's loop: run each ``(spec, cid)`` request and reply
+    with its :class:`RunOutcome`.
+
+    It first closes the pool's ``inherited`` pipe ends and ignores
+    SIGINT, since Ctrl-C is the parent's to handle.  It never returns: it
+    leaves by ``os._exit``, with status 0 when its pool closes the
+    request pipe and 1 on any failure, which the pool sees as a lost
+    worker.
+    """
+    try:
+        import pickle
+        import signal
+
+        for fd in inherited:
+            os.close(fd)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        reader = open(requests, "rb")  # its read(n) waits for n bytes or EOF
+        while True:
+            size = reader.read(8)
+            if len(size) < 8:
+                os._exit(0)
+            spec, cid = pickle.loads(reader.read(int.from_bytes(size, "little")))
+            _send(replies, execute_spec_with_cid(spec, cid))
+    finally:
+        os._exit(1)
+
+
+class _Worker:
+    """One forked worker process and the parent's ends of its two pipes.
+
+    ``fileno()`` is the reply pipe, so ``select`` or a selector can wait
+    on a worker.
+    """
+
+    def __init__(self, siblings: List["_Worker"]) -> None:
+        requests, self.requests = os.pipe()
+        self.replies, replies = os.pipe()
+        for stream in (sys.stdout, sys.stderr):  # or the child repeats it
+            with contextlib.suppress(AttributeError, ValueError, OSError):
+                stream.flush()
+        self.pid = os.fork()
+        if self.pid == 0:
+            _work(requests, replies, [
+                fd for worker in (self, *siblings)
+                for fd in (worker.requests, worker.replies)
+            ])
+        os.close(requests)
+        os.close(replies)
+        os.set_blocking(self.replies, False)
+        #: The attempt's reply as read so far.
+        self.reply = bytearray()
+        #: The reply pipe hit EOF or the request could not be written.
+        self.lost = False
+
+    def fileno(self) -> int:
+        return self.replies
+
+    def send(self, request: Any) -> None:
+        """Write one request; if the worker is gone, it is lost."""
+        try:
+            _send(self.requests, request)
+        except OSError:  # EPIPE: the worker died while it idled
+            self.lost = True
+
+    def _complete(self) -> bool:
+        reply = self.reply
+        return len(reply) >= 8 and len(reply) - 8 >= int.from_bytes(reply[:8], "little")
+
+    def poll(self) -> bool:
+        """Read what the reply pipe holds; whether the attempt is over
+        (its reply complete, or the worker lost)."""
+        while not self.lost and not self._complete():
+            try:
+                chunk = os.read(self.replies, 1 << 16)
+            except BlockingIOError:
+                return False
+            self.lost = not chunk
+            self.reply += chunk
+        return True
+
+    def take(self) -> Optional[RunOutcome]:
+        """The attempt's outcome, or None if its reply never completed."""
+        import pickle
+
+        complete, reply, self.reply = self._complete(), self.reply, bytearray()
+        return pickle.loads(memoryview(reply)[8:]) if complete else None
+
+    def kill(self) -> None:
+        """SIGKILL the worker (nothing once its pool has reaped it)."""
+        import signal
+
+        if self.pid:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self.pid, signal.SIGKILL)
+
+    def close(self) -> None:
+        """Kill and reap the worker and close both pipes, once."""
+        if self.pid:
+            self.kill()
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(self.pid, 0)
+            self.pid = 0
+            os.close(self.requests)
+            os.close(self.replies)
+            self.requests = self.replies = -1
+            self.lost = True
 
 
 @dataclass(eq=False)
@@ -387,7 +487,7 @@ class Cell:
 
     ``status`` goes queued -> running -> (backoff -> running)* -> done |
     failed, and ``outcome`` is set once the cell is terminal.  The last
-    four fields describe the attempt in flight.
+    four fields describe the attempt in flight, or the last one.
     """
 
     spec: RunSpec
@@ -402,7 +502,8 @@ class Cell:
     outcome: Optional[RunOutcome] = None
     #: Why the last attempt failed, or why the cell was cancelled.
     last_error: str = ""
-    future: Any = None
+    #: The worker the attempt went to.
+    worker: Optional[_Worker] = None
     #: The pool generation the attempt was submitted to.
     generation: int = 0
     #: ``time.monotonic()`` at submission, and the deadline it started.
@@ -411,18 +512,23 @@ class Cell:
 
 
 class CellPool:
-    """A process pool plus the one failure model of every cell scheduler.
+    """Forked workers plus the one failure model of every cell scheduler.
 
     :class:`CellScheduler` drives it for :func:`run_many` and the serve
-    daemon alike: :meth:`start` submits a cell's next attempt and, once
-    that has :meth:`ended`, :meth:`settle` classifies it.  The pool never
-    waits; the scheduler keeps at most ``workers`` attempts in flight, so a
-    deadline that starts at submission is an honest per-cell clock.  A
-    deadline overrun or a lost worker (a crash, or an attempt caught in
-    a discarded pool) costs one attempt: the pool is discarded once per
-    failure wave (a generation counter; the next :meth:`start` builds a
-    fresh one) and the cell requeued after :func:`backoff_delay`, until
+    daemon alike: :meth:`start` sends a cell's next attempt to an idle
+    worker, forking one when none is idle, and once the attempt has
+    :meth:`ended`, :meth:`settle` classifies it.  The pool never waits:
+    its caller waits on the running attempts' workers (``cell.worker``
+    has a ``fileno()``), and the scheduler keeps at most ``workers``
+    attempts in flight, so a deadline that starts at submission is an
+    honest per-cell clock.  A deadline overrun or a lost worker (its
+    reply pipe hit EOF, its request could not be written, or another
+    attempt's failure discarded it) costs one attempt: the pool is
+    discarded once per failure wave (a generation counter; every worker
+    is killed and reaped, and the next :meth:`start` forks afresh) and
+    the cell requeued after :func:`backoff_delay`, until
     ``max_attempts`` fails it.  A simulation exception is an outcome.
+    Workers are made with ``os.fork``.
     """
 
     def __init__(
@@ -436,7 +542,9 @@ class CellPool:
         self.workers = workers
         self.timeout = timeout
         self.max_attempts = max(1, max_attempts)
-        self.executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        #: Every live worker, and those waiting for an attempt.
+        self._procs: List[_Worker] = []
+        self._idle: List[_Worker] = []
         #: Bumped by every discard; older attempts have lost their worker.
         self.generation = 0
         #: The :data:`_POOL_COUNTS` tallies (``/stats`` ``scheduler.*``);
@@ -446,33 +554,26 @@ class CellPool:
         )
 
     def start(self, cell: Cell) -> None:
-        """Submit ``cell``'s next attempt; its deadline starts now."""
-        import concurrent.futures
-
-        if getattr(self.executor, "_broken", False):
-            self._discard(self.generation)  # a worker died while it idled
-        if self.executor is None:
-            self.executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=_pool_context()
-            )
+        """Send ``cell``'s next attempt to a worker; its deadline starts now."""
+        if self._idle:
+            worker = self._idle.pop()
+        else:
+            worker = _Worker(self._procs)
+            self._procs.append(worker)
         cell.attempts += 1
         cell.status = "running"
+        cell.worker = worker
         cell.generation = self.generation
         cell.started = time.monotonic()
         cell.deadline = None if self.timeout is None else cell.started + self.timeout
-        try:
-            cell.future = self.executor.submit(
-                execute_spec_with_cid, cell.spec, cell.cid
-            )
-        except Exception as exc:  # the pool broke since the check above
-            cell.future = concurrent.futures.Future()
-            cell.future.set_exception(exc)
+        worker.send((cell.spec, cell.cid))
 
     def ended(self, cell: Cell, now: float) -> bool:
-        """Whether ``cell``'s attempt is over: done, overdue, or discarded."""
+        """Whether ``cell``'s attempt is over: replied, lost, overdue, or
+        discarded (reads what its reply pipe holds)."""
         return (
-            cell.future.done()
-            or cell.generation != self.generation
+            cell.generation != self.generation
+            or cell.worker.poll()
             or (cell.deadline is not None and now >= cell.deadline)
         )
 
@@ -483,21 +584,21 @@ class CellPool:
         otherwise the backoff in seconds before it may :meth:`start`
         again.
         """
-        future, cell.future = cell.future, None
-        if not future.done() and cell.generation == self.generation:
+        worker, current = cell.worker, cell.generation == self.generation
+        if current and not worker.poll():
             kind, counter = CELL_TIMEOUT, "timeouts"
             reason = f"exceeded the {self.timeout}s per-cell deadline"
         else:
-            try:
-                outcome = future.result(timeout=0)
-            except Exception:  # BrokenProcessPool, cancelled, or discarded
-                cell.crashes += 1
-                kind, counter = WORKER_CRASH, "worker_crashes"
-                reason = f"worker process died {cell.crashes} time(s)"
-            else:
+            outcome = worker.take()
+            if outcome is not None:
+                if current:
+                    self._idle.append(worker)
                 cell.outcome = outcome
                 cell.status = "done" if outcome.ok else "failed"
                 return None
+            cell.crashes += 1
+            kind, counter = WORKER_CRASH, "worker_crashes"
+            reason = f"worker process died {cell.crashes} time(s)"
         self.counts[counter] += 1
         cell.last_error = f"{kind}: {reason}"
         self._discard(cell.generation)
@@ -524,27 +625,15 @@ class CellPool:
         return None
 
     def close(self) -> None:
-        """Kill the workers; the next :meth:`start` builds a fresh pool.
+        """Kill and reap every worker and close its pipes; the next
+        :meth:`start` forks afresh."""
+        procs, self._procs, self._idle = self._procs, [], []
+        for worker in procs:
+            worker.close()
 
-        ``shutdown(wait=False)`` alone would leave a worker stuck in a
-        hung cell running; killing it gives its CPU back.
-        """
-        processes = self.processes()
-        executor, self.executor = self.executor, None
-        if executor is None:
-            return
-        try:
-            executor.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - shutdown of a broken pool
-            pass
-        for process in processes:
-            if process.is_alive():
-                process.kill()
-
-    def processes(self) -> list:
-        """The pool's live worker processes."""
-        workers = getattr(self.executor, "_processes", None) or {}
-        return [process for process in workers.values() if process.is_alive()]
+    def processes(self) -> List[_Worker]:
+        """The pool's workers, each with a ``kill()``."""
+        return list(self._procs)
 
     def _discard(self, generation: int) -> None:
         """Discard the pool an attempt of ``generation`` failed on, once."""
@@ -558,10 +647,10 @@ class CellPool:
 
 
 #: The shared cell pool, kept alive across run_many calls.  A sweep is
-#: many small phases (one per table row/figure bar); rebuilding a pool
-#: per phase costs more than short batches save.  :func:`shutdown_pool`
-#: is registered atexit, and a failure discards the executor inside it,
-#: so a broken executor is never reused.
+#: many small phases (one per table row/figure bar); forking workers per
+#: phase costs more than short batches save.  :func:`shutdown_pool` is
+#: registered atexit, and a failure discards every worker, so a dead
+#: worker is never reused.
 _POOL: Optional[CellPool] = None
 
 
@@ -577,11 +666,11 @@ def _shared_pool(workers: int) -> Optional[CellPool]:
     """The persistent pool of exactly ``workers`` processes, or None.
 
     Repeated same-width calls (the sweep-phase pattern) reuse it; a
-    width change replaces it.  None means no multiprocessing support.
+    width change replaces it.  None means no ``os.fork``.
     """
     global _POOL
     if _POOL is None or _POOL.workers != workers:
-        if _pool_context() is None:  # pragma: no cover - no multiprocessing
+        if not hasattr(os, "fork"):  # pragma: no cover - e.g. Windows
             return None
         shutdown_pool()
         _POOL = CellPool(workers, counts=_RUNMANY_COUNTS)
@@ -594,13 +683,14 @@ atexit.register(shutdown_pool)
 class CellScheduler:
     """The one cell scheduler loop, one :meth:`step` at a time.
 
-    :func:`run_many` steps it between waits on the attempts' futures, the
-    serve daemon between ``select()`` calls.  Cells join ``queue`` at any
-    time and start in FIFO order, at most ``pool.workers`` at once; a
-    requeued cell rejoins it when its backoff expires, and one whose
-    status became ``cancelled`` meanwhile is dropped, not started.  Each
-    started attempt goes to ``on_start``, each settled one to
-    ``on_settled`` (the cell is terminal unless its status is ``backoff``).
+    :func:`run_many` steps it between waits on the running attempts'
+    workers, the serve daemon between ``select()`` calls.  Cells join
+    ``queue`` at any time and start in FIFO order, at most
+    ``pool.workers`` at once; a requeued cell rejoins it when its backoff
+    expires, and one whose status became ``cancelled`` meanwhile is
+    dropped, not started.  Each started attempt goes to ``on_start``,
+    each settled one to ``on_settled`` (the cell is terminal unless its
+    status is ``backoff``).
     """
 
     def __init__(self, pool: CellPool, on_settled: Callable[[Cell], None],
@@ -617,12 +707,17 @@ class CellScheduler:
         ``time.monotonic()`` of the next backoff expiry or deadline (None:
         only a finished attempt can change anything)."""
         pool, now = self.pool, time.monotonic()
-        for cell in [cell for cell in self.running if pool.ended(cell, now)]:
-            self.running.remove(cell)
-            delay = pool.settle(cell)
-            if delay is not None:
-                self.backoff.append((now + delay, cell))
-            self.on_settled(cell)
+        ended = [cell for cell in self.running if pool.ended(cell, now)]
+        # A discard ends the attempts it killed; settle them too before a
+        # new worker can reuse their fd numbers.
+        while ended:
+            for cell in ended:
+                self.running.remove(cell)
+                delay = pool.settle(cell)
+                if delay is not None:
+                    self.backoff.append((now + delay, cell))
+                self.on_settled(cell)
+            ended = [cell for cell in self.running if pool.ended(cell, now)]
         self.queue += [cell for ready, cell in self.backoff if ready <= now]
         self.backoff = [(ready, cell) for ready, cell in self.backoff if ready > now]
         while self.queue and len(self.running) < pool.workers:
@@ -635,7 +730,7 @@ class CellScheduler:
                 self.on_start(cell)
         now = time.monotonic()
         if any(pool.ended(cell, now) for cell in self.running):
-            return now  # no future wakes for an attempt a discard cancelled
+            return now  # a reply read in full here leaves select() nothing
         wakeups = [ready for ready, _ in self.backoff]
         wakeups += [c.deadline for c in self.running if c.deadline is not None]
         return min(wakeups, default=None)
@@ -645,21 +740,22 @@ def _run_pooled(scheduler: CellScheduler) -> None:
     """Step ``scheduler`` until every cell is terminal, waiting in between.
 
     Each terminal cell reaches ``on_settled`` at once, so an interrupt
-    loses only the attempts in flight.
+    loses only the attempts in flight, and their workers are killed.
     """
-    import concurrent.futures
+    import select
 
-    while scheduler.queue or scheduler.backoff or scheduler.running:
-        wake = scheduler.step()
-        timeout = None if wake is None else max(0.0, wake - time.monotonic())
-        if scheduler.running:
-            concurrent.futures.wait(
-                [cell.future for cell in scheduler.running],
-                timeout=timeout,
-                return_when=concurrent.futures.FIRST_COMPLETED,
-            )
-        elif timeout:
-            time.sleep(timeout)
+    try:
+        while scheduler.queue or scheduler.backoff or scheduler.running:
+            wake = scheduler.step()
+            timeout = None if wake is None else max(0.0, wake - time.monotonic())
+            if scheduler.running:
+                select.select([cell.worker for cell in scheduler.running],
+                              [], [], timeout)
+            elif timeout:
+                time.sleep(timeout)
+    finally:
+        if scheduler.running:  # interrupted: no one will read these replies
+            scheduler.pool.close()
 
 
 def _run_via_serve(
@@ -698,8 +794,8 @@ def run_many(
 ) -> List[RunOutcome]:
     """Execute every spec and return outcomes in submission order.
 
-    ``workers=1`` (or a single spec, or a platform without process
-    support) runs serially in this process; otherwise the shared
+    ``workers=1`` (or a single spec, or a platform without ``os.fork``)
+    runs serially in this process; otherwise the shared
     persistent :class:`CellPool` of ``workers`` processes executes the
     batch, one cell per task and at most ``workers`` in flight.  Either
     way the returned list lines up index-for-index with ``specs`` and

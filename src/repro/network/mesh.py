@@ -80,12 +80,10 @@ class Mesh:
         #: reservation arithmetic entirely for that case).
         self._infinite = infinite_bandwidth
         link_cls = InfiniteResource if infinite_bandwidth else Resource
-        # XY routes are static, so each (src, dst) path is computed once
-        # and reused for every message on the hot send path.
-        self._route_cache: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        # The send path walks Resource objects directly: per (src, dst)
-        # the hop sequence is resolved once into a tuple of link Resources
-        # so each message pays list-walk + reserve, never dict lookups.
+        # XY routes are static, and the send path walks Resource objects
+        # directly: per (src, dst) the route is resolved once into a tuple
+        # of link Resources, so each message pays a tuple walk + reserve,
+        # never dict lookups.
         self._chain_cache: Dict[Tuple[int, int], Tuple[Resource, ...]] = {}
         #: Directed links keyed by (from_node, to_node).
         self.links: Dict[Tuple[int, int], Resource] = {}
@@ -117,14 +115,7 @@ class Mesh:
         return result
 
     def route(self, src: int, dst: int) -> List[Tuple[int, int]]:
-        """Dimension-order (X first, then Y) route as a list of links.
-
-        Routes are cached per (src, dst); callers must not mutate the
-        returned list.
-        """
-        cached = self._route_cache.get((src, dst))
-        if cached is not None:
-            return cached
+        """Dimension-order (X first, then Y) route as a list of links."""
         if not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
             raise ValueError(f"node out of range: {src} -> {dst}")
         path: List[Tuple[int, int]] = []
@@ -141,11 +132,10 @@ class Mesh:
             nxt = self.node_at(x, y)
             path.append((node, nxt))
             node = nxt
-        self._route_cache[(src, dst)] = path
         return path
 
     def _chain(self, src: int, dst: int) -> Tuple[Resource, ...]:
-        """The route's link Resources, precomputed per (src, dst)."""
+        """The route's link Resources, computed once per (src, dst)."""
         key = (src, dst)
         chain = self._chain_cache.get(key)
         if chain is None:

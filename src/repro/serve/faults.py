@@ -3,8 +3,9 @@
 ``repro.faults`` chaos-tests the *protocol*; :class:`ServeFaultPlan`
 chaos-tests the *service* — deterministic, and byte-identical when off.
 The server consults the plan at one point: just after dispatching a
-cell's first attempt, it kills one live pool process (SIGKILL)
-:data:`KILL_DELAY` seconds later, exercising the shared
+cell's first attempt, it kills the worker running it (SIGKILL)
+:data:`KILL_DELAY` seconds later, if the attempt is still running,
+exercising the shared
 :class:`~repro.experiments.parallel.CellPool`'s lost-worker path: pool
 discard and rebuild, then requeue.
 

@@ -61,9 +61,10 @@ map is keyed by the same content address the store uses.
 
 HTTP, scheduling and store I/O share the loop's one thread: the pool
 forks workers from this process, and a fork while another thread held a
-lock (the log sink's, say) could deadlock the child.  A finished
-attempt's future wakes the loop by writing a byte to a socket pair, the
-only cross-thread step; :meth:`ExperimentServer.close` does the same.
+lock (the log sink's, say) could deadlock the child.  Each running
+attempt's reply pipe sits in the loop's selector, so a reply (or a lost
+worker's EOF) wakes the loop.  A socket pair carries only
+:meth:`ExperimentServer.close`, the one call made from another thread.
 
 A :class:`~repro.serve.faults.ServeFaultPlan` makes the recovery path
 chaos-testable with budgeted worker kills.
@@ -277,7 +278,7 @@ class ExperimentServer:
             ("timeouts", "repro_serve_timeouts_total",
              "Attempts that blew the per-cell deadline."),
             ("worker_crashes", "repro_serve_worker_crashes_total",
-             "Attempts lost to a dead worker (BrokenProcessPool and kin)."),
+             "Attempts lost to a dead worker (its reply pipe hit EOF)."),
             ("executor_rebuilds", "repro_serve_executor_rebuilds_total",
              "Process-pool rebuilds after a failure wave."),
         ):
@@ -355,19 +356,15 @@ class ExperimentServer:
         finally:
             self.pool.close()
             for key in list(self._selector.get_map().values()):
-                key.fileobj.close()  # the listener, the wake-up, every client
+                key.fileobj.close()  # listener, wake-up, clients, workers
             self._selector.close()
             self._wake_w.close()
 
     def close(self) -> None:
         """Stop :meth:`serve_forever` before its next iteration (safe from
         any thread and from a signal handler: it sets a flag and wakes the
-        loop)."""
+        loop's ``select()``)."""
         self._closing = True
-        self._wake()
-
-    def _wake(self, *_: Any) -> None:
-        """Make the loop's ``select()`` return (from any thread)."""
         if self._wake_w is not None:
             # Full: a wake-up is already pending.  Closed: the loop is gone.
             with contextlib.suppress(OSError):
@@ -438,29 +435,22 @@ class ExperimentServer:
         return job
 
     def _started(self, cell: Cell) -> None:
-        """A cell's attempt went to a worker: wake the loop when it ends."""
+        """A cell's attempt went to a worker: wake the loop when it ends
+        (the next ``scheduler.step()`` reads the reply)."""
         self._m_cell_attempts.inc()
-        cell.future.add_done_callback(self._wake)
+        worker = cell.worker
+        self._selector.register(worker, selectors.EVENT_READ, lambda: None)
         if self.faults is not None and self.faults.should_kill(cell.attempts):
-            future = cell.future
-            self._call_later(KILL_DELAY,
-                             lambda: self._fault_kill(cell, future, tries=50))
+            self._call_later(KILL_DELAY, lambda: self._fault_kill(cell, worker))
 
-    def _fault_kill(self, cell: Cell, future: Any, tries: int) -> None:
-        """ServeFaultPlan hook: kill one live worker while ``future`` runs."""
-        if cell.future is not future or self.pool.ended(cell, time.monotonic()):
-            return  # the attempt is over
-        processes = self.pool.processes()
-        if processes:
-            processes[0].kill()
-        elif tries > 1:
-            # The pool spawns processes lazily on first submit; retry
-            # briefly so the kill lands even when it races the spawn.
-            self._call_later(
-                0.01, lambda: self._fault_kill(cell, future, tries - 1))
+    def _fault_kill(self, cell: Cell, worker: Any) -> None:
+        """ServeFaultPlan hook: kill ``worker`` if it still runs ``cell``."""
+        if cell.worker is worker and cell.status == "running":
+            worker.kill()
 
     def _settled(self, cell: Cell) -> None:
         """An attempt ended: requeued (``backoff``) or terminal."""
+        self._selector.unregister(cell.worker)
         self._m_cell_seconds.observe(time.monotonic() - cell.started)
         if cell.status == "backoff":
             return

@@ -8,6 +8,9 @@ pool rebuild and bounded retries, surviving results are byte-identical
 to a serial run.
 """
 
+import os
+import signal
+
 import pytest
 
 import tests.experiments.chaos_workloads  # noqa: F401 - registers test workloads
@@ -81,22 +84,58 @@ def test_worker_crash_recovers_and_matches_serial(tmp_path):
 
 
 def test_externally_killed_worker_does_not_poison_next_call():
-    """Satellite: a broken executor must never be handed to the next
-    same-width run_many call — discard and rebuild on any failure."""
+    """Satellite: a dead worker must never be handed work for good by the
+    next same-width run_many call: the attempt that meets it discards the
+    pool and is retried on fresh workers."""
     specs = [_mig_spec(1), _mig_spec(2)]
     first = run_many(specs, workers=2)
     assert all(o.ok for o in first)
-    pool = parallel._POOL.executor
-    assert pool is not None
-    # Kill a live worker out from under the cached pool (OOM-killer sim).
-    victim = next(iter(pool._processes.values()))
-    victim.kill()
-    victim.join()
+    pool = parallel._POOL
+    workers = pool.processes()
+    assert len(workers) == 2
+    # Kill an idle worker out from under the cached pool (OOM-killer sim).
+    workers[0].kill()
+    generation = pool.generation
     again = run_many(specs, workers=2)
     assert all(o.ok for o in again)
-    assert parallel._POOL.executor is not pool  # poisoned pool was discarded
+    assert parallel._POOL is pool and pool.generation == generation + 1
+    assert not set(pool.processes()) & set(workers)  # the pool was discarded
     for a, b in zip(first, again):
         assert result_fingerprint(a.unwrap()) == result_fingerprint(b.unwrap())
+
+
+def test_pool_leaves_no_fd_open_and_no_child_unreaped():
+    """A timed-out cell, an externally killed worker, an interrupted sweep
+    and shutdown_pool() leave this process with the fds it had before its
+    first pool and with no child to reap."""
+    fds = len(os.listdir("/proc/self/fd"))
+    hang = RunSpec.make("test-hang", ProtocolPolicy("AD"), preset="tiny",
+                        seconds=30.0, seed=3)
+    outcomes = run_many([hang, _mig_spec(1)], workers=2, timeout=0.5,
+                        max_attempts=2)
+    assert outcomes[0].error.exc_type == CELL_TIMEOUT and outcomes[1].ok
+    assert run_many([_mig_spec(2), _mig_spec(3)], workers=2)[0].ok
+    parallel._POOL.processes()[0].kill()
+    assert all(o.ok for o in run_many([_mig_spec(2), _mig_spec(3)], workers=2))
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):  # Ctrl-C while both cells hang
+            run_many([hang, RunSpec.make("test-hang", ProtocolPolicy("W-I"),
+                                         preset="tiny", seconds=30.0)],
+                     workers=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert parallel._POOL.processes() == []  # the hung workers were killed
+    shutdown_pool()
+    assert len(os.listdir("/proc/self/fd")) == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_cell_timeout_yields_structured_error_not_hang():

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.policy import ProtocolPolicy
+from repro.experiments import parallel
 from repro.experiments.parallel import RunSpec, execute_spec, result_fingerprint
 from repro.experiments.store import (
     CODE_VERSION_ENV,
@@ -642,9 +643,6 @@ def test_warm_run_many_does_not_poll_a_complete_job(tmp_path):
 # Scheduler regressions: a cell must neither run twice nor be stranded
 
 
-from concurrent.futures import Future, ProcessPoolExecutor
-
-
 def test_serve_resubmitted_cancelled_cell_runs_once(tmp_path):
     """A cancelled cell that a new job revives runs exactly once: the
     abandoned cell's task, still parked on the busy slot, must exit
@@ -671,25 +669,24 @@ def test_serve_resubmitted_cancelled_cell_runs_once(tmp_path):
         assert families["repro_serve_cell_attempts_total"].value() == 2
 
 
-def test_serve_attempt_cancelled_by_pool_discard_is_requeued(
+def test_serve_attempt_lost_before_its_worker_reads_it_is_requeued(
     tmp_path, monkeypatch,
 ):
-    """A work item that a pool discard cancels before any worker took it
-    comes back cancelled, not broken; it costs the cell one attempt like
-    any lost worker, instead of ending the cell's task and stranding the
-    cell as running."""
-    submit = ProcessPoolExecutor.submit
+    """A work item whose worker died before reading it costs the cell one
+    attempt like any lost worker (the request write fails, the pool is
+    discarded), instead of stranding the cell as running."""
+    send = parallel._Worker.send
     calls = []
 
-    def cancel_first(self, fn, *args, **kwargs):
-        calls.append(fn)
+    def lose_first(self, request):
+        calls.append(request)
         if len(calls) == 1:
-            future = Future()
-            future.cancel()
-            return future
-        return submit(self, fn, *args, **kwargs)
+            self.kill()
+            # Dead, with its pipes closed, but not reaped: the pool reaps it.
+            os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOWAIT)
+        send(self, request)
 
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", cancel_first)
+    monkeypatch.setattr(parallel._Worker, "send", lose_first)
     with running_server(ResultStore(tmp_path / "cache")) as srv:
         client = ServeClient(f"http://127.0.0.1:{srv.port}")
         job = client.submit_specs([tiny_specs()[0]])
@@ -697,6 +694,7 @@ def test_serve_attempt_cancelled_by_pool_discard_is_requeued(
         assert cell["status"] == "done"
         assert cell["attempts"] == 2
         assert client.stats()["scheduler"]["worker_crashes"] == 1
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

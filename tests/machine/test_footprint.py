@@ -8,18 +8,18 @@ leaves the marginal bytes per touched block.  Directory rows are found
 by page, with no dict entry or boxed int per block; most rows point at
 an interned sharer set that every directory shares (none, a first
 reader, or a pair); the row columns hold 1 to 4 bytes each; and the
-miss marks are one byte per block per node.  So the margin is ~83 B/row
-on CPython 3.11-3.13 (~82 on 3.9).  The limit sits below the ~230 B/row
+miss marks are one byte per block per node.  So the margin is ~85.5 B/row
+on CPython 3.11-3.13 (~84 on 3.9).  The limit sits below the ~230 B/row
 (~221) measured the same way when each row had a ``block -> row`` dict
 entry, a second reader gave the row its own set, and a disabled checker
 kept a version per block.
 
-Every measurement runs in a fresh interpreter: ``tracemalloc`` traces
-every thread, and a test process may still hold worker pools from
-earlier tests whose threads allocate inside the traced window.  The
-first traced run of a process also makes what the process keeps once
-(interned sharer pairs among it), so the sampler is compared with a
-second plain run.  The module imports no pytest, so CI runs
+Every measurement runs in a fresh interpreter, so nothing an earlier
+test left in the process allocates inside the traced window.  The first
+traced runs of a process also make what the process keeps once
+(interned sharer pairs among it), so the margin is read from a second
+small/large pair after a throwaway one, and the sampler is compared
+with a second plain run.  The module imports no pytest, so CI runs
 :func:`marginal_bytes_per_row` on interpreters it has no pytest for.
 """
 
@@ -79,9 +79,11 @@ def _traced_runs(*runs):
 
 
 def marginal_bytes_per_row():
-    """(traced bytes per touched directory row, small rows, large rows)."""
-    (small_peak, small_rows), (large_peak, large_rows) = _traced_runs(
-        (1024, 100, {}), (4096, 400, {})
+    """(traced bytes per touched directory row, small rows, large rows),
+    from the second of two identical small/large pairs."""
+    pair = ((1024, 100, {}), (4096, 400, {}))
+    _, _, (small_peak, small_rows), (large_peak, large_rows) = _traced_runs(
+        *pair, *pair
     )
     per_row = (large_peak - small_peak) / (large_rows - small_rows)
     return per_row, small_rows, large_rows

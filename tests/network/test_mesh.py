@@ -78,12 +78,16 @@ def test_self_message_pays_interface_only():
 
 
 def test_route_cache_returns_same_path():
+    # The send path's one cache is _chain's tuple of link Resources.
     _, mesh = make_mesh()
-    first = mesh.route(0, 15)
-    assert mesh.route(0, 15) is first  # cached, not recomputed
-    assert first == [(0, 1), (1, 2), (2, 3), (3, 7), (7, 11), (11, 15)]
+    first = mesh._chain(0, 15)
+    assert mesh._chain(0, 15) is first  # cached, not recomputed
+    hops = [(0, 1), (1, 2), (2, 3), (3, 7), (7, 11), (11, 15)]
+    assert first == tuple(mesh.links[hop] for hop in hops)
+    assert mesh.route(0, 15) == hops
     with pytest.raises(ValueError):
-        mesh.route(0, 99)  # invalid pairs are still rejected, not cached
+        mesh._chain(0, 99)  # invalid pairs are still rejected, not cached
+    assert (0, 99) not in mesh._chain_cache
 
 
 def test_contention_delays_second_message():

@@ -94,16 +94,21 @@ def test_parallel_import_skips_the_pool_modules():
     loaded = _loaded_after("repro.experiments.parallel")
     assert not loaded & {
         "asyncio", "concurrent.futures", "multiprocessing", "uuid", "platform",
+        "pickle", "select",
     }
 
 
 def test_pooled_run_many_never_loads_asyncio():
     """The sweep loop is synchronous: a pooled ``run_many`` leaves out
     asyncio and the ``ssl`` it imports, which would add 5.1 MB of RSS to
-    this sweep process (2-CPU x86-64 host, Python 3.11.7)."""
-    loaded = set(_fresh("""
-import json, sys
+    this sweep process (2-CPU x86-64 host, Python 3.11.7).  Its pool forks
+    workers itself, so it loads no ``multiprocessing`` or
+    ``concurrent.futures`` either, nor the ``logging``, ``subprocess`` and
+    ``queue`` they import (+1.54 MB on the bench's sweep process)."""
+    doc = _fresh("""
+import json, os, sys
 from repro.core.policy import ProtocolPolicy
+from repro.experiments import parallel
 from repro.experiments.parallel import RunSpec, run_many
 
 specs = [
@@ -112,10 +117,14 @@ specs = [
     for seed in (1, 2)
 ]
 assert all(outcome.ok for outcome in run_many(specs, workers=2))
-print(json.dumps(sorted(sys.modules)))
-"""))
-    assert "concurrent.futures.process" in loaded  # the pool really ran
-    assert not loaded & {"asyncio", "ssl"}
+print(json.dumps({"workers": [w.pid for w in parallel._POOL.processes()],
+                  "pid": os.getpid(), "modules": sorted(sys.modules)}))
+""")
+    assert len(doc["workers"]) == 2 and doc["pid"] not in doc["workers"]
+    assert not set(doc["modules"]) & {
+        "asyncio", "ssl", "multiprocessing", "concurrent.futures", "logging",
+        "subprocess", "queue",
+    }
 
 
 def test_warm_daemon_loads_no_asyncio_ssl_or_pool(tmp_path):
