@@ -29,14 +29,12 @@ import sys
 from typing import List, Optional
 
 from repro.consistency.models import model_by_name
-from repro.core.policy import ProtocolPolicy
+from repro.core.policy import ProtocolPolicy, policy_for
 from repro.stats.report import format_table, full_report
-from repro.workloads import PRESETS, WORKLOADS
+from repro.workloads import PRESET_NAMES, PRESETS, WORKLOADS
 
 
 def _policy_by_name(name: str) -> ProtocolPolicy:
-    from repro.protocols import policy_for
-
     try:
         return policy_for(name)
     except KeyError as exc:
@@ -496,10 +494,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    rows = []
-    for name in sorted(WORKLOADS):
-        presets = ", ".join(sorted(PRESETS.get(name, {"default": {}}))) or "default"
-        rows.append((name, presets))
+    presets = ", ".join(PRESET_NAMES)
+    rows = [
+        (name, presets if name in PRESETS else f"{presets} (all run the class defaults)")
+        for name in sorted(WORKLOADS)
+    ]
     print(format_table(("workload", "presets"), rows))
     return 0
 
@@ -518,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("workload", choices=sorted(WORKLOADS))
     run_p.add_argument("--protocol", default="AD")
     run_p.add_argument("--consistency", default="SC")
-    run_p.add_argument("--preset", default="default")
+    run_p.add_argument("--preset", default="default", choices=PRESET_NAMES)
     run_p.add_argument("--seed", type=int, default=42,
                        help="workload seed (part of the cache key)")
     run_p.add_argument("--no-check", action="store_true",
@@ -530,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figure5",
         help="run the Figure 5 sweep through the result cache",
     )
-    fig5_p.add_argument("--preset", default="default")
+    fig5_p.add_argument("--preset", default="default", choices=PRESET_NAMES)
     fig5_p.add_argument("--no-check", action="store_true")
     fig5_p.add_argument("--workers", type=int, default=1,
                         help="worker processes for cold cells (default 1)")
@@ -562,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("workload", choices=sorted(WORKLOADS))
     trace_p.add_argument("--protocol", default="AD")
     trace_p.add_argument("--consistency", default="SC")
-    trace_p.add_argument("--preset", default="tiny")
+    trace_p.add_argument("--preset", default="tiny", choices=PRESET_NAMES)
     trace_p.add_argument("--seed", type=int, default=42)
     trace_p.add_argument("--no-check", action="store_true")
     trace_p.add_argument("--max-spans", type=int, default=200_000,
@@ -586,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmp_p.add_argument("workload", choices=sorted(WORKLOADS))
     cmp_p.add_argument("--consistency", default="SC")
-    cmp_p.add_argument("--preset", default="default")
+    cmp_p.add_argument("--preset", default="default", choices=PRESET_NAMES)
     cmp_p.add_argument("--no-check", action="store_true")
     cmp_p.add_argument("--protocols", default=None, metavar="P1,P2,...",
                        help="comma-separated protocols to compare (default "
@@ -606,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("workload", choices=sorted(WORKLOADS))
     prof_p.add_argument("--protocol", default="AD")
     prof_p.add_argument("--consistency", default="SC")
-    prof_p.add_argument("--preset", default="tiny")
+    prof_p.add_argument("--preset", default="tiny", choices=PRESET_NAMES)
     prof_p.add_argument("--no-check", action="store_true")
     prof_p.add_argument("--seed", type=int, default=42,
                         help="workload seed recorded in the artifact")
@@ -625,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     sharing_p.add_argument("workload", choices=sorted(WORKLOADS))
     sharing_p.add_argument("--protocol", default="W-I")
     sharing_p.add_argument("--consistency", default="SC")
-    sharing_p.add_argument("--preset", default="default")
+    sharing_p.add_argument("--preset", default="default", choices=PRESET_NAMES)
     sharing_p.add_argument("--no-check", action="store_true")
     sharing_p.set_defaults(func=_cmd_sharing)
 
@@ -640,12 +639,12 @@ def build_parser() -> argparse.ArgumentParser:
     bus_p.add_argument("--protocol", default="AD",
                        help="W-I, AD, AD-RXQ or AD-NONOMIG")
     bus_p.add_argument("--processors", type=int, default=8)
-    bus_p.add_argument("--preset", default="tiny")
+    bus_p.add_argument("--preset", default="tiny", choices=PRESET_NAMES)
     bus_p.add_argument("--no-check", action="store_true")
     bus_p.set_defaults(func=_cmd_bus)
 
     rep_p = sub.add_parser("report", help="reproduce every table and figure")
-    rep_p.add_argument("--preset", default="default")
+    rep_p.add_argument("--preset", default="default", choices=PRESET_NAMES)
     rep_p.add_argument("--no-check", action="store_true")
     rep_p.add_argument("--workers", type=int, default=1,
                        help="worker processes per experiment sweep (default 1)")
@@ -663,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_p.add_argument("--intensities", default="0,0.25,0.5,1.0",
                          help="comma-separated fault intensities (include 0 "
                               "for baseline deltas)")
-    chaos_p.add_argument("--preset", default="tiny")
+    chaos_p.add_argument("--preset", default="tiny", choices=PRESET_NAMES)
     chaos_p.add_argument("--seed", type=int, default=42,
                          help="fault-plan seed; same (seed, intensity) "
                               "replays the same perturbation")

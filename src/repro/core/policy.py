@@ -22,7 +22,10 @@ Beyond the paper's protocols the family has three more members:
   consumer read reached home), then fall back to invalidation for that
   line; a consumer read resets the count.
 
-Each name selects one behavior class of :mod:`repro.protocols`.
+Each name selects one behavior class of :mod:`repro.protocols`;
+:func:`policy_for` resolves a name here, so code that only names
+protocols (the CLI, the result store, the serve daemon) never loads
+those classes.
 """
 
 from __future__ import annotations
@@ -58,3 +61,17 @@ class ProtocolPolicy:
         # key of its own.
         if self.name != "Hybrid" and self.update_threshold != DEFAULT_UPDATE_THRESHOLD:
             raise ValueError(f"protocol {self.name} takes no update_threshold")
+
+
+#: Upper-cased spelling -> protocol name.
+_BY_UPPER = {name.upper(): name for name in PROTOCOL_NAMES}
+
+
+def policy_for(name: str) -> ProtocolPolicy:
+    """The default policy of a protocol name, spelled in any letter case."""
+    try:
+        return ProtocolPolicy(_BY_UPPER[name.upper()])
+    except KeyError:
+        raise KeyError(
+            f"unknown protocol {name!r}; choose from " + ", ".join(PROTOCOL_NAMES)
+        ) from None

@@ -69,6 +69,7 @@ from repro.machine.config import MachineConfig
 from repro.machine.result import RunResult
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import correlation_scope, log_event, new_correlation_id
+from repro.workloads import check_preset
 
 #: Tags marking frozen containers inside ``RunSpec.overrides`` so the
 #: original value shape survives the hashable round trip.  (A workload
@@ -210,6 +211,7 @@ class RunSpec:
         tag: str = "",
         **workload_overrides,
     ) -> "RunSpec":
+        check_preset(preset)
         return RunSpec(
             workload=workload,
             policy=policy,

@@ -45,8 +45,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.consistency.models import ConsistencyModel, model_by_name
-from repro.core.policy import ProtocolPolicy
-from repro.protocols import policy_for
+from repro.core.policy import ProtocolPolicy, policy_for
 from repro.experiments.parallel import (
     RunOutcome,
     RunSpec,

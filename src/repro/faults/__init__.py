@@ -24,5 +24,6 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".diagnostics": ("DiagnosticDump", "dump_machine", "dump_snoopy"),
-    ".plan": ("FaultConfig", "FaultPlan"),
+    "..machine.config": ("FaultConfig",),
+    ".plan": ("FaultPlan",),
 })

@@ -1,8 +1,10 @@
 """Seeded fault plans: reproducible timing perturbation.
 
-A :class:`FaultConfig` describes *what* to perturb — picklable, hashable,
-and carried inside :class:`~repro.machine.config.MachineConfig` so fault
-runs travel through :mod:`repro.experiments.parallel` unchanged.  A
+A :class:`~repro.machine.config.FaultConfig` describes *what* to perturb
+— picklable, hashable, and declared beside the
+:class:`~repro.machine.config.MachineConfig` that carries it, so fault
+runs travel through :mod:`repro.experiments.parallel` unchanged and a
+process that only reads configs never loads this module.  A
 :class:`FaultPlan` is the runtime injector one :class:`Machine` builds
 from it.
 
@@ -34,58 +36,15 @@ machine could produce:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
+
+from repro.machine.config import FaultConfig
 
 #: Counter names the plan reports through the machine's Counters object.
 DELAYS = "fault_delays"
 REORDERS = "fault_reorders"
 REORDER_FLUSHES = "fault_reorder_flushes"
 FORCED_NAKS = "fault_forced_naks"
-
-
-@dataclass(frozen=True)
-class FaultConfig:
-    """Declarative fault-injection knobs (picklable; lives in MachineConfig).
-
-    ``intensity`` is the single dial: 0 disables everything, 1 is a
-    heavily perturbed but still livable machine.  Each knob may also be
-    pinned explicitly (``None`` means "derive from intensity"), which is
-    how targeted tests provoke one window at a time
-    (e.g. ``FaultConfig(seed=1, nak_fraction=1.0)``).
-    """
-
-    seed: int = 0
-    intensity: float = 0.0
-    #: Fraction of messages receiving extra injection delay.
-    delay_fraction: Optional[float] = None
-    #: Upper bound (pclocks) of the injected delay.
-    max_extra_delay: Optional[int] = None
-    #: Fraction of messages held back to swap with the source's next send.
-    reorder_fraction: Optional[float] = None
-    #: Pclocks a held message waits for a swap partner before flushing.
-    reorder_window: Optional[int] = None
-    #: Fraction of forwards the owner NAKs via a spurious eviction.
-    nak_fraction: Optional[float] = None
-    #: Fraction of nodes whose bus/memory run slower.
-    slow_node_fraction: Optional[float] = None
-    #: Largest bus/memory occupancy multiplier for a slowed node.
-    max_slowdown: Optional[int] = None
-
-    @property
-    def active(self) -> bool:
-        """True when this config can perturb anything at all."""
-        if self.intensity > 0:
-            return True
-        return any(
-            value
-            for value in (
-                self.delay_fraction,
-                self.reorder_fraction,
-                self.nak_fraction,
-                self.slow_node_fraction,
-            )
-        )
 
 
 def _derive(config: FaultConfig) -> Dict[str, float]:

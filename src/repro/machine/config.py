@@ -20,7 +20,50 @@ from typing import Any, Dict, Optional
 
 from repro.consistency.models import ConsistencyModel, SEQUENTIAL_CONSISTENCY
 from repro.core.policy import ProtocolPolicy
-from repro.faults.plan import FaultConfig
+
+
+@dataclass(frozen=True)
+class FaultConfig:
+    """Declarative fault-injection knobs (picklable; lives in MachineConfig).
+
+    ``intensity`` is the single dial: 0 disables everything, 1 is a
+    heavily perturbed but still livable machine.  Each knob may also be
+    pinned explicitly (``None`` means "derive from intensity"), which is
+    how targeted tests provoke one window at a time
+    (e.g. ``FaultConfig(seed=1, nak_fraction=1.0)``).
+    """
+
+    seed: int = 0
+    intensity: float = 0.0
+    #: Fraction of messages receiving extra injection delay.
+    delay_fraction: Optional[float] = None
+    #: Upper bound (pclocks) of the injected delay.
+    max_extra_delay: Optional[int] = None
+    #: Fraction of messages held back to swap with the source's next send.
+    reorder_fraction: Optional[float] = None
+    #: Pclocks a held message waits for a swap partner before flushing.
+    reorder_window: Optional[int] = None
+    #: Fraction of forwards the owner NAKs via a spurious eviction.
+    nak_fraction: Optional[float] = None
+    #: Fraction of nodes whose bus/memory run slower.
+    slow_node_fraction: Optional[float] = None
+    #: Largest bus/memory occupancy multiplier for a slowed node.
+    max_slowdown: Optional[int] = None
+
+    @property
+    def active(self) -> bool:
+        """True when this config can perturb anything at all."""
+        if self.intensity > 0:
+            return True
+        return any(
+            value
+            for value in (
+                self.delay_fraction,
+                self.reorder_fraction,
+                self.nak_fraction,
+                self.slow_node_fraction,
+            )
+        )
 
 
 @dataclass(frozen=True)

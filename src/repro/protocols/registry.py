@@ -1,11 +1,11 @@
 """Protocol registry: name -> behavior class, policy -> behavior object.
 
-``policy_for`` resolves user-facing names (CLI ``--protocol``, sweep
-specs, the serve daemon's string shorthand) to a policy; it accepts each
-of :data:`~repro.core.policy.PROTOCOL_NAMES` in any letter case.
 ``behavior_for`` builds (and caches) the behavior instance a controller
 consults — policies are frozen dataclasses, so one instance per distinct
-policy suffices.
+policy suffices.  User-facing names (CLI ``--protocol``, sweep specs,
+the serve daemon's string shorthand) resolve beside
+:data:`~repro.core.policy.PROTOCOL_NAMES`, with
+:func:`~repro.core.policy.policy_for`.
 """
 
 from __future__ import annotations
@@ -28,20 +28,6 @@ _CLASSES: Dict[str, Type[Protocol]] = dict(zip(PROTOCOL_NAMES, (
     Protocol, AdaptiveMigratory, AdaptiveRxqRevert, AdaptiveNoNomig,
     Mesi, Dragon, Hybrid,
 )))
-
-#: Upper-cased spelling -> protocol name.
-_BY_UPPER = {name.upper(): name for name in PROTOCOL_NAMES}
-
-
-def policy_for(name: str) -> ProtocolPolicy:
-    """The default policy of a protocol name, spelled in any letter case."""
-    try:
-        return ProtocolPolicy(_BY_UPPER[name.upper()])
-    except KeyError:
-        raise KeyError(
-            f"unknown protocol {name!r}; choose from " + ", ".join(PROTOCOL_NAMES)
-        ) from None
-
 
 _BEHAVIOR_CACHE: Dict[ProtocolPolicy, Protocol] = {}
 

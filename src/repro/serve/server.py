@@ -325,8 +325,14 @@ class ExperimentServer:
         ``port=0`` picks an ephemeral port; ``self.port`` is updated to
         the bound one either way.  Call :meth:`serve_forever` next.
         """
+        # getaddrinfo encodes a str host with the IDNA codec, which loads
+        # encodings.idna, stringprep and unicodedata; an ASCII host
+        # resolves the same as bytes.
+        host = self.host or None
+        if host is not None and host.isascii():
+            host = host.encode()
         family, _, _, _, address = socket.getaddrinfo(
-            self.host or None, self.port, type=socket.SOCK_STREAM,
+            host, self.port, type=socket.SOCK_STREAM,
             flags=socket.AI_PASSIVE)[0]
         self._listener = socket.create_server(address, family=family, backlog=100)
         self.port = self._listener.getsockname()[1]

@@ -2,35 +2,65 @@
 micro sharing patterns.
 
 ``WORKLOADS`` maps benchmark names to factories; ``make_workload`` builds
-one with the default (bench-scale) or paper-scale parameters.
+one with a named parameter preset (:data:`PRESET_NAMES`).  The package
+imports no workload module up front: each class, and
+:mod:`repro.workloads.base`, loads on first access or on the first
+``make_workload`` that needs it, so the CLI's argparse choices and the
+serve daemon cost only the tables below.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+import sys
+from typing import TYPE_CHECKING, Callable, Dict
 
-from repro.workloads.base import Workload, fresh_programs
-from repro.workloads.cholesky import Cholesky
-from repro.workloads.lu import LU
-from repro.workloads.mp3d import MP3D
-from repro.workloads.synthetic import (
-    MigratoryCounters,
-    ProducerConsumer,
-    ReadOnlySharing,
-    UnsynchronizedMix,
-)
-from repro.workloads.water import Water
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.workloads.base import Workload
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("Workload", "fresh_programs"),
+    ".cholesky": ("Cholesky",),
+    ".lu": ("LU",),
+    ".mp3d": ("MP3D",),
+    ".synthetic": (
+        "MigratoryCounters", "ProducerConsumer", "ReadOnlySharing",
+        "UnsynchronizedMix",
+    ),
+    ".water": ("Water",),
+})
+__all__ = sorted(__all__ + [
+    "PAPER_BENCHMARKS", "PRESETS", "PRESET_NAMES", "WORKLOADS",
+    "check_preset", "make_workload",
+])
+
+_package = sys.modules[__name__]
+
+
+def _on_use(class_name: str) -> Callable[..., Workload]:
+    """A factory that imports the workload class on its first call."""
+
+    def build(num_processors: int, **params) -> Workload:
+        return getattr(_package, class_name)(num_processors, **params)
+
+    return build
+
 
 WORKLOADS: Dict[str, Callable[..., Workload]] = {
-    "mp3d": MP3D,
-    "cholesky": Cholesky,
-    "water": Water,
-    "lu": LU,
-    "migratory-counters": MigratoryCounters,
-    "producer-consumer": ProducerConsumer,
-    "read-only": ReadOnlySharing,
-    "random-mix": UnsynchronizedMix,
+    "mp3d": _on_use("MP3D"),
+    "cholesky": _on_use("Cholesky"),
+    "water": _on_use("Water"),
+    "lu": _on_use("LU"),
+    "migratory-counters": _on_use("MigratoryCounters"),
+    "producer-consumer": _on_use("ProducerConsumer"),
+    "read-only": _on_use("ReadOnlySharing"),
+    "random-mix": _on_use("UnsynchronizedMix"),
 }
+
+#: The preset names every workload accepts, smallest first.  A workload
+#: without a :data:`PRESETS` table runs its class defaults under each.
+PRESET_NAMES = ("tiny", "default", "paper")
 
 #: Benchmark-scale parameter presets.  "default" is sized so a full
 #: 16-node simulation takes seconds in pure Python; "paper" approaches
@@ -61,6 +91,18 @@ PRESETS: Dict[str, Dict[str, Dict[str, int]]] = {
 PAPER_BENCHMARKS = ("mp3d", "cholesky", "water", "lu")
 
 
+def check_preset(preset: str) -> None:
+    """Raise ``ValueError`` unless ``preset`` is one of :data:`PRESET_NAMES`.
+
+    A misspelled preset would otherwise run the class defaults, and a
+    result store would cache them under the misspelling.
+    """
+    if preset not in PRESET_NAMES:
+        raise ValueError(
+            f"unknown preset {preset!r}; choose from " + ", ".join(PRESET_NAMES)
+        )
+
+
 def make_workload(
     name: str, num_processors: int, preset: str = "default", **overrides
 ) -> Workload:
@@ -71,24 +113,7 @@ def make_workload(
         raise ValueError(
             f"unknown workload {name!r}; available: {sorted(WORKLOADS)}"
         ) from None
+    check_preset(preset)
     params = dict(PRESETS.get(name, {}).get(preset, {}))
     params.update(overrides)
     return factory(num_processors, **params)
-
-
-__all__ = [
-    "Cholesky",
-    "LU",
-    "MP3D",
-    "MigratoryCounters",
-    "PAPER_BENCHMARKS",
-    "PRESETS",
-    "ProducerConsumer",
-    "ReadOnlySharing",
-    "UnsynchronizedMix",
-    "WORKLOADS",
-    "Water",
-    "Workload",
-    "fresh_programs",
-    "make_workload",
-]

@@ -170,6 +170,12 @@ def test_freeze_value_round_trips_and_ignores_insertion_order():
     assert thawed == {"outer": {"b": (1, 2), "a": {3, 1}}, "plain": 5}
 
 
+def test_runspec_make_rejects_unknown_presets():
+    with pytest.raises(ValueError, match="unknown preset 'tnyi'; choose from "
+                                         "tiny, default, paper"):
+        RunSpec.make("water", ProtocolPolicy("AD"), preset="tnyi")
+
+
 def test_runspec_with_dict_overrides_stays_hashable():
     spec = RunSpec.make(
         "migratory-counters", ProtocolPolicy("AD"),

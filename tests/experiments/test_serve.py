@@ -257,6 +257,15 @@ def test_serve_rejects_bad_requests(server, client):
     assert excinfo.value.status == 404
 
 
+def test_serve_rejects_unknown_presets(server, client):
+    for preset in ("tnyi", 5):
+        with pytest.raises(ServeError) as excinfo:
+            client.submit([{"workload": "water", "policy": "AD", "preset": preset}])
+        assert excinfo.value.status == 400, preset
+        assert "choose from tiny, default, paper" in str(excinfo.value)
+    assert client.stats()["cells"] == 0
+
+
 def _raw_request(port, payload, half_close=False, timeout=10):
     """Send raw bytes over a real socket; return everything read to EOF."""
     with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:

@@ -16,9 +16,21 @@ def isolated_cache(tmp_path, monkeypatch):
 
 def test_list_command(capsys):
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    for name in ("mp3d", "cholesky", "water", "lu"):
-        assert name in out
+    rows = capsys.readouterr().out.splitlines()[2:]
+    names = [row.split()[0] for row in rows]
+    for name in ("mp3d", "cholesky", "water", "lu", "migratory-counters"):
+        assert name in names
+    for row in rows:
+        assert "tiny, default, paper" in row
+
+
+def test_unknown_preset_rejected(capsys):
+    for argv in (["run", "water", "--preset", "tnyi"],
+                 ["chaos", "--preset", "tnyi"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'tnyi'" in capsys.readouterr().err
 
 
 def test_run_command_tiny(capsys):

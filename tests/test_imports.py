@@ -1,7 +1,8 @@
 """Import budget: each entry point loads only the modules it runs.
 
-Every check runs in a fresh interpreter, because this test process has
-already imported most of the package.
+Every check of what a process loads runs in a fresh interpreter, because
+this test process has already imported most of the package.  Names moved
+to keep the daemon lean stay importable where they were.
 """
 
 import json
@@ -17,10 +18,16 @@ import repro
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-#: Packages that import their submodules at once: the protocol family,
-#: whose classes the directory binds and ``bench/layers.py`` finds by
-#: subclass, and the workload table behind the CLI's argparse choices.
-EAGER_PACKAGES = {"repro.protocols", "repro.workloads"}
+#: Packages that import their submodules at once: only the protocol
+#: family, whose classes the directory binds and ``bench/layers.py``
+#: finds by subclass.  The workload table behind the CLI's argparse
+#: choices is plain data, and each workload class loads on first use.
+EAGER_PACKAGES = {"repro.protocols"}
+
+WORKLOAD_MODULES = {
+    f"repro.workloads.{name}"
+    for name in ("base", "cholesky", "lu", "mp3d", "synthetic", "trace", "water")
+}
 PACKAGES = ["repro"] + sorted(
     f"repro.{info.name}"
     for info in pkgutil.iter_modules(repro.__path__)
@@ -46,12 +53,25 @@ def _loaded_after(imports):
 
 
 def test_cli_and_daemon_do_not_import_the_simulator():
+    """The daemon compiles each module it imports, and the compile of the
+    last big one sets its peak RSS, so it loads the job service and
+    nothing of the simulator: no workload class, operation, allocator,
+    protocol behavior, message or fault injector."""
     loaded = _loaded_after("repro.cli, repro.serve.server")
     assert "repro.experiments.store" in loaded
+    assert not loaded & WORKLOAD_MODULES
     assert not loaded & {
         "repro.machine.system",
+        "repro.machine.allocator",
+        "repro.cpu.ops",
         "repro.coherence.cache_ctrl",
         "repro.coherence.directory",
+        "repro.coherence.messages",
+        "repro.protocols",
+        "repro.protocols.base",
+        "repro.protocols.family",
+        "repro.protocols.registry",
+        "repro.faults.plan",
         "repro.experiments.figure5",
         "repro.experiments.ablations",
         "repro.experiments.chaos",
@@ -60,6 +80,30 @@ def test_cli_and_daemon_do_not_import_the_simulator():
         "ssl",
         "_hashlib",
     }
+
+
+def test_make_workload_loads_only_the_class_it_builds():
+    loaded = set(_fresh("""
+import json, sys
+from repro.workloads import make_workload
+make_workload("random-mix", 16)
+print(json.dumps(sorted(sys.modules)))
+"""))
+    assert loaded & WORKLOAD_MODULES == {
+        "repro.workloads.base", "repro.workloads.synthetic",
+    }
+
+
+def test_moved_names_are_the_same_objects_where_they_were():
+    import repro.core.policy
+    import repro.faults
+    import repro.faults.plan
+    import repro.machine.config
+    import repro.protocols
+
+    assert repro.protocols.policy_for is repro.core.policy.policy_for
+    assert repro.faults.FaultConfig is repro.machine.config.FaultConfig
+    assert repro.faults.plan.FaultConfig is repro.machine.config.FaultConfig
 
 
 def test_runner_and_store_skip_observability_and_the_pool():
@@ -131,9 +175,12 @@ def test_warm_daemon_loads_no_asyncio_ssl_or_pool(tmp_path):
     """A daemon that serves every cell from its store never builds a pool,
     so it never loads the pool modules; and it never loads asyncio,
     ``ssl``, or the ``_hashlib`` that maps OpenSSL's libcrypto, though it
-    has computed keys.  The script speaks raw HTTP over ``socket``,
-    because ``ServeClient`` imports ``urllib.request`` and with it
-    ``ssl``."""
+    has computed keys.  It binds without the IDNA codec
+    (``encodings.idna`` and the ``stringprep`` and ``unicodedata`` it
+    imports).  The script speaks raw HTTP over ``socket``, because
+    ``ServeClient`` imports ``urllib.request`` and with it ``ssl``, and
+    connects without ``socket.create_connection``, whose
+    ``getaddrinfo`` would load the codec itself."""
     doc = _fresh(f"""
 import json, socket, sys, threading, time
 from repro.core.policy import ProtocolPolicy
@@ -151,7 +198,9 @@ thread = threading.Thread(target=server.serve_forever)
 thread.start()
 
 def request(method, path, body=b""):
-    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+    with socket.socket() as sock:
+        sock.settimeout(10)
+        sock.connect(("127.0.0.1", server.port))
         sock.sendall(b"%s %s HTTP/1.1\\r\\nContent-Length: %d\\r\\n\\r\\n%s"
                      % (method, path, len(body), body))
         reply = b""
@@ -184,6 +233,7 @@ print(json.dumps({{
     assert doc["status"] == "cached" and doc["fingerprint"] and doc["stopped"]
     assert not set(doc["modules"]) & {
         "asyncio", "ssl", "concurrent.futures", "multiprocessing", "_hashlib",
+        "encodings.idna",
     }
 
 

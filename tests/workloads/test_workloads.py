@@ -13,6 +13,7 @@ from repro.cpu.ops import (
 )
 from repro.workloads import (
     PAPER_BENCHMARKS,
+    PRESET_NAMES,
     PRESETS,
     WORKLOADS,
     Cholesky,
@@ -45,6 +46,17 @@ def test_make_workload_applies_preset_and_overrides():
 def test_make_workload_unknown_name():
     with pytest.raises(ValueError, match="unknown workload"):
         make_workload("nope", 16)
+
+
+def test_make_workload_rejects_unknown_presets():
+    # A misspelling would run the class defaults (mp3d: 256 cells, not
+    # the default preset's 64) and be cached under the misspelled name.
+    for preset in ("tnyi", "Tiny", 5):
+        with pytest.raises(ValueError, match="choose from tiny, default, paper"):
+            make_workload("mp3d", 16, preset)
+    # A workload without a preset table runs its defaults under each name.
+    for preset in PRESET_NAMES:
+        assert make_workload("migratory-counters", 4, preset).num_processors == 4
 
 
 def test_programs_are_deterministic():
