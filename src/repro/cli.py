@@ -180,15 +180,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.faults import ServeFaultPlan
     from repro.serve.server import run_server
 
-    if getattr(args, "log", None):
-        import os
-
-        from repro.obs.log import LOG_ENV, configure_from_env
-
-        # Export so worker processes (fork or spawn) log with the same
-        # sink — correlation ids only pay off if all three tiers emit.
-        os.environ[LOG_ENV] = args.log
-        configure_from_env(args.log)
     store = ResultStore(args.cache_dir or default_cache_dir())
     workers = args.workers if args.workers else default_workers()
     faults = None
@@ -705,10 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--fault-kills", type=int, default=0, metavar="N",
                          help="chaos: kill the workers running the first N "
                               "cells (exercises requeue + pool rebuild)")
-    serve_p.add_argument("--log", default=None, metavar="DEST",
-                         help="structured JSON event log: 'stderr' (or '-') "
-                              "or a file path to append to (also settable "
-                              "via $REPRO_LOG)")
     serve_p.set_defaults(func=_cmd_serve)
 
     cache_p = sub.add_parser(

@@ -68,7 +68,6 @@ from repro.core.policy import ProtocolPolicy
 from repro.machine.config import MachineConfig
 from repro.machine.result import RunResult
 from repro.obs import metrics as obs_metrics
-from repro.obs.log import correlation_scope, log_event, new_correlation_id
 from repro.workloads import check_preset
 
 #: Tags marking frozen containers inside ``RunSpec.overrides`` so the
@@ -95,31 +94,14 @@ _POOL_COUNTS = ("requeues", "timeouts", "worker_crashes", "executor_rebuilds")
 #: :func:`_shared_pool` replacing the pool on a width change.
 _RUNMANY_COUNTS = dict.fromkeys(_POOL_COUNTS, 0)
 
-_RUNMANY_METRICS: Optional[Dict[str, Any]] = None
 
-
-def _runmany_metrics() -> Dict[str, Any]:
-    """Sweep-runner instruments on the global registry, built once."""
-    global _RUNMANY_METRICS
-    if _RUNMANY_METRICS is None:
-        _RUNMANY_METRICS = {
-            "sweeps": obs_metrics.counter(
-                "repro_runmany_sweeps_total", "run_many batches executed."),
-            "cell_seconds": obs_metrics.histogram(
-                "repro_runmany_cell_seconds",
-                "Wall-clock seconds of one freshly simulated sweep cell."),
-        }
-        for name, count, doc in (
-            ("repro_runmany_timeouts_total", "timeouts",
-             "Attempts that overran the per-cell wall-clock deadline."),
-            ("repro_runmany_pool_crashes_total", "executor_rebuilds",
-             "Pool discards after a lost worker or a deadline overrun."),
-            ("repro_runmany_retries_total", "requeues",
-             "Cells requeued after a lost worker or a deadline overrun."),
-        ):
-            obs_metrics.counter(name, doc).set_function(
-                lambda count=count: _RUNMANY_COUNTS[count])
-    return _RUNMANY_METRICS
+def _bind_runmany_retries() -> None:
+    """Render the run_many requeue tally as ``repro_runmany_retries_total``
+    on the global registry, where ``bench/`` reads it."""
+    obs_metrics.counter(
+        "repro_runmany_retries_total",
+        "Cells requeued after a lost worker or a deadline overrun.",
+    ).set_function(lambda: _RUNMANY_COUNTS["requeues"])
 
 
 def backoff_delay(
@@ -337,27 +319,6 @@ def execute_spec(spec: RunSpec) -> RunOutcome:
     return RunOutcome(spec=spec, result=result, wall_time=time.perf_counter() - start)
 
 
-def execute_spec_with_cid(spec: RunSpec, cid: str = "") -> RunOutcome:
-    """Worker entry point that binds a correlation id around the run.
-
-    :class:`CellPool` submits every attempt through this, so a worker's
-    structured log lines (``REPRO_LOG`` is inherited across the process
-    boundary) carry the ``cid`` of the sweep or job the cell belongs to.
-    """
-    with correlation_scope(cid):
-        log_event("worker", "run_started", cell=spec.label, pid=os.getpid())
-        outcome = execute_spec(spec)
-        log_event(
-            "worker",
-            "run_finished" if outcome.ok else "run_failed",
-            level="info" if outcome.ok else "error",
-            cell=spec.label,
-            wall_time_s=round(outcome.wall_time, 6),
-            error=str(outcome.error) if outcome.error else None,
-        )
-    return outcome
-
-
 def default_workers() -> int:
     """A sensible worker count for this host (>= 1)."""
     return max(1, os.cpu_count() or 1)
@@ -375,8 +336,8 @@ def _send(fd: int, obj: Any) -> None:
 
 
 def _work(requests: int, replies: int, inherited: List[int]) -> None:
-    """A forked worker's loop: run each ``(spec, cid)`` request and reply
-    with its :class:`RunOutcome`.
+    """A forked worker's loop: run each requested :class:`RunSpec` and
+    reply with its :class:`RunOutcome`.
 
     It first closes the pool's ``inherited`` pipe ends and ignores
     SIGINT, since Ctrl-C is the parent's to handle.  It never returns: it
@@ -396,8 +357,8 @@ def _work(requests: int, replies: int, inherited: List[int]) -> None:
             size = reader.read(8)
             if len(size) < 8:
                 os._exit(0)
-            spec, cid = pickle.loads(reader.read(int.from_bytes(size, "little")))
-            _send(replies, execute_spec_with_cid(spec, cid))
+            spec = pickle.loads(reader.read(int.from_bytes(size, "little")))
+            _send(replies, execute_spec(spec))
     finally:
         os._exit(1)
 
@@ -493,10 +454,8 @@ class Cell:
     """
 
     spec: RunSpec
-    #: Names the cell in logs and seeds its backoff jitter.
+    #: Seeds the cell's backoff jitter.
     key: str = ""
-    #: Correlation id bound around the worker's run.
-    cid: str = ""
     status: str = "queued"
     #: Attempts started, and how many of them lost their worker.
     attempts: int = 0
@@ -568,7 +527,7 @@ class CellPool:
         cell.generation = self.generation
         cell.started = time.monotonic()
         cell.deadline = None if self.timeout is None else cell.started + self.timeout
-        worker.send((cell.spec, cell.cid))
+        worker.send(cell.spec)
 
     def ended(self, cell: Cell, now: float) -> bool:
         """Whether ``cell``'s attempt is over: replied, lost, overdue, or
@@ -607,9 +566,6 @@ class CellPool:
         if cell.attempts < self.max_attempts:
             self.counts["requeues"] += 1
             cell.status = "backoff"
-            log_event("pool", "cell_requeued", level="warning",
-                      cell=cell.key, cid=cell.cid or None,
-                      attempts=cell.attempts, error=cell.last_error)
             return backoff_delay(cell.attempts, key=cell.key)
         cell.status = "failed"
         cell.outcome = RunOutcome(
@@ -643,8 +599,6 @@ class CellPool:
             return
         self.generation += 1
         self.counts["executor_rebuilds"] += 1
-        log_event("pool", "executor_rebuilt", level="warning",
-                  generation=self.generation)
         self.close()
 
 
@@ -761,22 +715,16 @@ def _run_pooled(scheduler: CellScheduler) -> None:
 
 
 def _run_via_serve(
-    specs: List[RunSpec], serve_url: Optional[str], cid: str = ""
+    specs: List[RunSpec], serve_url: Optional[str]
 ) -> Optional[List[RunOutcome]]:
     """Execute specs against a remote daemon, or None if it's unreachable."""
     from repro.serve.client import ServeClient, ServeUnavailable
 
     url = serve_url or os.environ.get(SERVE_URL_ENV) or _DEFAULT_SERVE_URL
-    client = ServeClient(url, retries=2, cid=cid)
+    client = ServeClient(url, retries=2)
     try:
         return client.run_many(specs)
     except ServeUnavailable as exc:
-        obs_metrics.counter(
-            "repro_client_fallbacks_total",
-            "backend=serve sweeps that fell back to local execution.",
-        ).inc()
-        log_event("run_many", "serve_fallback", level="warning",
-                  url=url, error=str(exc))
         print(
             f"serve backend unreachable ({exc}); falling back to local execution",
             file=sys.stderr,
@@ -829,15 +777,11 @@ def run_many(
     specs = list(specs)
     if not specs:
         return []
-    metrics = _runmany_metrics()
-    metrics["sweeps"].inc()
-    sweep_cid = new_correlation_id("sweep")
+    _bind_runmany_retries()
     outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
 
     def record(index: int, outcome: RunOutcome, put: bool) -> None:
         outcomes[index] = outcome
-        if not outcome.cached and outcome.wall_time:
-            metrics["cell_seconds"].observe(outcome.wall_time)
         if put and store is not None and outcome.ok:
             store.put(outcome)
 
@@ -849,41 +793,31 @@ def run_many(
         else:
             pending.append((index, spec))
 
-    log_event("run_many", "sweep_started", cid=sweep_cid, cells=len(specs),
-              cold=len(pending), workers=workers, backend=backend)
-    with correlation_scope(sweep_cid):
-        if pending and backend == "serve":
-            served = _run_via_serve(
-                [spec for _, spec in pending], serve_url, cid=sweep_cid
-            )
-            if served is not None:
-                for (index, _), outcome in zip(pending, served):
-                    record(index, outcome, put=True)
-                pending = []
-        pool = (
-            _shared_pool(workers) if workers > 1 and len(pending) > 1
-            else None
-        )
-        if pool is not None:
-            pool.timeout, pool.max_attempts = timeout, max(1, max_attempts)
-            index_of = {
-                Cell(spec, key=spec.label, cid=sweep_cid): index
-                for index, spec in pending
-            }
+    if pending and backend == "serve":
+        served = _run_via_serve([spec for _, spec in pending], serve_url)
+        if served is not None:
+            for (index, _), outcome in zip(pending, served):
+                record(index, outcome, put=True)
+            pending = []
+    pool = (
+        _shared_pool(workers) if workers > 1 and len(pending) > 1
+        else None
+    )
+    if pool is not None:
+        pool.timeout, pool.max_attempts = timeout, max(1, max_attempts)
+        index_of = {Cell(spec, key=spec.label): index for index, spec in pending}
 
-            def settled(cell: Cell) -> None:
-                if cell.status != "backoff":
-                    record(index_of[cell], cell.outcome, put=True)
+        def settled(cell: Cell) -> None:
+            if cell.status != "backoff":
+                record(index_of[cell], cell.outcome, put=True)
 
-            scheduler = CellScheduler(pool, settled)
-            scheduler.queue.extend(index_of)
-            _run_pooled(scheduler)
-        else:
-            # Record cell by cell so an interrupt keeps finished work.
-            for index, spec in pending:
-                record(index, execute_spec(spec), put=True)
-    log_event("run_many", "sweep_finished", cid=sweep_cid, cells=len(specs),
-              failed=sum(1 for o in outcomes if o is not None and not o.ok))
+        scheduler = CellScheduler(pool, settled)
+        scheduler.queue.extend(index_of)
+        _run_pooled(scheduler)
+    else:
+        # Record cell by cell so an interrupt keeps finished work.
+        for index, spec in pending:
+            record(index, execute_spec(spec), put=True)
     assert all(outcome is not None for outcome in outcomes)
     return outcomes  # type: ignore[return-value]
 

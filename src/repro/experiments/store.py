@@ -310,6 +310,30 @@ class CacheStats:
         }
 
 
+def _read(path: Path) -> bytes:
+    """The file's bytes, or none if it cannot be read."""
+    try:
+        return path.read_bytes()
+    except OSError:
+        return b""
+
+
+def _parse_entry(data: bytes) -> Optional[Dict[str, Any]]:
+    """The entry ``data`` encodes, or None unless it is well formed."""
+    try:
+        entry = json.loads(data)
+    except ValueError:
+        return None
+    if (
+        not isinstance(entry, dict)
+        or entry.get("schema") != STORE_SCHEMA
+        or "result" not in entry
+        or "fingerprint" not in entry
+    ):
+        return None
+    return entry
+
+
 def default_cache_dir() -> Path:
     """The CLI's cache root: ``$REPRO_SIM_CACHE`` or ``.repro-cache``."""
     return Path(os.environ.get(CACHE_DIR_ENV) or ".repro-cache")
@@ -340,7 +364,7 @@ class ResultStore:
         key = spec_key(spec)
         path = self.entry_path(key)
         if path.exists():
-            outcome = verified_outcome(spec, self._load_entry(path))
+            outcome = verified_outcome(spec, _parse_entry(_read(path)))
             if outcome is not None:
                 self.stats.hits += 1
                 try:
@@ -376,8 +400,9 @@ class ResultStore:
         self.stats.stored_bytes += len(payload)
         return key
 
-    def load_entry(self, key: str) -> Optional[Dict[str, Any]]:
-        """The raw stored entry for a key (serve's /results endpoint).
+    def load_entry(self, key: str) -> Optional[bytes]:
+        """The stored entry file's bytes for a key, if they parse as a
+        well-formed entry (serve's /results endpoint replies with them).
 
         ``key`` may come from a URL, so anything but the 64 lowercase hex
         digits of a :func:`spec_key` is no entry: ``..planted`` would
@@ -385,22 +410,8 @@ class ResultStore:
         """
         if not _KEY_FORM.fullmatch(key):
             return None
-        return self._load_entry(self.entry_path(key))
-
-    def _load_entry(self, path: Path) -> Optional[Dict[str, Any]]:
-        try:
-            with open(path) as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("schema") != STORE_SCHEMA
-            or "result" not in entry
-            or "fingerprint" not in entry
-        ):
-            return None
-        return entry
+        data = _read(self.entry_path(key))
+        return data if _parse_entry(data) is not None else None
 
     # -- maintenance ---------------------------------------------------
 

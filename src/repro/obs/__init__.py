@@ -7,12 +7,11 @@
 * :class:`~repro.obs.timeseries.MetricsSampler` — periodic occupancy /
   queue-depth snapshots into a bounded ring buffer;
 * :mod:`repro.obs.export` — Chrome-trace (Perfetto) and JSON/CSV export;
-* :mod:`repro.obs.metrics` — fleet metrics (counter/gauge/histogram with
-  labels, Prometheus text exposition) for the serve daemon, parallel
-  runner and serve client; a count that ``/stats`` also reports is kept
-  once by its owner and read at scrape time;
-* :mod:`repro.obs.log` — structured JSON event logging with correlation
-  ids threading client -> server -> worker.
+* :mod:`repro.obs.metrics` — the serve daemon's metrics
+  (counter/gauge/histogram with labels, Prometheus text exposition at
+  ``GET /metrics``) and ``run_many``'s requeue count; a count that
+  ``/stats`` also reports is kept once by its owner and read at scrape
+  time.
 
 Simulation tracing is opt-in: a machine built without ``trace=True`` and
 without a metrics interval runs byte-identically to one predating this
@@ -32,9 +31,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".metrics": (
         "Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
         "parse_exposition", "sample_count",
-    ),
-    ".log": (
-        "correlation_id", "correlation_scope", "log_event",
-        "new_correlation_id",
     ),
 })

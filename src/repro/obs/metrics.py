@@ -1,7 +1,9 @@
 """Stdlib-only fleet metrics: counters, gauges, histograms + Prometheus text.
 
-This module is the metrics layer of the serve daemon, the parallel runner,
-and the serve client.  It is deliberately tiny and dependency-free:
+This module is the metrics layer of the serve daemon, which serves it at
+``GET /metrics``; ``run_many`` also renders its requeue tally here, as
+``repro_runmany_retries_total``.  It is deliberately tiny and
+dependency-free:
 
 * three primitives — :class:`Counter`, :class:`Gauge`, :class:`Histogram` —
   each supporting optional label dimensions via ``.labels(...)``,
@@ -38,7 +40,6 @@ __all__ = [
     "REGISTRY",
     "DEFAULT_BUCKETS",
     "counter",
-    "histogram",
     "parse_exposition",
     "sample_count",
 ]
@@ -353,15 +354,6 @@ REGISTRY = MetricsRegistry()
 
 def counter(name: str, help: str = "", labelnames: Sequence[str] = ()) -> Counter:
     return REGISTRY.counter(name, help, labelnames)
-
-
-def histogram(
-    name: str,
-    help: str = "",
-    labelnames: Sequence[str] = (),
-    buckets: Optional[Sequence[float]] = None,
-) -> Histogram:
-    return REGISTRY.histogram(name, help, labelnames, buckets=buckets)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.experiments.parallel import RunError, RunOutcome, RunSpec, backoff_delay
 from repro.experiments.store import spec_key, spec_to_json, verified_outcome
-from repro.obs import metrics as obs_metrics
-from repro.obs.log import log_event, new_correlation_id
 
 #: Failures worth retrying: the request may never have reached the
 #: daemon, or the response was cut off.  (HTTPError subclasses URLError,
@@ -94,29 +92,21 @@ class ServeClient:
         timeout: float = 30.0,
         *,
         retries: int = 4,
-        cid: str = "",
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retries = max(0, retries)
-        #: Correlation id stamped on submitted jobs (minted per submit
-        #: when empty), so client/server/worker logs line up.
-        self.cid = cid
 
     # -- raw transport -------------------------------------------------
 
     def _open(self, request: "urllib.request.Request", attempt: int, label: str):
-        """One urlopen try; counts + backs off before signalling a retry."""
+        """One urlopen try; backs off before signalling a retry."""
         try:
             return urllib.request.urlopen(request, timeout=self.timeout)
         except urllib.error.HTTPError:
             raise
         except _CONNECTION_ERRORS as exc:
             if attempt <= self.retries:
-                obs_metrics.counter(
-                    "repro_client_retries_total",
-                    "Requests re-sent after a connection-level failure.",
-                ).inc()
                 time.sleep(
                     backoff_delay(attempt, key=f"{self.base_url}:{label}")
                 )
@@ -166,13 +156,7 @@ class ServeClient:
 
     def submit(self, spec_docs: List[Dict[str, Any]]) -> Dict[str, Any]:
         """Submit wire-form spec dicts; returns the initial job status."""
-        cid = self.cid or new_correlation_id("job")
-        status = self._request(
-            "POST", "/jobs", {"specs": spec_docs, "cid": cid}
-        )
-        log_event("client", "job_submitted", cid=cid, job=status.get("job"),
-                  specs=len(spec_docs), url=self.base_url)
-        return status
+        return self._request("POST", "/jobs", {"specs": spec_docs})
 
     def submit_specs(self, specs: Sequence[RunSpec]) -> Dict[str, Any]:
         """Submit RunSpec objects (serialized for the wire here)."""

@@ -27,8 +27,10 @@ API
 ``DELETE /jobs/<id>``          cancel: queued/backoff cells not shared
                                with another live job are abandoned;
                                running cells finish (their work is kept)
-``GET    /results/<key>``      the stored entry (spec, fingerprint, result);
-                               404 unless ``key`` is a ``spec_key``
+``GET    /results/<key>``      the stored entry (spec, fingerprint, result),
+                               its file's bytes as they are; 404 unless
+                               ``key`` is a ``spec_key`` of a well-formed
+                               entry
 ``GET    /stats``              cache stats + scheduler/resilience counters
 ``GET    /metrics``            Prometheus text exposition (version 0.0.4)
 
@@ -36,10 +38,8 @@ Every request is counted per route in ``repro_http_requests_total`` and
 timed into ``repro_http_request_seconds``.  Every count ``/stats``
 reports is kept once — on this server, its pool, its store, or its fault
 plan — and ``/metrics`` renders the same integer as a ``repro_serve_*``
-or ``repro_store_*`` counter (see :mod:`repro.obs.metrics`).  ``POST
-/jobs`` accepts an optional ``"cid"`` correlation id which is stored per
-job/cell and bound around worker execution, so structured logs thread
-client -> server -> worker.
+or ``repro_store_*`` counter (see :mod:`repro.obs.metrics`).
+``POST /jobs`` ignores every key of its body but ``"specs"``.
 
 Scheduling & resilience
 -----------------------
@@ -61,7 +61,7 @@ map is keyed by the same content address the store uses.
 
 HTTP, scheduling and store I/O share the loop's one thread: the pool
 forks workers from this process, and a fork while another thread held a
-lock (the log sink's, say) could deadlock the child.  Each running
+lock (a metric's, say) could deadlock the child.  Each running
 attempt's reply pipe sits in the loop's selector, so a reply (or a lost
 worker's EOF) wakes the loop.  A socket pair carries only
 :meth:`ExperimentServer.close`, the one call made from another thread.
@@ -81,13 +81,12 @@ import signal
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import parallel
 from repro.experiments.parallel import CellPool, CellScheduler, RunSpec
 from repro.experiments.store import ResultStore, spec_from_json, spec_key
 from repro.obs import metrics as obs_metrics
-from repro.obs.log import log_event
 from repro.serve.faults import KILL_DELAY, ServeFaultPlan
 
 SERVE_SCHEMA = "repro-serve/1"
@@ -116,10 +115,9 @@ class Cell(parallel.Cell):
     """One unique sweep cell and its lifecycle on this server.
 
     Beyond the pool's statuses a cell can be ``cached`` (served from the
-    store) or ``cancelled``; ``key`` is its content address and ``cid``
-    the correlation id of the job that created it.  A terminal cell holds
-    no result: ``/results/<key>`` reads it from the store, so ``outcome``
-    is kept only by a failed cell, for its error.
+    store) or ``cancelled``; ``key`` is its content address.  A terminal
+    cell holds no result: ``/results/<key>`` reads it from the store, so
+    ``outcome`` is kept only by a failed cell, for its error.
     """
 
     #: How many submitted specs (across all jobs) resolved to this cell.
@@ -153,8 +151,6 @@ class Job:
     cells: List[Cell] = field(default_factory=list)
     cancelled: bool = False
     finished: bool = False
-    #: Correlation id supplied by the submitting client ("" if none).
-    cid: str = ""
     #: Unique cells not yet terminal.
     waiting: int = 0
 
@@ -386,7 +382,7 @@ class ExperimentServer:
 
     # -- scheduling ----------------------------------------------------
 
-    def submit(self, spec_docs: List[Dict[str, Any]], cid: str = "") -> Job:
+    def submit(self, spec_docs: List[Dict[str, Any]]) -> Job:
         """Register a batch; returns the job with one cell per spec.
 
         The whole batch is parsed before anything is registered: a batch
@@ -405,7 +401,7 @@ class ExperimentServer:
             except (KeyError, TypeError, ValueError) as exc:
                 raise BadRequest(f"bad spec {doc!r}: {exc}") from None
         self._job_counter += 1
-        job = Job(id=f"job-{self._job_counter}", cid=str(cid or ""))
+        job = Job(id=f"job-{self._job_counter}")
         for spec, key in parsed:
             self.submitted += 1
             cell = self.cells.get(key)
@@ -414,7 +410,7 @@ class ExperimentServer:
                 # the scheduler may still hold the abandoned one, queued or
                 # in backoff, and must find it cancelled and drop it.
                 cell = self.cells[key] = Cell(
-                    spec, key=key, cid=job.cid, refs=cell.refs if cell else 0
+                    spec, key=key, refs=cell.refs if cell else 0
                 )
                 # fetch() verified the entry's fingerprint; the result it
                 # rebuilt is dropped here, as /results/<key> reads the store.
@@ -430,8 +426,6 @@ class ExperimentServer:
             cell.refs += 1
             job.cells.append(cell)
         self.jobs[job.id] = job
-        log_event("serve", "job_submitted", job=job.id, cid=job.cid or None,
-                  specs=len(job.cells))
         for cell in dict.fromkeys(job.cells):
             if cell.status not in TERMINAL:
                 job.waiting += 1
@@ -466,11 +460,6 @@ class ExperimentServer:
             self.store.put(outcome)
             cell.outcome = None  # the store holds the result from here on
         self._m_cells_terminal.labels(status=cell.status).inc()
-        log_event("serve", "cell_done" if outcome.ok else "cell_failed",
-                  level="info" if outcome.ok else "error",
-                  cell=cell.key, cid=cell.cid or None, attempts=cell.attempts,
-                  status=cell.status,
-                  error=str(outcome.error) if outcome.error else None)
         self._report(cell)
 
     # -- job tracking --------------------------------------------------
@@ -485,8 +474,6 @@ class ExperimentServer:
     def _finish_job(self, job: Job) -> None:
         job.finished = True
         self._m_jobs_finished.inc()
-        log_event("serve", "job_finished", job=job.id, cid=job.cid or None,
-                  total=len(job.cells), cancelled=job.cancelled)
 
     def cancel_job(self, job: Job) -> None:
         """Abandon the job's not-yet-running cells (unless shared).
@@ -500,14 +487,12 @@ class ExperimentServer:
             return
         job.cancelled = True
         self.cancelled_jobs += 1
-        log_event("serve", "job_cancelled", level="warning", job=job.id,
-                  cid=job.cid or None, reason=CANCEL_REASON)
-        shared: Set[Cell] = set()
-        for other in self.jobs.values():
-            if other.id != job.id and not other.cancelled:
-                shared.update(other.cells)
         for cell in dict.fromkeys(job.cells):
-            if cell in shared or cell.status not in ("queued", "backoff"):
+            # A queued or backoff cell is held only by the jobs waiting on
+            # it; this one is cancelled already.
+            if cell.status not in ("queued", "backoff") or any(
+                not other.cancelled for other in self._waiters[cell.key]
+            ):
                 continue
             cell.status = "cancelled"
             cell.last_error = CANCEL_REASON
@@ -630,7 +615,7 @@ class ExperimentServer:
                 raise BadRequest("body is not valid JSON") from None
             if not isinstance(doc, dict):
                 raise BadRequest('body must be {"specs": [<spec>, ...]}')
-            job = self.submit(doc.get("specs"), cid=doc.get("cid") or "")
+            job = self.submit(doc.get("specs"))
             self._reply(conn, 200, self.job_status(job))
         elif method in ("GET", "DELETE") and len(parts) == 2 and parts[0] == "jobs":
             job = self.jobs.get(parts[1])

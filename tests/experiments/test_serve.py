@@ -191,6 +191,16 @@ def test_serve_holds_no_result_once_a_cell_ends(tmp_path):
             assert entry["fingerprint"] == result_fingerprint(
                 result_from_json(entry["result"])
             ) == result_fingerprint(execute_spec(spec).unwrap())
+            # The reply is the entry file, byte for byte.
+            path = f"/results/{spec_key(spec)}"
+            assert client._request_raw("GET", path) == store.entry_path(
+                spec_key(spec)).read_bytes()
+        # An entry file cut short is no entry.
+        entry_file = store.entry_path(spec_key(cold))
+        entry_file.write_bytes(entry_file.read_bytes()[:-40])
+        with pytest.raises(ServeError) as excinfo:
+            client.result(spec_key(cold))
+        assert excinfo.value.status == 404
 
 
 def test_serve_rejects_bad_requests(server, client):
@@ -307,7 +317,9 @@ def test_serve_malformed_http_gets_400(server, client, payload, half_close, reas
 
 
 def test_serve_reassembles_a_request_sent_in_chunks(server):
-    body = json.dumps({"specs": [spec_to_json(tiny_specs()[0])]}).encode()
+    # An older client also sent a "cid" key; the daemon ignores it.
+    body = json.dumps({"specs": [spec_to_json(tiny_specs()[0])],
+                       "cid": "sweep-57dda867b1a3"}).encode()
     payload = _post_jobs(b"Content-Length: %d\r\n" % len(body), body)
     with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
         for cut in (slice(0, 20), slice(20, len(payload) - 7),
@@ -322,7 +334,9 @@ def test_serve_reassembles_a_request_sent_in_chunks(server):
             reply += chunk
     head, _, doc = reply.partition(b"\r\n\r\n")
     assert head.startswith(b"HTTP/1.1 200 OK\r\n")
-    assert json.loads(doc)["job"] == "job-1"
+    status = json.loads(doc)
+    assert status["job"] == "job-1" and status["total"] == 1
+    assert status["cells"][0]["key"] == spec_key(tiny_specs()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +574,7 @@ def test_run_many_serve_backend_falls_back_to_local(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Telemetry: /metrics scrape, correlation ids
+# Telemetry: /metrics scrape
 
 
 import urllib.request
@@ -613,19 +627,6 @@ def test_metrics_endpoint_scrapes_job_lifecycle(tmp_path):
         # Worker/queue gauges evaluate at scrape time.
         assert families["repro_serve_workers"].value() == 1
         assert families["repro_serve_cells_running"].value() == 0
-
-
-def test_correlation_id_threads_client_to_job(tmp_path):
-    registry = MetricsRegistry()
-    store = ResultStore(tmp_path / "cache")
-    with running_server(store, registry=registry) as srv:
-        client = ServeClient(f"http://127.0.0.1:{srv.port}", cid="sweep-e2e42")
-        job = client.submit_specs([tiny_specs()[0]])
-        status = client.wait(job["job"], timeout=120)
-        assert status["complete"] and status["total"] == 1
-        served = srv.jobs[job["job"]]
-        assert served.cid == "sweep-e2e42"
-        assert [cell.cid for cell in served.cells] == ["sweep-e2e42"]
 
 
 def test_warm_run_many_does_not_poll_a_complete_job(tmp_path):
@@ -713,22 +714,37 @@ def test_serve_attempt_lost_before_its_worker_reads_it_is_requeued(
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def _alive(pid):
+def _children(pid):
+    """The pids whose parent is ``pid``, read from ``/proc/<pid>/stat``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:  # it exited meanwhile
+            continue
+        # "pid (comm) state ppid ...", and comm may hold spaces.
+        if int(stat.rpartition(")")[2].split()[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def _group_alive(pgid):
     try:
-        os.kill(pid, 0)
+        os.killpg(pgid, 0)
     except ProcessLookupError:
         return False
     return True
 
 
 def test_cli_daemon_serves_a_cold_job_and_exits_on_sigint(tmp_path):
-    events = tmp_path / "events.jsonl"
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--workers", "2", "--cache-dir", str(tmp_path / "cache"),
-         "--log", str(events)],
+         "--workers", "2", "--cache-dir", str(tmp_path / "cache")],
         stdout=subprocess.PIPE, text=True, env=env, start_new_session=True,
     )
     try:
@@ -742,18 +758,15 @@ def test_cli_daemon_serves_a_cold_job_and_exits_on_sigint(tmp_path):
         if os.path.exists(maps):
             with open(maps) as handle:
                 assert "libssl" not in handle.read()
-        workers = {
-            event["pid"]
-            for event in map(json.loads, events.read_text().splitlines())
-            if event["event"] == "run_started"
-        }
-        assert workers and proc.pid not in workers  # the cells really forked
+            assert _children(proc.pid)  # the cells really forked
         proc.send_signal(signal.SIGINT)
         out, _ = proc.communicate(timeout=10)
         assert proc.returncode == 0
         assert out.rstrip().endswith("shutting down")
+        # The daemon leads its own session, so its workers share its
+        # process group, which must empty.
         deadline = time.monotonic() + 5
-        while any(_alive(pid) for pid in workers):
+        while _group_alive(proc.pid):
             assert time.monotonic() < deadline, "a worker outlived the daemon"
             time.sleep(0.05)
     finally:

@@ -258,7 +258,7 @@ def test_execute_spec_matches_cached_execute(tmp_path):
     spec = mig_spec()
     store = ResultStore(tmp_path / "cache")
     run_many([spec], store=store)
-    entry = store.load_entry(spec_key(spec))
+    entry = json.loads(store.load_entry(spec_key(spec)))
     direct = execute_spec(spec).unwrap()
     assert entry["fingerprint"] == result_fingerprint(direct)
 

@@ -79,6 +79,7 @@ def test_cli_and_daemon_do_not_import_the_simulator():
         "asyncio",
         "ssl",
         "_hashlib",
+        "contextvars",
     }
 
 
@@ -138,7 +139,7 @@ def test_parallel_import_skips_the_pool_modules():
     loaded = _loaded_after("repro.experiments.parallel")
     assert not loaded & {
         "asyncio", "concurrent.futures", "multiprocessing", "uuid", "platform",
-        "pickle", "select",
+        "pickle", "select", "contextvars",
     }
 
 
@@ -225,7 +226,7 @@ server.close()
 thread.join(10)
 print(json.dumps({{
     "status": job["cells"][0]["status"],
-    "fingerprint": entry["fingerprint"] == store.load_entry(spec_key(spec))["fingerprint"],
+    "fingerprint": entry["fingerprint"] == json.loads(store.load_entry(spec_key(spec)))["fingerprint"],
     "stopped": not thread.is_alive(),
     "modules": sorted(sys.modules),
 }}))

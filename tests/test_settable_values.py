@@ -20,12 +20,12 @@ from repro.serve.server import ExperimentServer
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Option actions of the parser and of every subparser, ``--help`` excluded.
-CLI_OPTIONS = 73
+CLI_OPTIONS = 72
 #: Distinct ``REPRO_*`` names anywhere under ``src/``.
-ENV_VARIABLES = 4
+ENV_VARIABLES = 3
 #: Defaulted parameters of ``run_many``, ``ExperimentServer`` and
 #: ``ServeClient``, plus the ``init`` fields of ``ServeFaultPlan``.
-KEYWORD_KNOBS = 17
+KEYWORD_KNOBS = 16
 
 
 def _options(parser):
