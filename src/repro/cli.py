@@ -72,9 +72,8 @@ def _print_cache_summary(store) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.parallel import RunSpec, execute_spec
+    from repro.experiments.parallel import RunSpec, run_many
 
-    cache_note = "disabled"
     spec = RunSpec.make(
         args.workload,
         _policy_by_name(args.protocol),
@@ -84,14 +83,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     store = _open_store(args)
-    outcome = store.fetch(spec) if store is not None else None
-    if outcome is not None:
-        cache_note = "hit (fingerprint verified)"
-    else:
-        outcome = execute_spec(spec)
-        if store is not None and outcome.ok:
-            store.put(outcome)
-            cache_note = "miss (stored)"
+    [outcome] = run_many([spec], store=store)
     result = outcome.unwrap()
     breakdown = result.aggregate_breakdown
     fractions = breakdown.fractions()
@@ -118,6 +110,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ):
         if result.counter(counter):
             print(f"  {counter:<22}{result.counter(counter)}")
+    cache_note = ("disabled" if store is None
+                  else "hit (fingerprint verified)" if outcome.cached
+                  else "miss (stored)")
     print(f"result cache:    {cache_note}")
     return 0
 
@@ -529,10 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "as JSON (CI warm-cache gate reads this)")
     fig5_p.add_argument("--timeout", type=float, default=None, metavar="SEC",
                         help="per-attempt wall-clock deadline from "
-                             "submission (pooled runs, as serve "
-                             "--cell-timeout): an overrun kills the worker "
-                             "and requeues the cell, which fails as "
-                             "CellTimeout after 3 attempts")
+                             "submission, as serve --cell-timeout: an "
+                             "overrun kills the worker and requeues the "
+                             "cell, which fails as CellTimeout after 3 "
+                             "attempts")
     fig5_p.add_argument("--backend", choices=("local", "serve"),
                         default="local",
                         help="where cold cells execute: this host's "
@@ -695,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "CellTimeout (default 3)")
     serve_p.add_argument("--fault-kills", type=int, default=0, metavar="N",
                          help="chaos: kill the workers running the first N "
-                              "cells (exercises requeue + pool rebuild)")
+                              "cells (exercises requeue + worker replacement)")
     serve_p.set_defaults(func=_cmd_serve)
 
     cache_p = sub.add_parser(

@@ -21,23 +21,21 @@ Design points:
 * **Per-run error capture.**  A failing run produces a structured
   :class:`RunError` inside its outcome instead of killing the pool; the
   other runs complete normally.
-* **One failure model.**  :class:`CellPool` owns the process pool and
-  classifies every attempt, and :class:`CellScheduler` steps cells
+* **One failure model.**  :class:`CellPool` owns the worker processes
+  and classifies every attempt, and :class:`CellScheduler` steps cells
   through it, for this module's :func:`run_many` and for the
   ``repro-sim serve`` daemon alike.  A worker that dies (OOM kill,
   segfault, ``os._exit``) or an attempt that overruns
-  ``run_many(..., timeout=...)`` costs the cell one attempt: the pool
-  is discarded (hung workers killed) and the cell requeued after a
+  ``run_many(..., timeout=...)`` costs the cell one attempt: that
+  worker alone is killed and replaced, and the cell requeued after a
   seeded backoff, up to ``max_attempts``, after which it resolves to a
   ``WorkerCrash`` or ``CellTimeout`` :class:`RunError` instead of
-  hanging or crashing the sweep.  Timeouts need the pool: the serial
-  inline path cannot preempt a run and ignores ``timeout``.
-* **Graceful serial fallback.**  ``workers=1``, a single spec, or a
-  platform without ``os.fork`` all run inline in this process (no pool,
-  no pickling).
-* **Pool reuse.**  The process pool persists across :func:`run_many`
-  calls (sweeps are many small phases; rebuilding a pool per phase costs
-  more than the fan-out saves on short batches).
+  hanging or crashing the sweep.
+* **A pool per call.**  Every cold cell runs in a worker, at any
+  width: each :func:`run_many` call builds its own :class:`CellPool`
+  and closes it before it returns, so its workers fork from the
+  process as the call finds it and none outlives the call.  Sweeps
+  need ``os.fork``.
 * **Result-cache consultation.**  ``run_many(..., store=...)`` serves
   previously computed cells from a
   :class:`~repro.experiments.store.ResultStore` and populates it with
@@ -53,7 +51,6 @@ Design points:
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import os
 import random
@@ -88,10 +85,10 @@ SERVE_URL_ENV = "REPRO_SIM_SERVE"
 _DEFAULT_SERVE_URL = "http://127.0.0.1:8787"
 
 #: The failure tallies every :class:`CellPool` keeps.
-_POOL_COUNTS = ("requeues", "timeouts", "worker_crashes", "executor_rebuilds")
+_POOL_COUNTS = ("requeues", "timeouts", "worker_crashes")
 
-#: One tally for every run_many pool in this process, so it survives
-#: :func:`_shared_pool` replacing the pool on a width change.
+#: One tally for every run_many pool in this process (each call builds
+#: its own), summed over calls.
 _RUNMANY_COUNTS = dict.fromkeys(_POOL_COUNTS, 0)
 
 
@@ -450,7 +447,7 @@ class Cell:
 
     ``status`` goes queued -> running -> (backoff -> running)* -> done |
     failed, and ``outcome`` is set once the cell is terminal.  The last
-    four fields describe the attempt in flight, or the last one.
+    three fields describe the attempt in flight, or the last one.
     """
 
     spec: RunSpec
@@ -465,8 +462,6 @@ class Cell:
     last_error: str = ""
     #: The worker the attempt went to.
     worker: Optional[_Worker] = None
-    #: The pool generation the attempt was submitted to.
-    generation: int = 0
     #: ``time.monotonic()`` at submission, and the deadline it started.
     started: float = 0.0
     deadline: Optional[float] = None
@@ -482,14 +477,23 @@ class CellPool:
     its caller waits on the running attempts' workers (``cell.worker``
     has a ``fileno()``), and the scheduler keeps at most ``workers``
     attempts in flight, so a deadline that starts at submission is an
-    honest per-cell clock.  A deadline overrun or a lost worker (its
-    reply pipe hit EOF, its request could not be written, or another
-    attempt's failure discarded it) costs one attempt: the pool is
-    discarded once per failure wave (a generation counter; every worker
-    is killed and reaped, and the next :meth:`start` forks afresh) and
-    the cell requeued after :func:`backoff_delay`, until
-    ``max_attempts`` fails it.  A simulation exception is an outcome.
-    Workers are made with ``os.fork``.
+    honest per-cell clock.  The failure rules:
+
+    * An attempt that replied returns its worker to the idle list.  A
+      simulation exception is a reply: the outcome carries the error.
+    * An attempt whose worker is lost (its reply pipe hit EOF, or its
+      request could not be written) is a ``WorkerCrash``.
+    * An attempt still running at its deadline is a ``CellTimeout``.
+    * After a crash or a timeout, only that worker is killed, reaped,
+      closed and dropped from the pool; the next :meth:`start` forks a
+      replacement.  No other attempt is touched.
+
+    A crash or a timeout costs the cell one attempt: it is requeued
+    after :func:`backoff_delay`, until ``max_attempts`` fails it.
+    Settling closes a failed attempt's pipes, so a caller that waits on
+    workers in a selector unregisters the settled worker before the next
+    :meth:`start` can fork a pipe that reuses its fd number.  Workers
+    are made with ``os.fork``.
     """
 
     def __init__(
@@ -500,14 +504,12 @@ class CellPool:
         max_attempts: int = 3,
         counts: Optional[Dict[str, int]] = None,
     ) -> None:
-        self.workers = workers
+        self.workers = max(1, workers)
         self.timeout = timeout
         self.max_attempts = max(1, max_attempts)
         #: Every live worker, and those waiting for an attempt.
         self._procs: List[_Worker] = []
         self._idle: List[_Worker] = []
-        #: Bumped by every discard; older attempts have lost their worker.
-        self.generation = 0
         #: The :data:`_POOL_COUNTS` tallies (``/stats`` ``scheduler.*``);
         #: pass ``counts`` to keep one tally across several pools.
         self.counts = (
@@ -524,19 +526,15 @@ class CellPool:
         cell.attempts += 1
         cell.status = "running"
         cell.worker = worker
-        cell.generation = self.generation
         cell.started = time.monotonic()
         cell.deadline = None if self.timeout is None else cell.started + self.timeout
         worker.send(cell.spec)
 
     def ended(self, cell: Cell, now: float) -> bool:
-        """Whether ``cell``'s attempt is over: replied, lost, overdue, or
-        discarded (reads what its reply pipe holds)."""
-        return (
-            cell.generation != self.generation
-            or cell.worker.poll()
-            or (cell.deadline is not None and now >= cell.deadline)
-        )
+        """Whether ``cell``'s attempt is over: replied, lost or overdue
+        (reads what its reply pipe holds)."""
+        return cell.worker.poll() or (
+            cell.deadline is not None and now >= cell.deadline)
 
     def settle(self, cell: Cell) -> Optional[float]:
         """Classify how ``cell``'s attempt ended.
@@ -545,15 +543,14 @@ class CellPool:
         otherwise the backoff in seconds before it may :meth:`start`
         again.
         """
-        worker, current = cell.worker, cell.generation == self.generation
-        if current and not worker.poll():
+        worker = cell.worker
+        if not worker.poll():
             kind, counter = CELL_TIMEOUT, "timeouts"
             reason = f"exceeded the {self.timeout}s per-cell deadline"
         else:
             outcome = worker.take()
             if outcome is not None:
-                if current:
-                    self._idle.append(worker)
+                self._idle.append(worker)
                 cell.outcome = outcome
                 cell.status = "done" if outcome.ok else "failed"
                 return None
@@ -562,7 +559,8 @@ class CellPool:
             reason = f"worker process died {cell.crashes} time(s)"
         self.counts[counter] += 1
         cell.last_error = f"{kind}: {reason}"
-        self._discard(cell.generation)
+        self._procs.remove(worker)
+        worker.close()
         if cell.attempts < self.max_attempts:
             self.counts["requeues"] += 1
             cell.status = "backoff"
@@ -588,52 +586,6 @@ class CellPool:
         procs, self._procs, self._idle = self._procs, [], []
         for worker in procs:
             worker.close()
-
-    def processes(self) -> List[_Worker]:
-        """The pool's workers, each with a ``kill()``."""
-        return list(self._procs)
-
-    def _discard(self, generation: int) -> None:
-        """Discard the pool an attempt of ``generation`` failed on, once."""
-        if generation != self.generation:
-            return
-        self.generation += 1
-        self.counts["executor_rebuilds"] += 1
-        self.close()
-
-
-#: The shared cell pool, kept alive across run_many calls.  A sweep is
-#: many small phases (one per table row/figure bar); forking workers per
-#: phase costs more than short batches save.  :func:`shutdown_pool` is
-#: registered atexit, and a failure discards every worker, so a dead
-#: worker is never reused.
-_POOL: Optional[CellPool] = None
-
-
-def shutdown_pool() -> None:
-    """Tear down the shared cell pool, killing any hung workers."""
-    global _POOL
-    pool, _POOL = _POOL, None
-    if pool is not None:
-        pool.close()
-
-
-def _shared_pool(workers: int) -> Optional[CellPool]:
-    """The persistent pool of exactly ``workers`` processes, or None.
-
-    Repeated same-width calls (the sweep-phase pattern) reuse it; a
-    width change replaces it.  None means no ``os.fork``.
-    """
-    global _POOL
-    if _POOL is None or _POOL.workers != workers:
-        if not hasattr(os, "fork"):  # pragma: no cover - e.g. Windows
-            return None
-        shutdown_pool()
-        _POOL = CellPool(workers, counts=_RUNMANY_COUNTS)
-    return _POOL
-
-
-atexit.register(shutdown_pool)
 
 
 class CellScheduler:
@@ -663,17 +615,12 @@ class CellScheduler:
         ``time.monotonic()`` of the next backoff expiry or deadline (None:
         only a finished attempt can change anything)."""
         pool, now = self.pool, time.monotonic()
-        ended = [cell for cell in self.running if pool.ended(cell, now)]
-        # A discard ends the attempts it killed; settle them too before a
-        # new worker can reuse their fd numbers.
-        while ended:
-            for cell in ended:
-                self.running.remove(cell)
-                delay = pool.settle(cell)
-                if delay is not None:
-                    self.backoff.append((now + delay, cell))
-                self.on_settled(cell)
-            ended = [cell for cell in self.running if pool.ended(cell, now)]
+        for cell in [cell for cell in self.running if pool.ended(cell, now)]:
+            self.running.remove(cell)
+            delay = pool.settle(cell)
+            if delay is not None:
+                self.backoff.append((now + delay, cell))
+            self.on_settled(cell)
         self.queue += [cell for ready, cell in self.backoff if ready <= now]
         self.backoff = [(ready, cell) for ready, cell in self.backoff if ready > now]
         while self.queue and len(self.running) < pool.workers:
@@ -693,7 +640,8 @@ class CellScheduler:
 
 
 def _run_pooled(scheduler: CellScheduler) -> None:
-    """Step ``scheduler`` until every cell is terminal, waiting in between.
+    """Step ``scheduler`` until every cell is terminal, waiting in
+    between, then close its pool.
 
     Each terminal cell reaches ``on_settled`` at once, so an interrupt
     loses only the attempts in flight, and their workers are killed.
@@ -710,8 +658,7 @@ def _run_pooled(scheduler: CellScheduler) -> None:
             elif timeout:
                 time.sleep(timeout)
     finally:
-        if scheduler.running:  # interrupted: no one will read these replies
-            scheduler.pool.close()
+        scheduler.pool.close()
 
 
 def _run_via_serve(
@@ -744,13 +691,12 @@ def run_many(
 ) -> List[RunOutcome]:
     """Execute every spec and return outcomes in submission order.
 
-    ``workers=1`` (or a single spec, or a platform without ``os.fork``)
-    runs serially in this process; otherwise the shared
-    persistent :class:`CellPool` of ``workers`` processes executes the
-    batch, one cell per task and at most ``workers`` in flight.  Either
-    way the returned list lines up index-for-index with ``specs`` and
-    parallel results are identical to serial ones (each run is a
-    self-contained deterministic simulation).
+    The cells the store does not hold run on a :class:`CellPool` of up
+    to ``workers`` forked processes, at most ``workers`` in flight.  The
+    call builds the pool, which forks a worker only when a cell needs
+    one, and closes it before it returns.  The returned list lines up
+    index-for-index with ``specs``, and results are identical at every
+    width (each run is a self-contained deterministic simulation).
 
     ``store`` (a :class:`~repro.experiments.store.ResultStore`) is
     consulted per spec before simulating — hits come back as cached
@@ -761,10 +707,9 @@ def run_many(
     Resilience knobs:
 
     * ``timeout`` — per-attempt wall-clock deadline in seconds, starting
-      at submission (pooled execution only: the serial path cannot
-      preempt a run and ignores it).
+      at submission.
     * ``max_attempts`` — attempts per cell.  A deadline overrun or a
-      lost worker costs one and requeues the cell on a fresh pool; the
+      lost worker costs one and requeues the cell on a fresh worker; the
       last one fails it as ``CellTimeout`` or ``WorkerCrash``, so a hung
       cell costs up to ``max_attempts * timeout`` (``max_attempts=1``
       fails it on the first overrun).  See :class:`CellPool`.
@@ -780,44 +725,37 @@ def run_many(
     _bind_runmany_retries()
     outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
 
-    def record(index: int, outcome: RunOutcome, put: bool) -> None:
+    def record(index: int, outcome: RunOutcome) -> None:
         outcomes[index] = outcome
-        if put and store is not None and outcome.ok:
+        if store is not None and outcome.ok:
             store.put(outcome)
 
     pending: List[Tuple[int, RunSpec]] = []
     for index, spec in enumerate(specs):
-        hit = store.fetch(spec) if store is not None else None
-        if hit is not None:
-            record(index, hit, put=False)
-        else:
+        outcomes[index] = store.fetch(spec) if store is not None else None
+        if outcomes[index] is None:
             pending.append((index, spec))
 
     if pending and backend == "serve":
         served = _run_via_serve([spec for _, spec in pending], serve_url)
         if served is not None:
             for (index, _), outcome in zip(pending, served):
-                record(index, outcome, put=True)
+                record(index, outcome)
             pending = []
-    pool = (
-        _shared_pool(workers) if workers > 1 and len(pending) > 1
-        else None
-    )
-    if pool is not None:
-        pool.timeout, pool.max_attempts = timeout, max(1, max_attempts)
+    if pending:
         index_of = {Cell(spec, key=spec.label): index for index, spec in pending}
 
         def settled(cell: Cell) -> None:
             if cell.status != "backoff":
-                record(index_of[cell], cell.outcome, put=True)
+                record(index_of[cell], cell.outcome)
 
-        scheduler = CellScheduler(pool, settled)
+        scheduler = CellScheduler(
+            CellPool(workers, timeout=timeout, max_attempts=max_attempts,
+                     counts=_RUNMANY_COUNTS),
+            settled,
+        )
         scheduler.queue.extend(index_of)
         _run_pooled(scheduler)
-    else:
-        # Record cell by cell so an interrupt keeps finished work.
-        for index, spec in pending:
-            record(index, execute_spec(spec), put=True)
     assert all(outcome is not None for outcome in outcomes)
     return outcomes  # type: ignore[return-value]
 

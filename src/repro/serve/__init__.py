@@ -11,9 +11,8 @@ later sweep.  ``/stats`` and ``/metrics`` render one set of counts, kept
 by the daemon, its pool, its store and its fault plan.
 
 The service is fault-tolerant with the same failure model as
-``run_many``: crashed or stuck workers are detected, the pool is
-rebuilt, and the affected cells are requeued with bounded attempts and
-deterministic backoff; clients retry every request with backoff.  A
+``run_many``: a crashed or stuck worker is detected and replaced, and
+its cell is requeued with bounded attempts and deterministic backoff; clients retry every request with backoff.  A
 :class:`~repro.serve.faults.ServeFaultPlan` (a budget of worker kills)
 makes the recovery path chaos-testable.
 """

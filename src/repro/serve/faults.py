@@ -6,8 +6,8 @@ The server consults the plan at one point: just after dispatching a
 cell's first attempt, it kills the worker running it (SIGKILL)
 :data:`KILL_DELAY` seconds later, if the attempt is still running,
 exercising the shared
-:class:`~repro.experiments.parallel.CellPool`'s lost-worker path: pool
-discard and rebuild, then requeue.
+:class:`~repro.experiments.parallel.CellPool`'s lost-worker path: the
+dead worker is reaped and replaced, and its cell requeued.
 
 The plan kills the first ``max_kills`` first attempts it sees and no
 more, so a chaos run always terminates.

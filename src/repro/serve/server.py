@@ -49,11 +49,10 @@ Cold cells run on the same :class:`~repro.experiments.parallel.CellPool`
 :class:`~repro.experiments.parallel.CellScheduler`, so both share one
 scheduler loop and one failure model: a cell whose worker dies or whose
 attempt overruns ``cell_timeout`` (counted from submission) costs one
-attempt, the pool is discarded once per failure wave (stuck workers
-killed) and the cell is requeued after the seeded backoff, up to
-``max_attempts`` before it fails as ``CellTimeout`` or ``WorkerCrash``
-with the attempt count in its
-:class:`~repro.experiments.parallel.RunError`.  The scheduler keeps at
+attempt, that worker alone is killed and replaced, and the cell is
+requeued after the seeded backoff, up to ``max_attempts`` before it
+fails as ``CellTimeout`` or ``WorkerCrash`` with the attempt count in
+its :class:`~repro.experiments.parallel.RunError`.  The scheduler keeps at
 most ``workers`` attempts in flight, so a cell is only marked
 ``running`` when it actually occupies a worker.  Every unique cell
 executes at most once no matter how many jobs reference it — the dedupe
@@ -275,8 +274,6 @@ class ExperimentServer:
              "Attempts that blew the per-cell deadline."),
             ("worker_crashes", "repro_serve_worker_crashes_total",
              "Attempts lost to a dead worker (its reply pipe hit EOF)."),
-            ("executor_rebuilds", "repro_serve_executor_rebuilds_total",
-             "Process-pool rebuilds after a failure wave."),
         ):
             reg.counter(name, doc).set_function(
                 lambda count=count: self.pool.counts[count])
@@ -308,10 +305,6 @@ class ExperimentServer:
         reg.gauge(
             "repro_serve_jobs_open", "Jobs with a cell not yet terminal.",
         ).set_function(lambda: sum(1 for j in self.jobs.values() if not j.finished))
-        reg.gauge(
-            "repro_serve_executor_generation",
-            "Process-pool generation (increments on every rebuild).",
-        ).set_function(lambda: self.pool.generation)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -450,6 +443,7 @@ class ExperimentServer:
 
     def _settled(self, cell: Cell) -> None:
         """An attempt ended: requeued (``backoff``) or terminal."""
+        # Before the next start() can fork: see CellPool.
         self._selector.unregister(cell.worker)
         self._m_cell_seconds.observe(time.monotonic() - cell.started)
         if cell.status == "backoff":

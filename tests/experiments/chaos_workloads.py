@@ -1,21 +1,23 @@
 """Misbehaving workloads for resilience tests, registered on import.
 
 Each factory goes into ``repro.workloads.WORKLOADS`` under a ``test-``
-name; pool workers are forked *after* the pool is (re)built, so a test
-that calls ``shutdown_pool()`` first gets workers that inherit these
-registrations.  The misbehavior is driven by filesystem markers (shared
-between parent and workers), keeping every workload deterministic:
+name.  Every ``run_many`` call forks its own workers, so a sweep started
+after this import finds them.  The misbehavior is driven by filesystem
+markers (shared between parent and workers), keeping every workload
+deterministic:
 
 * ``test-crash-once``   — ``os._exit(1)`` the first time its marker is
   absent, then behaves as tiny MigratoryCounters.
 * ``test-crash-always`` — ``os._exit(1)`` every time.
 * ``test-hang``         — sleeps ``seconds`` before building the
   workload (simulates a wedged simulation).
-* ``test-interrupt-once`` — raises KeyboardInterrupt the first time its
-  marker is absent (simulates Ctrl-C mid-sweep), then behaves normally.
+* ``test-interrupt-once`` — the first time its marker is absent, sends
+  SIGINT to the sweep that forked its worker and sleeps (Ctrl-C
+  mid-sweep), then behaves normally.
 """
 
 import os
+import signal
 import time
 from pathlib import Path
 
@@ -51,7 +53,8 @@ def _interrupt_once(num_processors, *, marker, seed=42, **kwargs):
     path = Path(marker)
     if not path.exists():
         path.write_text("interrupted")
-        raise KeyboardInterrupt
+        os.kill(os.getppid(), signal.SIGINT)
+        time.sleep(30.0)  # the interrupted sweep kills this worker
     return _normal(num_processors, seed, kwargs)
 
 

@@ -1,9 +1,9 @@
 """Parallel experiment runner: determinism and error capture.
 
 The core guarantee under test: for a fixed (workload, seed, config), a
-run produces identical observables every time — serially, repeated in
-one process, and through the multiprocessing pool (parallel results must
-be byte-identical to serial).
+run produces identical observables every time — repeated in one
+process, and through the forked workers of ``run_many`` at any width
+(parallel results must be byte-identical to serial).
 """
 
 import json
@@ -12,7 +12,6 @@ import math
 import pytest
 
 from repro.core.policy import ProtocolPolicy
-import repro.experiments.parallel as parallel
 from repro.experiments.parallel import (
     RunSpec,
     execute_spec,
@@ -20,7 +19,6 @@ from repro.experiments.parallel import (
     result_fingerprint,
     run_many,
     run_pairs,
-    shutdown_pool,
     thaw_value,
 )
 from repro.experiments.runner import ProtocolComparison, compare_protocols
@@ -99,7 +97,7 @@ def test_run_error_carries_coordinates_and_dump_across_processes():
         config=MachineConfig.dash_default(watchdog_window=0),
         seed=5,
     )
-    outcomes = run_many([spec, spec], workers=2)  # force the process pool
+    outcomes = run_many([spec, spec], workers=2)
     for outcome in outcomes:
         assert not outcome.ok
         err = outcome.error
@@ -113,10 +111,25 @@ def test_run_error_carries_coordinates_and_dump_across_processes():
         json.dumps(err.dump)  # the wire form is pure JSON
 
 
-def test_run_many_empty_and_serial_fallback():
+def test_run_many_empty_and_single_spec():
     assert run_many([], workers=8) == []
-    [only] = run_many([tiny_specs()[0]], workers=8)  # single spec runs inline
+    [only] = run_many([tiny_specs()[0]], workers=8)  # forks one worker
     assert only.ok
+
+
+def test_workload_registered_after_a_sweep_runs_in_the_next(monkeypatch):
+    """Each run_many call forks its own workers, so they know every
+    workload registered before the call, not only those registered
+    before some earlier sweep."""
+    from repro.workloads import WORKLOADS
+    from repro.workloads.synthetic import MigratoryCounters
+
+    assert all(o.ok for o in run_many(tiny_specs()[:2], workers=2))
+    monkeypatch.setitem(WORKLOADS, "late", MigratoryCounters)
+    late = RunSpec.make("late", ProtocolPolicy("AD"), preset="tiny",
+                        iterations=4)
+    outcomes = run_many([late, tiny_specs()[0]], workers=2)
+    assert all(o.ok for o in outcomes), [str(o.error) for o in outcomes]
 
 
 def test_run_pairs_rejects_odd_batch():
@@ -186,19 +199,3 @@ def test_runspec_with_dict_overrides_stays_hashable():
         "knobs": {"beta": 2, "alpha": 1}, "order": (3, 1), "iterations": 6,
     }
 
-
-def test_pool_reused_across_run_many_calls():
-    """The sweep-phase pattern — many same-width run_many calls — must
-    reuse one pool instead of forking a fresh one per call."""
-    shutdown_pool()
-    try:
-        run_many(tiny_specs()[:2], workers=2)
-        first = parallel._POOL
-        assert first is not None
-        run_many(tiny_specs()[2:], workers=2)
-        assert parallel._POOL is first  # same width -> same pool
-        run_many(tiny_specs()[:2], workers=3)
-        assert parallel._POOL is not first  # width change -> rebuilt
-    finally:
-        shutdown_pool()
-    assert parallel._POOL is None

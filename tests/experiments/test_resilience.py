@@ -1,11 +1,11 @@
 """Crash recovery in the parallel runner: timeouts, dead workers, retry.
 
 The misbehaving workloads come from ``chaos_workloads`` (registered into
-the live registry at import); every test rebuilds the shared pool first
-so forked workers inherit those registrations.  The core contract under
-test: a worker crash never loses completed work or determinism — after
-pool rebuild and bounded retries, surviving results are byte-identical
-to a serial run.
+the live registry at import, before any ``run_many`` call forks its
+workers).  The core contract under test: a worker crash never loses
+completed work or determinism — after the lost worker is replaced and
+its cell retried, surviving results are byte-identical to an
+undisturbed run — and no call leaves a worker or a pipe behind.
 """
 
 import os
@@ -15,7 +15,6 @@ import pytest
 
 import tests.experiments.chaos_workloads  # noqa: F401 - registers test workloads
 
-import repro.experiments.parallel as parallel
 from repro.core.policy import ProtocolPolicy
 from repro.experiments.parallel import (
     CELL_TIMEOUT,
@@ -24,17 +23,8 @@ from repro.experiments.parallel import (
     backoff_delay,
     result_fingerprint,
     run_many,
-    shutdown_pool,
 )
 from repro.experiments.store import ResultStore
-
-
-@pytest.fixture(autouse=True)
-def fresh_pool():
-    """Workers must fork after chaos_workloads registered its factories."""
-    shutdown_pool()
-    yield
-    shutdown_pool()
 
 
 def _mig_spec(seed, **overrides):
@@ -57,9 +47,9 @@ def test_backoff_delay_deterministic_capped_and_jittered():
 
 
 def test_worker_crash_recovers_and_matches_serial(tmp_path):
-    """A worker that dies mid-batch (BrokenProcessPool) triggers pool
-    rebuild + re-submission, and the final results are byte-identical to
-    a crash-free serial run."""
+    """A worker that dies mid-batch costs its cell one attempt on a fresh
+    worker, and the final results are byte-identical to a crash-free
+    run."""
     crash = RunSpec.make(
         "test-crash-once", ProtocolPolicy("AD"),
         preset="tiny", marker=str(tmp_path / "crash.marker"), seed=7,
@@ -69,7 +59,7 @@ def test_worker_crash_recovers_and_matches_serial(tmp_path):
     assert all(o.ok for o in outcomes), [str(o.error) for o in outcomes if not o.ok]
     assert (tmp_path / "crash.marker").exists()  # the crash really happened
 
-    # Serial baseline: same specs, marker pre-created so nothing crashes.
+    # Baseline: same specs, marker pre-created so nothing crashes.
     baseline_marker = tmp_path / "baseline.marker"
     baseline_marker.write_text("armed")
     baseline = RunSpec.make(
@@ -83,40 +73,28 @@ def test_worker_crash_recovers_and_matches_serial(tmp_path):
         )
 
 
-def test_externally_killed_worker_does_not_poison_next_call():
-    """Satellite: a dead worker must never be handed work for good by the
-    next same-width run_many call: the attempt that meets it discards the
-    pool and is retried on fresh workers."""
-    specs = [_mig_spec(1), _mig_spec(2)]
-    first = run_many(specs, workers=2)
-    assert all(o.ok for o in first)
-    pool = parallel._POOL
-    workers = pool.processes()
-    assert len(workers) == 2
-    # Kill an idle worker out from under the cached pool (OOM-killer sim).
-    workers[0].kill()
-    generation = pool.generation
-    again = run_many(specs, workers=2)
-    assert all(o.ok for o in again)
-    assert parallel._POOL is pool and pool.generation == generation + 1
-    assert not set(pool.processes()) & set(workers)  # the pool was discarded
-    for a, b in zip(first, again):
-        assert result_fingerprint(a.unwrap()) == result_fingerprint(b.unwrap())
-
-
 def test_pool_leaves_no_fd_open_and_no_child_unreaped():
-    """A timed-out cell, an externally killed worker, an interrupted sweep
-    and shutdown_pool() leave this process with the fds it had before its
-    first pool and with no child to reap."""
+    """Every run_many call closes its pool before it returns: after a
+    timed-out cell, a lost worker and an interrupted sweep alike, this
+    process holds the fds it had and has no child to reap."""
     fds = len(os.listdir("/proc/self/fd"))
+
+    def assert_released():
+        assert len(os.listdir("/proc/self/fd")) == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     hang = RunSpec.make("test-hang", ProtocolPolicy("AD"), preset="tiny",
                         seconds=30.0, seed=3)
     outcomes = run_many([hang, _mig_spec(1)], workers=2, timeout=0.5,
                         max_attempts=2)
     assert outcomes[0].error.exc_type == CELL_TIMEOUT and outcomes[1].ok
-    assert run_many([_mig_spec(2), _mig_spec(3)], workers=2)[0].ok
-    parallel._POOL.processes()[0].kill()
-    assert all(o.ok for o in run_many([_mig_spec(2), _mig_spec(3)], workers=2))
+    assert_released()
+    crash = RunSpec.make("test-crash-always", ProtocolPolicy("AD"),
+                         preset="tiny")
+    outcomes = run_many([crash, _mig_spec(2)], workers=2, max_attempts=1)
+    assert outcomes[0].error.exc_type == WORKER_CRASH and outcomes[1].ok
+    assert_released()
 
     def interrupt(signum, frame):
         raise KeyboardInterrupt
@@ -131,11 +109,7 @@ def test_pool_leaves_no_fd_open_and_no_child_unreaped():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert parallel._POOL.processes() == []  # the hung workers were killed
-    shutdown_pool()
-    assert len(os.listdir("/proc/self/fd")) == fds
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_released()  # the hung workers were killed and reaped
 
 
 def test_cell_timeout_yields_structured_error_not_hang():
@@ -149,7 +123,6 @@ def test_cell_timeout_yields_structured_error_not_hang():
     assert outcomes[0].error.exc_type == CELL_TIMEOUT
     assert "1.0s per-cell" in outcomes[0].error.message
     assert outcomes[1].ok and outcomes[2].ok
-    # The pool was rebuilt (stuck worker reclaimed); next call is healthy.
     healthy = run_many([_mig_spec(4)], workers=2)
     assert healthy[0].ok
 
@@ -168,7 +141,6 @@ def test_worker_crash_exhausts_attempts_with_accounting():
         assert outcome.error.exc_type == WORKER_CRASH
         assert outcome.error.attempts == 2
         assert "died 2 time(s)" in outcome.error.message
-    # The shared pool is usable again afterwards.
     assert run_many([_mig_spec(9)], workers=2)[0].ok
 
 

@@ -362,7 +362,7 @@ def _hang_spec(seed, seconds=30.0):
 
 def test_serve_worker_kill_requeues_and_matches_undisturbed_run(tmp_path):
     """Acceptance: a cell whose worker is killed by ServeFaultPlan is
-    requeued on a rebuilt pool and its result is byte-identical (same
+    requeued on a fresh worker and its result is byte-identical (same
     fingerprint) to an undisturbed local run.  Every count ``/stats``
     reports afterwards is also the value of its ``/metrics`` family."""
     faults = ServeFaultPlan(max_kills=1)
@@ -383,7 +383,6 @@ def test_serve_worker_kill_requeues_and_matches_undisturbed_run(tmp_path):
         assert scheduler["fault_kills"] == 1
         assert scheduler["worker_crashes"] >= 1
         assert scheduler["requeues"] >= 1
-        assert scheduler["executor_rebuilds"] >= 1
         # A requeued cell consumed more than one attempt.
         assert max(c["attempts"] for c in status["cells"]) >= 2
         for spec in specs:
@@ -398,7 +397,6 @@ def test_serve_worker_kill_requeues_and_matches_undisturbed_run(tmp_path):
             "requeues": "repro_serve_requeues_total",
             "timeouts": "repro_serve_timeouts_total",
             "worker_crashes": "repro_serve_worker_crashes_total",
-            "executor_rebuilds": "repro_serve_executor_rebuilds_total",
             "cancelled_jobs": "repro_serve_jobs_cancelled_total",
             "fault_kills": "repro_serve_fault_kills_total",
         }
@@ -438,7 +436,6 @@ def test_serve_cell_timeout_requeues_then_fails_with_attempts(tmp_path):
         scheduler = client.stats()["scheduler"]
         assert scheduler["timeouts"] == 2
         assert scheduler["requeues"] == 1
-        assert scheduler["executor_rebuilds"] == 2
         # The daemon survived and still serves healthy cells.
         healthy = client.submit_specs([tiny_specs()[0]])
         done = client.wait(healthy["job"], timeout=120)

@@ -156,13 +156,21 @@ from repro.core.policy import ProtocolPolicy
 from repro.experiments import parallel
 from repro.experiments.parallel import RunSpec, run_many
 
+workers = []
+fork = parallel._Worker.__init__
+
+def record(worker, siblings):
+    fork(worker, siblings)  # a worker never returns from it
+    workers.append(worker.pid)
+
+parallel._Worker.__init__ = record
 specs = [
     RunSpec.make("migratory-counters", ProtocolPolicy("AD"),
                  preset="tiny", iterations=4, seed=seed)
     for seed in (1, 2)
 ]
 assert all(outcome.ok for outcome in run_many(specs, workers=2))
-print(json.dumps({"workers": [w.pid for w in parallel._POOL.processes()],
+print(json.dumps({"workers": workers,
                   "pid": os.getpid(), "modules": sorted(sys.modules)}))
 """)
     assert len(doc["workers"]) == 2 and doc["pid"] not in doc["workers"]
